@@ -25,7 +25,7 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 ORACLE_CAP = 13
-ORACLE_CAP_SLOW = 19  # with --allow-slow-oracle; p = 17, 19 take minutes
+ORACLE_CAP_SLOW = 19  # with --allow-slow-oracle; p = 17, 19 take about 18-34 s
 
 PROGRESS_THRESHOLD = 10**7  # scans at least this long report blocks on stderr
 
@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p_cen, "--oracle", action="store_true", default=False,
          help="also run the brute-force census and diff it (p <= 13)")
     _add(p_cen, "--allow-slow-oracle", action="store_true", default=False,
-         help="raise the brute-force cap to p <= 19 (minutes of work)")
+         help="raise the brute-force cap to p <= 19 (about half a minute of work)")
     _add_format(p_cen)
     p_cen.set_defaults(func=cmd_census)
 

@@ -9,8 +9,9 @@ Four quantities are computed for G = PSL(2, p):
 
 All four are determined by a small parameter tuple extracted from the
 divisor structure of (p + 1)/2 and (p - 1)/2.  The formulas are evaluated
-in exact rational arithmetic and must come out integral; a fractional
-result means the profile itself is corrupt, so it raises.
+in exact integer arithmetic on delta / (k+1) and epsilon / (l+1); those
+divisions are exact for every genuine profile, so a remainder means the
+profile itself is corrupt, and it raises.
 
 census() expands the counts into an explicit catalogue of subgroup classes
 (cyclic, dihedral, affine, and the exceptional types A4, S4, A5) with class
@@ -21,7 +22,6 @@ computation can confirm label by label for small p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import arith
 
@@ -61,14 +61,20 @@ def profile(p: int) -> InvariantProfile:
         sigma=1 if p % 8 in (1, 7) else 0,
         alpha=1 if p % 5 in (1, 4) else 0,
     )
-    assert (prof.k == 0) != (prof.l == 0)
+    if (prof.k == 0) == (prof.l == 0):
+        raise AssertionError(f"exactly one of (p+1)/2, (p-1)/2 must be even, got {prof}")
     return prof
 
 
-def _as_int(value: Fraction, what: str, prof: InvariantProfile) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"{what} came out non-integral ({value}) for profile {prof}")
-    return int(value)
+def _reduced(prof: InvariantProfile) -> tuple[int, int]:
+    """(delta / (k+1), epsilon / (l+1)), checked to be exact.
+
+    tau is multiplicative and 2^k exactly divides (p+1)/2, so (k+1) divides
+    delta; likewise (l+1) divides epsilon.
+    """
+    if prof.delta % (prof.k + 1) or prof.epsilon % (prof.l + 1):
+        raise ArithmeticError(f"(k+1) must divide delta and (l+1) epsilon, got profile {prof}")
+    return prof.delta // (prof.k + 1), prof.epsilon // (prof.l + 1)
 
 
 def i_count(prof: InvariantProfile) -> int:
@@ -79,36 +85,33 @@ def i_count(prof: InvariantProfile) -> int:
 
 def c_count(prof: InvariantProfile) -> int:
     """Number of conjugacy classes of proper nontrivial subgroups."""
-    val = (
-        (2 + Fraction(prof.k, prof.k + 1)) * prof.delta
-        + (3 + Fraction(prof.l, prof.l + 1)) * prof.epsilon
+    d, e = _reduced(prof)
+    # (2 + k/(k+1)) delta + (3 + l/(l+1)) epsilon - 4 + 3 sigma + 2 alpha
+    return (
+        2 * prof.delta + prof.k * d
+        + 3 * prof.epsilon + prof.l * e
         - 4
         + 3 * prof.sigma
         + 2 * prof.alpha
     )
-    # (k+1) divides delta and (l+1) divides epsilon, so this is integral.
-    return _as_int(val, "c", prof)
 
 
 def s_count(prof: InvariantProfile) -> int:
     """Number of self-normalising conjugacy classes of proper nontrivial subgroups."""
-    val = (
-        Fraction(prof.delta, prof.k + 1)
-        + Fraction(prof.epsilon, prof.l + 1)
-        + 2 * (prof.sigma + prof.alpha)
-    )
-    return _as_int(val, "s", prof)
+    d, e = _reduced(prof)
+    return d + e + 2 * (prof.sigma + prof.alpha)
 
 
 def n_count(prof: InvariantProfile) -> int:
     """Number of non-self-normalising classes; checked against c - s."""
-    val = (
-        (2 + Fraction(prof.k - 1, prof.k + 1)) * prof.delta
-        + (3 + Fraction(prof.l - 1, prof.l + 1)) * prof.epsilon
+    d, e = _reduced(prof)
+    # (2 + (k-1)/(k+1)) delta + (3 + (l-1)/(l+1)) epsilon - 4 + sigma
+    n = (
+        2 * prof.delta + (prof.k - 1) * d
+        + 3 * prof.epsilon + (prof.l - 1) * e
         - 4
         + prof.sigma
     )
-    n = _as_int(val, "n", prof)
     cross = c_count(prof) - s_count(prof)
     if n != cross:
         raise ArithmeticError(f"n formula ({n}) disagrees with c - s ({cross}) for {prof}")
@@ -122,27 +125,6 @@ def counts(prof: InvariantProfile) -> tuple[int, int, int, int]:
 
 # ---------------------------------------------------------------------------
 # Explicit class catalogue
-
-
-KIND_CYCLIC_PLUS = "CyclicPlus"
-KIND_DIHEDRAL_PLUS = "DihedralPlus"
-KIND_CYCLIC_MINUS = "CyclicMinus"
-KIND_DIHEDRAL_MINUS = "DihedralMinus"
-KIND_AFFINE = "Affine"
-KIND_A4 = "A4"
-KIND_S4 = "S4"
-KIND_A5 = "A5"
-
-_KINDS = (
-    KIND_CYCLIC_PLUS,
-    KIND_DIHEDRAL_PLUS,
-    KIND_CYCLIC_MINUS,
-    KIND_DIHEDRAL_MINUS,
-    KIND_AFFINE,
-    KIND_A4,
-    KIND_S4,
-    KIND_A5,
-)
 
 
 def _label_order(label: str, p: int) -> int:
@@ -170,14 +152,11 @@ class ClassEntry:
     """One isomorphism type of proper nontrivial subgroup, with its class data."""
 
     label: str
-    kind: str
     order: int
     num_classes: int
     self_normalising: bool
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
         if self.num_classes not in (1, 2):
             raise ValueError(f"num_classes must be 1 or 2, got {self.num_classes}")
         if self.order < 2:
@@ -258,19 +237,15 @@ def census(p: int) -> ClassCensus:
     m_minus = (p - 1) // 2
     entries: list[ClassEntry] = []
 
-    for m, cyc_kind, dih_kind in (
-        (m_plus, KIND_CYCLIC_PLUS, KIND_DIHEDRAL_PLUS),
-        (m_minus, KIND_CYCLIC_MINUS, KIND_DIHEDRAL_MINUS),
-    ):
+    for m in (m_plus, m_minus):
         for d in arith.divisors(m):
             if d == 1:
                 continue
             quotient_odd = (m // d) % 2 == 1
-            entries.append(ClassEntry(f"C{d}", cyc_kind, d, 1, False))
+            entries.append(ClassEntry(f"C{d}", d, 1, False))
             entries.append(
                 ClassEntry(
                     f"D{d}",
-                    dih_kind,
                     2 * d,
                     1 if quotient_odd else 2,
                     d > 2 and quotient_odd,
@@ -278,13 +253,13 @@ def census(p: int) -> ClassCensus:
             )
 
     for e in arith.divisors(m_minus):
-        entries.append(ClassEntry(f"E{p}:C{e}", KIND_AFFINE, p * e, 1, e == m_minus))
+        entries.append(ClassEntry(f"E{p}:C{e}", p * e, 1, e == m_minus))
 
-    entries.append(ClassEntry("A4", KIND_A4, 12, 1 + prof.sigma, prof.sigma == 0))
+    entries.append(ClassEntry("A4", 12, 1 + prof.sigma, prof.sigma == 0))
     if prof.sigma == 1:
-        entries.append(ClassEntry("S4", KIND_S4, 24, 2, True))
+        entries.append(ClassEntry("S4", 24, 2, True))
     if prof.alpha == 1:
-        entries.append(ClassEntry("A5", KIND_A5, 60, 2, True))
+        entries.append(ClassEntry("A5", 60, 2, True))
 
     entries.sort(key=lambda entry: (entry.order, entry.label))
     result = ClassCensus(p, tuple(entries))

@@ -21,18 +21,7 @@ from math import gcd, lcm
 import numpy as np
 
 from . import arith
-from .invariants import (
-    KIND_A4,
-    KIND_A5,
-    KIND_AFFINE,
-    KIND_CYCLIC_MINUS,
-    KIND_CYCLIC_PLUS,
-    KIND_DIHEDRAL_MINUS,
-    KIND_DIHEDRAL_PLUS,
-    KIND_S4,
-    ClassCensus,
-    ClassEntry,
-)
+from .invariants import ClassCensus, ClassEntry
 
 
 class ResourceLimitError(RuntimeError):
@@ -374,7 +363,6 @@ def oracle_census(p: int, *, allow_large: bool = False, max_subgroups: int = 10*
     subs = enumerate_subgroups(group, max_subgroups=max_subgroups)
     classes = classify(group, subs)
 
-    m_plus = (p + 1) // 2
     by_label: dict[str, list[OracleClass]] = {}
     for cls in classes:
         if cls.excluded_from_census:
@@ -388,22 +376,9 @@ def oracle_census(p: int, *, allow_large: bool = False, max_subgroups: int = 10*
         for other in group_classes[1:]:
             if (other.normaliser_order == other.representative.order) != self_norm:
                 raise AssertionError(f"classes labelled {label} disagree on self-normalisation")
-        if label.startswith("E"):
-            kind = KIND_AFFINE
-        elif label == "A4":
-            kind = KIND_A4
-        elif label == "S4":
-            kind = KIND_S4
-        elif label == "A5":
-            kind = KIND_A5
-        elif label.startswith("C"):
-            kind = KIND_CYCLIC_PLUS if m_plus % int(label[1:]) == 0 else KIND_CYCLIC_MINUS
-        else:
-            kind = KIND_DIHEDRAL_PLUS if m_plus % int(label[1:]) == 0 else KIND_DIHEDRAL_MINUS
         entries.append(
             ClassEntry(
                 label=label,
-                kind=kind,
                 order=rep.representative.order,
                 num_classes=len(group_classes),
                 self_normalising=self_norm,

@@ -15,14 +15,17 @@ product of six primes with the split parameters at their minima.  In cases
 (i, c, s, n) = (17, 18, 6, 12); smaller p and the other two cases can
 miss one or more of them, which the attainment flags record.
 
-Scanning is a wheel pre-sieve over t (one residue class knocked out per
-small prime per polynomial) followed by deterministic primality tests on
-the survivors, blocked so the work can spread over processes while staying
-bit-for-bit independent of the process count.
+Scanning is an exact sieve over t: every prime q up to the square root of
+the largest value knocks out, per polynomial, the residue class of t where
+that value is a proper multiple of q, so the survivors are exactly the
+prime triples.  The sieve runs in blocks so the work can spread over
+processes while staying bit-for-bit independent of the process count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -53,7 +56,6 @@ class CaseSpec:
     case_id: str
     polys: PolynomialFamily
     roles: dict[str, int]
-    p_floor: int = 37  # attainment of (17, 18, 6, 12) is only claimed beyond this
 
     def value(self, role: str, t: int) -> int:
         return self.polys.value(self.roles[role], t)
@@ -132,7 +134,8 @@ def verify_attainment(hit: TripleHit) -> tuple[bool, bool, bool, bool]:
     """
     prof = invariants.profile(hit.p)
     if hit.case_id in ("a", "b") and hit.s >= 7 and hit.r >= 7:
-        assert prof.sigma == 0 and prof.alpha == 0, f"sigma/alpha nonzero at p={hit.p}"
+        if prof.sigma != 0 or prof.alpha != 0:
+            raise AssertionError(f"sigma/alpha nonzero at p={hit.p}")
     return tuple(got == want for got, want in zip(invariants.counts(prof), TARGET_COUNTS))
 
 
@@ -140,45 +143,39 @@ def _sigma_alpha_zero(p: int) -> bool:
     return p % 8 in (3, 5) and p % 5 in (2, 3, 0)
 
 
-def _scan_block(args) -> tuple[int, int, int, list[int]]:
-    """Scan [lo, hi] for one case; returns (lo, q_count, sz_count, hit ts).
+def _scan_block(args) -> tuple[int, int, list[int]]:
+    """Scan [lo, hi] for one case; returns (q_count, sz_count, hit ts).
 
-    Survivor extraction is a wheel sieve: every small prime removes the
-    residue classes of t at which some polynomial vanishes mod q.  Values
-    in this region all exceed the wheel limit, so vanishing mod q really
-    means composite.
+    Exact sieve: each prime q <= isqrt(largest value in the block) strikes,
+    per polynomial a*t + b, the t with a*t + b = 0 mod q and a*t + b > q.
+    Every composite value has such a factor and a prime value never does,
+    so after values below 2 are masked the survivors are exactly the t
+    where all three values are prime.
     """
     import numpy as np
 
-    case_id, lo, hi, wheel_limit, hit_cap = args
+    case_id, lo, hi, hit_cap = args
     coeffs, roles, _, _ = _CASE_DEFS[case_id]
     polys = [(c[1], c[0]) for c in coeffs]  # (a, b) with value a*t + b
-    size = hi - lo + 1
-    mask = np.ones(size, dtype=bool)
-    for q in arith.primes_in_range(2, wheel_limit):
+    mask = np.ones(hi - lo + 1, dtype=bool)
+    for a, b in polys:
+        below = (1 - b) // a  # last t with a*t + b < 2 (case d has r = t)
+        mask[: max(0, min(below, hi) - lo + 1)] = False
+    top = max(a * hi + b for a, b in polys)
+    for q in arith.primes_in_range(2, math.isqrt(top)):
         for a, b in polys:
-            am = a % q
-            if am == 0:
-                if b % q == 0:
-                    mask[:] = False
-                continue
-            root = (-b * pow(am, -1, q)) % q
-            start = (root - lo) % q
-            mask[start::q] = False
-    q_count = 0
+            if a % q == 0:
+                continue  # gcd(a, b) = 1 in every case, so q never divides a*t + b
+            root = (-b * pow(a, -1, q)) % q
+            first = max(lo, (q - b) // a + 1)  # first t with a*t + b > q
+            start = first + (root - first) % q
+            mask[start - lo :: q] = False
+    survivors = np.flatnonzero(mask).tolist()
     sz_count = 0
     hit_ts: list[int] = []
     p_idx, s_idx, r_idx = roles["p"], roles["s"], roles["r"]
-    for off in np.flatnonzero(mask).tolist():
+    for off in survivors:
         t = lo + off
-        ok = True
-        for a, b in polys:
-            if not arith.is_prime(a * t + b):
-                ok = False
-                break
-        if not ok:
-            continue
-        q_count += 1
         p = polys[p_idx][0] * t + polys[p_idx][1]
         s = polys[s_idx][0] * t + polys[s_idx][1]
         r = polys[r_idx][0] * t + polys[r_idx][1]
@@ -188,26 +185,7 @@ def _scan_block(args) -> tuple[int, int, int, list[int]]:
             sz_count += 1
         if len(hit_ts) < hit_cap:
             hit_ts.append(t)
-    return lo, q_count, sz_count, hit_ts
-
-
-def _scan_direct(spec: CaseSpec, lo: int, hi: int, hit_cap: int) -> tuple[int, int, int, list[int]]:
-    """Plain primality loop for the region where values may not exceed the wheel."""
-    q_count = 0
-    sz_count = 0
-    hit_ts: list[int] = []
-    for t in range(lo, hi + 1):
-        p, s, r = spec.value("p", t), spec.value("s", t), spec.value("r", t)
-        if not (arith.is_prime(p) and arith.is_prime(s) and arith.is_prime(r)):
-            continue
-        q_count += 1
-        if s in (2, 3) or r in (2, 3):
-            continue
-        if _sigma_alpha_zero(p):
-            sz_count += 1
-        if len(hit_ts) < hit_cap:
-            hit_ts.append(t)
-    return lo, q_count, sz_count, hit_ts
+    return len(survivors), sz_count, hit_ts
 
 
 def scan(
@@ -217,7 +195,6 @@ def scan(
     hit_cap: int = 10000,
     jobs: int = 1,
     block_size: int = 4_000_000,
-    wheel_limit: int = 10000,
     progress: bool = False,
 ) -> SearchSummary:
     """Count prime triples for t in [1, t_max] and record hits.
@@ -232,47 +209,22 @@ def scan(
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
 
-    coeffs, _, _, _ = _CASE_DEFS[spec.case_id]
-    # Values at or below the wheel limit could equal a wheel prime, so that
-    # prefix is scanned directly; beyond it the sieve is exact.
-    direct_end = 0
-    for b, a in coeffs:
-        direct_end = max(direct_end, (wheel_limit - b) // a)
-    direct_end = min(t_max, direct_end)
-
-    results = []
-    if direct_end >= 1:
-        results.append(_scan_direct(spec, 1, direct_end, hit_cap))
-
-    block_args = []
-    lo = direct_end + 1
-    while lo <= t_max:
-        hi = min(lo + block_size - 1, t_max)
-        block_args.append((spec.case_id, lo, hi, wheel_limit, hit_cap))
-        lo = hi + 1
-
-    if block_args:
-        if jobs == 1:
-            for i, args in enumerate(block_args):
-                results.append(_scan_block(args))
-                if progress:
-                    print(f"scan {spec.case_id}: block {i + 1}/{len(block_args)}", file=sys.stderr)
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for i, res in enumerate(pool.map(_scan_block, block_args)):
-                    results.append(res)
-                    if progress:
-                        print(f"scan {spec.case_id}: block {i + 1}/{len(block_args)}", file=sys.stderr)
-
-    results.sort(key=lambda r: r[0])
-    q_count = sum(r[1] for r in results)
-    sz_count = sum(r[2] for r in results)
+    block_args = [
+        (spec.case_id, lo, min(lo + block_size - 1, t_max), hit_cap)
+        for lo in range(1, t_max + 1, block_size)
+    ]
+    q_count = 0
+    sz_count = 0
     hit_ts: list[int] = []
-    for _, _, _, ts in results:
-        for t in ts:
-            if len(hit_ts) >= hit_cap:
-                break
-            hit_ts.append(t)
+    workers = min(jobs, len(block_args))  # a single block runs in-process
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        blocks = pool.map(_scan_block, block_args) if pool else map(_scan_block, block_args)
+        for i, (q, sz, ts) in enumerate(blocks, 1):
+            q_count += q
+            sz_count += sz
+            hit_ts.extend(ts[: hit_cap - len(hit_ts)])
+            if progress:
+                print(f"scan {spec.case_id}: block {i}/{len(block_args)}", file=sys.stderr)
     hits = tuple(_make_hit(spec, t) for t in hit_ts)
     return SearchSummary(
         case_id=spec.case_id,

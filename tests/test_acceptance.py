@@ -159,7 +159,7 @@ def test_07_prediction_vs_actual_desk_scale():
 
 
 @pytest.mark.skipif(os.environ.get("PSL2_EXTENDED") != "1",
-                    reason="hour-scale scan; set PSL2_EXTENDED=1 to run")
+                    reason="1e9 scans, 75-95 s on 2 cores; set PSL2_EXTENDED=1 to run")
 def test_07x_prediction_vs_actual_1e9():
     t0 = time.monotonic()
     frozen = {"a": (614423, 0.188), "b": (615369, 0.034)}

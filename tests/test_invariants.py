@@ -1,5 +1,9 @@
 """Formula-side counts, the explicit class catalogue and the reference table."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +35,23 @@ class TestProfile:
             prof = invariants.profile(p)
             assert (prof.k == 0) != (prof.l == 0), p
 
+    def test_one_even_side_check_survives_optimize(self):
+        # The check must raise even under python -O, which strips asserts.
+        code = (
+            "from psl2count import arith, invariants\n"
+            "arith.two_adic_valuation = lambda n: 0\n"
+            "try:\n"
+            "    invariants.profile(37)\n"
+            "except AssertionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(invariants.__file__)))
+        path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
+        assert proc.returncode == 0
+
     def test_flag_congruences(self):
         for p in arith.primes_in_range(5, 2000):
             prof = invariants.profile(p)
@@ -48,6 +69,13 @@ class TestCountFormulas:
         for p in arith.primes_in_range(5, 10**4):
             prof = invariants.profile(p)
             assert invariants.c_count(prof) == invariants.s_count(prof) + invariants.n_count(prof), p
+
+    @pytest.mark.parametrize("fn", [invariants.c_count, invariants.s_count, invariants.n_count])
+    def test_corrupt_profile_raises(self, fn):
+        # (k+1) = 2 does not divide delta = 3, so no genuine prime has this profile
+        prof = invariants.InvariantProfile(p=37, delta=3, epsilon=6, k=1, l=0, sigma=0, alpha=0)
+        with pytest.raises(ArithmeticError):
+            fn(prof)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=2, max_value=2000))
@@ -93,8 +121,7 @@ class TestCensus:
 
     def test_entry_validation(self):
         with pytest.raises(ValueError):
-            invariants.ClassEntry(label="C4", kind="cyclic-plus", order=4, num_classes=3,
-                                  self_normalising=False)
+            invariants.ClassEntry(label="C4", order=4, num_classes=3, self_normalising=False)
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):

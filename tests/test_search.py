@@ -1,8 +1,10 @@
 """Prime-triple scans: frozen counts, hit semantics and determinism."""
 
+import random
+
 import pytest
 
-from psl2count import invariants, search
+from psl2count import arith, invariants, search
 
 SPECS = {c: search.case_spec(c) for c in search.CASE_IDS}
 
@@ -65,6 +67,43 @@ class TestScanCounts:
             search.scan(SPECS["a"], 10, jobs=0)
         with pytest.raises(ValueError):
             search.scan(SPECS["a"], 2**61)
+
+
+def _plain_block(spec, lo, hi):
+    """Reference for search._scan_block: a plain primality loop over t."""
+    q_count = sz_count = 0
+    hit_ts = []
+    for t in range(lo, hi + 1):
+        p, s, r = (spec.value(x, t) for x in "psr")
+        if not (arith.is_prime(p) and arith.is_prime(s) and arith.is_prime(r)):
+            continue
+        q_count += 1
+        if s in (2, 3) or r in (2, 3):
+            continue
+        prof = invariants.profile(p)
+        if prof.sigma == 0 and prof.alpha == 0:
+            sz_count += 1
+        hit_ts.append(t)
+    return q_count, sz_count, hit_ts
+
+
+class TestExactSieve:
+    @pytest.mark.parametrize("case_id", search.CASE_IDS)
+    def test_random_windows_match_plain_loop(self, case_id):
+        rng = random.Random(f"sieve-{case_id}")
+        for _ in range(10):
+            lo = rng.randint(1, 10**9)
+            hi = lo + rng.randint(0, 3000)
+            got = search._scan_block((case_id, lo, hi, 10**6))
+            assert got == _plain_block(SPECS[case_id], lo, hi), (case_id, lo, hi)
+
+    @pytest.mark.parametrize("case_id", search.CASE_IDS)
+    def test_low_block_starts_match_plain_loop(self, case_id):
+        # Values equal to a sieving prime must survive, and r = t = 1 in
+        # case d must not.
+        for lo in range(1, 61):
+            got = search._scan_block((case_id, lo, 300, 10**6))
+            assert got == _plain_block(SPECS[case_id], lo, 300), (case_id, lo)
 
 
 class TestHits:
