@@ -1,4 +1,4 @@
-"""Integer arithmetic helpers: primality, factorization, divisor counts, prime sieves.
+"""Integer arithmetic helpers: primality, factorization, divisor counts, one prime sieve.
 
 Everything here is exact and deterministic.  Primality testing uses a fixed
 witness set that is proven correct for all inputs below 2**64, so no function
@@ -10,7 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 U64_MAX = 2**64 - 1
+
+_SEGMENT_BYTES = 64 * 1024 * 1024
 
 # Strong-pseudoprime witnesses covering every n < 2**64 (the seven-base set
 # found by Sinclair; verified minimal for this range).
@@ -80,16 +84,76 @@ class Factorization:
         return divs
 
 
-def _trial_primes(limit: int = 1000) -> tuple[int, ...]:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes(len(flags[p * p :: p]))
-    return tuple(i for i in range(limit + 1) if flags[i])
+def sieve_forms(forms, lo: int, hi: int) -> np.ndarray:
+    """Bool mask over t in [lo, hi], True where every a*t + b in forms is prime.
+
+    forms holds (a, b) pairs with a >= 1 and gcd(a, b) = 1.  Exact sieve:
+    each prime q <= isqrt(largest value) strikes, per form, the t with
+    a*t + b = 0 mod q and a*t + b > q.  Every composite value has such a
+    factor and a prime value never does, so after values below 2 are masked
+    the survivors are exactly the t where every value is prime.  A prime q
+    dividing a never divides a*t + b, because gcd(a, b) = 1.
+    """
+    if lo > hi:
+        raise ValueError("sieve_forms requires lo <= hi")
+    for a, b in forms:
+        if a < 1 or math.gcd(a, b) != 1:
+            raise ValueError(f"sieve_forms requires a >= 1 and gcd(a, b) = 1, got ({a}, {b})")
+    top = max(a * hi + b for a, b in forms)
+    if top > U64_MAX:
+        raise ValueError("sieve_forms requires every value below 2**64")
+    mask = np.ones(hi - lo + 1, dtype=bool)
+    for a, b in forms:
+        below = (1 - b) // a  # last t with a*t + b < 2
+        mask[: max(0, min(below, hi) - lo + 1)] = False
+    # max(2, ...) ends the recursion; max(top, 0) admits all-negative values
+    for q in primes_in_range(2, max(2, math.isqrt(max(top, 0)))):
+        for a, b in forms:
+            if a % q == 0:
+                continue
+            root = (-b * pow(a, -1, q)) % q
+            first = max(lo, (q - b) // a + 1)  # first t with a*t + b > q
+            start = first + (root - first) % q
+            mask[start - lo :: q] = False
+    return mask
 
 
-_TRIAL = _trial_primes()
+def primes_of_form(a: int, b: int, lo: int, hi: int, *, segment_bytes: int = _SEGMENT_BYTES) -> list[int]:
+    """The prime values a*t + b for lo <= t <= hi, ascending.
+
+    t is sieved by sieve_forms in segments whose masks hold at most
+    segment_bytes bytes; each segment fetches its own base primes.  An
+    empty range (lo > hi) gives an empty list.
+    """
+    if segment_bytes < 1:
+        raise ValueError("segment_bytes must be at least 1")
+    out: list[int] = []
+    for seg_lo in range(lo, hi + 1, segment_bytes):
+        seg_hi = min(seg_lo + segment_bytes - 1, hi)
+        offsets = np.flatnonzero(sieve_forms([(a, b)], seg_lo, seg_hi)).astype(np.uint64)
+        # uint64 arithmetic wraps mod 2**64; every prime value lies in
+        # [2, 2**64), so the wrapped value is the exact one.
+        base = np.uint64((a * seg_lo + b) % 2**64)
+        out.extend((offsets * np.uint64(a) + base).tolist())
+    return out
+
+
+def primes_in_range(lo: int, hi: int, *, segment_bytes: int = _SEGMENT_BYTES) -> list[int]:
+    """All primes p with lo <= p <= hi, ascending.
+
+    2 if it is in range, then the odd primes 2t + 1 from primes_of_form.
+    Each segment's mask stays below segment_bytes, but the base primes every
+    segment needs form a list that grows as pi(isqrt(hi)).
+    """
+    if lo > hi:
+        raise ValueError("primes_in_range requires lo <= hi")
+    if hi > U64_MAX:
+        raise ValueError("primes_in_range requires hi < 2**64")
+    two = [2] if lo <= 2 <= hi else []
+    return two + primes_of_form(2, 1, max(lo, 2) // 2, (hi - 1) // 2, segment_bytes=segment_bytes)
+
+
+_TRIAL = tuple(primes_in_range(2, 1000))
 
 
 def _brent_rho(n: int) -> int:
@@ -177,50 +241,3 @@ def two_adic_valuation(n: int) -> int:
     if n < 1:
         raise ValueError("two_adic_valuation requires n >= 1")
     return (n & -n).bit_length() - 1
-
-
-def primes_in_range(lo: int, hi: int, *, segment_bytes: int = 64 * 1024 * 1024) -> list[int]:
-    """All primes p with lo <= p <= hi, ascending.
-
-    Segmented sieve over odd numbers only; each segment's mask stays below
-    segment_bytes, so memory is bounded regardless of the span.
-    """
-    import numpy as np
-
-    if lo > hi:
-        raise ValueError("primes_in_range requires lo <= hi")
-    if hi > U64_MAX:
-        raise ValueError("primes_in_range requires hi < 2**64")
-    if hi < 2:
-        return []
-    lo = max(lo, 2)
-    out: list[int] = []
-    if lo <= 2:
-        out.append(2)
-
-    root = math.isqrt(hi)
-    base_mask = np.ones(root + 1, dtype=bool)
-    base_mask[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if base_mask[p]:
-            base_mask[p * p :: p] = False
-    base = np.flatnonzero(base_mask)
-    base_odd = [int(p) for p in base if p > 2]
-
-    # Sieve only odd values; index i in a segment represents seg_lo + 2*i.
-    seg_len = max(segment_bytes, 1 << 16)
-    start = max(lo, 3) | 1
-    while start <= hi:
-        seg_hi = min(start + 2 * (seg_len - 1), hi)
-        count = (seg_hi - start) // 2 + 1
-        mask = np.ones(count, dtype=bool)
-        for p in base_odd:
-            first = max(p * p, ((start + p - 1) // p) * p)
-            if first % 2 == 0:
-                first += p
-            if first > seg_hi:
-                continue
-            mask[(first - start) // 2 :: p] = False
-        out.extend((start + 2 * np.flatnonzero(mask)).tolist())
-        start = seg_hi + 2
-    return out

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import arith
 
 
@@ -268,24 +270,13 @@ def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
 # ---------------------------------------------------------------------------
 # Quadrature
 
-_GL_NODES, _GL_WEIGHTS = None, None
-
-
-def _gl7():
-    global _GL_NODES, _GL_WEIGHTS
-    if _GL_NODES is None:
-        import numpy as np
-
-        nodes, weights = np.polynomial.legendre.leggauss(7)
-        _GL_NODES, _GL_WEIGHTS = nodes, weights
-    return _GL_NODES, _GL_WEIGHTS
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
 
 
 def _panel(f, lo: float, hi: float) -> float:
-    nodes, weights = _gl7()
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    return half * float((weights * f(mid + half * nodes)).sum())
+    return half * float((_GL_WEIGHTS * f(mid + half * _GL_NODES)).sum())
 
 
 def integrate_adaptive(f, lo: float, hi: float, *, rel_tol: float = 1e-8, max_panels: int = 200000):
@@ -361,8 +352,6 @@ def integration_lower_limit(fam: PolynomialFamily) -> int:
 
 def estimate_E(fam: PolynomialFamily, x: float, constant: HlConstant, *, rel_tol: float = 1e-8) -> BhcEstimate:
     """Evaluate E(x) = C * integral from a to x of dt / prod ln f_i(t)."""
-    import numpy as np
-
     a = integration_lower_limit(fam)
     if x <= a:
         raise ValueError(f"x must exceed the integration lower limit {a}")

@@ -7,7 +7,8 @@ can be preset through an environment variable PSL2_<FLAG>, e.g.
 PSL2_T_MAX=1000000 or PSL2_FORMAT=json; an explicit flag wins.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 resource
-abort.
+abort (a resource cap or running out of memory), 4 internal error (any other
+exception; the traceback and a one-line summary go to standard error).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import bhc, heathbrown, invariants, oracle, search
 
@@ -23,6 +25,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 ORACLE_CAP = 13
 ORACLE_CAP_SLOW = 19  # with --allow-slow-oracle; p = 17, 19 take about 18-34 s
@@ -266,12 +269,14 @@ def cmd_verify_table(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.hit_cap < 0 or args.show_hits < 0:
+        raise ValueError("--hit-cap and --show-hits must be at least 0")
     spec = search.case_spec(args.case)
     jobs = args.threads if args.threads is not None else search.default_jobs()
     summary = search.scan(
         spec,
         args.t_max,
-        hit_cap=args.hit_cap,
+        hit_cap=min(args.hit_cap, args.show_hits),  # only the shown hits are built
         jobs=jobs,
         progress=args.t_max >= PROGRESS_THRESHOLD,
     )
@@ -348,9 +353,8 @@ def cmd_hb(args) -> int:
     rows = []
     violations = 0
     for c in cands:
-        quad = (invariants.counts(c.profile) if c.profile is not None
-                else (None, None, None, None))
-        if all(v is not None for v in quad) and any(v > b for v, b in zip(quad, bounds)):
+        quad = invariants.counts(c.profile)
+        if any(v > b for v, b in zip(quad, bounds)):
             violations += 1
         rows.append((c.p, c.omega_minus, c.omega_plus) + quad)
 
@@ -368,7 +372,7 @@ def cmd_hb(args) -> int:
     elif args.format == "csv":
         print("p,omega_minus,omega_plus,i,c,s,n")
         for r in rows:
-            print(",".join("" if v is None else str(v) for v in r))
+            print(",".join(str(v) for v in r))
     else:
         print(f"primes p = 5 mod 72 with few factors around them, p <= {args.limit}: {len(rows)}")
         print("bounds: i<={} c<={} s<={} n<={}".format(*bounds))
@@ -465,6 +469,13 @@ def main(argv=None) -> int:
     except oracle.ResourceLimitError as exc:
         print(f"psl2count: resource cap hit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError as exc:
+        print(f"psl2count: out of memory: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"psl2count: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

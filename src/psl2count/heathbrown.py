@@ -51,22 +51,19 @@ def qualifies(p: int) -> HbCandidate:
 def scan_hb(limit: int) -> list[HbCandidate]:
     """All qualifying primes up to limit, ascending.
 
-    Primes are sieved in segments and filtered to the residue class
-    5 mod 72 before any factoring happens.  Every candidate's profile must
-    show k = 0, l = 1 and sigma = 0; the congruence forces that, so a
-    violation means a bug and raises.
+    Primes are sieved along 72t + 5 before any factoring happens.  Every
+    candidate's profile must show k = 0, l = 1 and sigma = 0; the
+    congruence forces that, so a violation means a bug and raises.
     """
     if limit < HB_MODULUS + HB_RESIDUE:
         raise ValueError(f"limit below {HB_MODULUS + HB_RESIDUE} cannot contain a candidate beyond p=5")
     out = []
-    for p in arith.primes_in_range(2, limit):
-        if p % HB_MODULUS != HB_RESIDUE:
-            continue
+    for p in arith.primes_of_form(HB_MODULUS, HB_RESIDUE, 0, (limit - HB_RESIDUE) // HB_MODULUS):
         cand = qualifies(p)
         if not cand.qualifies:
             continue
         prof = cand.profile
-        if prof is not None and (prof.k, prof.l, prof.sigma) != (0, 1, 0):
+        if (prof.k, prof.l, prof.sigma) != (0, 1, 0):
             raise AssertionError(f"residue 5 mod 72 must force (k, l, sigma) = (0, 1, 0); p={p}")
         out.append(cand)
     return out

@@ -15,21 +15,21 @@ product of six primes with the split parameters at their minima.  In cases
 (i, c, s, n) = (17, 18, 6, 12); smaller p and the other two cases can
 miss one or more of them, which the attainment flags record.
 
-Scanning is an exact sieve over t: every prime q up to the square root of
-the largest value knocks out, per polynomial, the residue class of t where
-that value is a proper multiple of q, so the survivors are exactly the
-prime triples.  The sieve runs in blocks so the work can spread over
-processes while staying bit-for-bit independent of the process count.
+Scanning runs the exact sieve of linear forms, arith.sieve_forms, over t
+for the three polynomials at once, so the survivors are exactly the prime
+triples.  The sieve runs in blocks so the work can spread over processes
+while staying bit-for-bit independent of the process count.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import arith, invariants
 from .bhc import PolynomialFamily
@@ -146,31 +146,14 @@ def _sigma_alpha_zero(p: int) -> bool:
 def _scan_block(args) -> tuple[int, int, list[int]]:
     """Scan [lo, hi] for one case; returns (q_count, sz_count, hit ts).
 
-    Exact sieve: each prime q <= isqrt(largest value in the block) strikes,
-    per polynomial a*t + b, the t with a*t + b = 0 mod q and a*t + b > q.
-    Every composite value has such a factor and a prime value never does,
-    so after values below 2 are masked the survivors are exactly the t
-    where all three values are prime.
+    arith.sieve_forms leaves exactly the t where all three values are
+    prime; each is counted, and the first hit_cap with s and r at least 5
+    are kept as hits.
     """
-    import numpy as np
-
     case_id, lo, hi, hit_cap = args
     coeffs, roles, _, _ = _CASE_DEFS[case_id]
     polys = [(c[1], c[0]) for c in coeffs]  # (a, b) with value a*t + b
-    mask = np.ones(hi - lo + 1, dtype=bool)
-    for a, b in polys:
-        below = (1 - b) // a  # last t with a*t + b < 2 (case d has r = t)
-        mask[: max(0, min(below, hi) - lo + 1)] = False
-    top = max(a * hi + b for a, b in polys)
-    for q in arith.primes_in_range(2, math.isqrt(top)):
-        for a, b in polys:
-            if a % q == 0:
-                continue  # gcd(a, b) = 1 in every case, so q never divides a*t + b
-            root = (-b * pow(a, -1, q)) % q
-            first = max(lo, (q - b) // a + 1)  # first t with a*t + b > q
-            start = first + (root - first) % q
-            mask[start - lo :: q] = False
-    survivors = np.flatnonzero(mask).tolist()
+    survivors = np.flatnonzero(arith.sieve_forms(polys, lo, hi)).tolist()
     sz_count = 0
     hit_ts: list[int] = []
     p_idx, s_idx, r_idx = roles["p"], roles["s"], roles["r"]
@@ -208,6 +191,8 @@ def scan(
         raise ValueError("t_max too large for 64-bit polynomial values")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    if hit_cap < 0:
+        raise ValueError("hit_cap must be at least 0")
 
     block_args = [
         (spec.case_id, lo, min(lo + block_size - 1, t_max), hit_cap)

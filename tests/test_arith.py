@@ -161,3 +161,50 @@ class TestPrimesInRange:
         assert arith.primes_in_range(24, 28) == []
         assert arith.primes_in_range(2, 2) == [2]
         assert arith.primes_in_range(3, 3) == [3]
+
+    def test_every_small_window(self):
+        for lo in range(70):
+            for hi in range(lo, 70):
+                assert arith.primes_in_range(lo, hi) == [n for n in range(max(lo, 2), hi + 1) if SPF[n] == n], (lo, hi)
+
+
+# (2, 1) gives the odd primes, (1, 0) every prime, (72, 5) the primes 5 mod 72,
+# and the last is the triple family of search case a: p = 12t + 5, r = 3t + 1, s = 2t + 1.
+SIEVE_FORMS = ([(2, 1)], [(1, 0)], [(72, 5)], [(12, 5), (3, 1), (2, 1)])
+
+
+def _plain_mask(forms, lo, hi):
+    """Reference for arith.sieve_forms: a plain primality loop over t."""
+    return [all(a * t + b >= 2 and arith.is_prime(a * t + b) for a, b in forms) for t in range(lo, hi + 1)]
+
+
+class TestSieveForms:
+    @pytest.mark.parametrize("forms", SIEVE_FORMS)
+    def test_random_windows_match_plain_loop(self, forms):
+        rng = random.Random(f"forms-{forms}")
+        for _ in range(10):
+            lo = rng.randint(0, 10**9)
+            hi = lo + rng.randint(0, 3000)
+            assert arith.sieve_forms(forms, lo, hi).tolist() == _plain_mask(forms, lo, hi), (lo, hi)
+
+    @pytest.mark.parametrize("forms", SIEVE_FORMS)
+    def test_low_windows_match_plain_loop(self, forms):
+        # values equal to a sieving prime must survive, values below 2 must not
+        for lo in range(61):
+            assert arith.sieve_forms(forms, lo, 300).tolist() == _plain_mask(forms, lo, 300), lo
+
+    def test_validation(self):
+        for forms, lo, hi in (
+            ([(0, 1)], 0, 10),          # a = 0
+            ([(6, 3)], 0, 10),          # gcd(a, b) = 3
+            ([(2, 1)], 5, 4),           # lo > hi
+            ([(1, 0)], 2**64 - 5, 2**64),  # a value of 2**64
+        ):
+            with pytest.raises(ValueError):
+                arith.sieve_forms(forms, lo, hi)
+
+    @pytest.mark.parametrize("segment_bytes", (1, 7, 10**6))
+    def test_primes_of_form_segments(self, segment_bytes):
+        for a, b in ((72, 5), (2, -1)):
+            expect = [a * t + b for t in range(0, 2001) if a * t + b >= 2 and arith.is_prime(a * t + b)]
+            assert arith.primes_of_form(a, b, 0, 2000, segment_bytes=segment_bytes) == expect, (a, b)

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from psl2count import cli
+from psl2count import cli, invariants, search
 
 
 def run(argv, env=None):
@@ -158,6 +158,23 @@ class TestSearchCommand:
         code, out, _ = run(["search", "a", "--t-max", "1e3", "--format", "json"])
         assert json.loads(out)["t_max"] == 1000
 
+    def test_only_shown_hits_are_built(self, monkeypatch):
+        caps = []
+        real_scan = search.scan
+
+        def recording_scan(spec, t_max, **kw):
+            caps.append(kw["hit_cap"])
+            return real_scan(spec, t_max, **kw)
+
+        monkeypatch.setattr(search, "scan", recording_scan)
+        code, out, _ = run(["search", "a", "--t-max", "1000", "--show-hits", "3"])
+        assert code == 0 and caps == [3]
+        assert out.count("  t=") == 3
+
+    def test_negative_hit_counts_are_usage_errors(self):
+        assert run(["search", "a", "--t-max", "100", "--show-hits", "-1"])[0] == 2
+        assert run(["search", "a", "--t-max", "100", "--hit-cap", "-3"])[0] == 2
+
 
 class TestBhcCommand:
     def test_json_schema(self):
@@ -224,3 +241,22 @@ class TestPlumbing:
 
     def test_entry_point_exists(self):
         assert callable(cli.entry)
+
+    def test_internal_error_has_its_own_exit_code(self, monkeypatch):
+        def broken(prof):
+            raise ArithmeticError("divisibility check failed")
+
+        monkeypatch.setattr(invariants, "counts", broken)
+        code, _, err = run(["invariants", "37"])
+        assert code == 4
+        assert "Traceback" in err
+        assert err.strip().splitlines()[-1] == (
+            "psl2count: internal error: ArithmeticError: divisibility check failed"
+        )
+
+    def test_memory_error_is_a_resource_abort(self, monkeypatch):
+        def exhausted(prof):
+            raise MemoryError
+
+        monkeypatch.setattr(invariants, "counts", exhausted)
+        assert run(["invariants", "37"])[0] == 3

@@ -54,6 +54,10 @@ class TestScan:
         with pytest.raises(ValueError):
             heathbrown.scan_hb(10)
 
+    def test_limit_is_inclusive(self):
+        assert [c.p for c in heathbrown.scan_hb(148)] == [5]
+        assert [c.p for c in heathbrown.scan_hb(149)] == [5, 149]
+
 
 class TestBounds:
     def test_values(self):

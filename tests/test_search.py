@@ -67,6 +67,8 @@ class TestScanCounts:
             search.scan(SPECS["a"], 10, jobs=0)
         with pytest.raises(ValueError):
             search.scan(SPECS["a"], 2**61)
+        with pytest.raises(ValueError):
+            search.scan(SPECS["a"], 10, hit_cap=-1)
 
 
 def _plain_block(spec, lo, hi):
