@@ -89,10 +89,11 @@ def sieve_forms(forms, lo: int, hi: int) -> np.ndarray:
 
     forms holds (a, b) pairs with a >= 1 and gcd(a, b) = 1.  Exact sieve:
     each prime q <= isqrt(largest value) strikes, per form, the t with
-    a*t + b = 0 mod q and a*t + b > q.  Every composite value has such a
-    factor and a prime value never does, so after values below 2 are masked
-    the survivors are exactly the t where every value is prime.  A prime q
-    dividing a never divides a*t + b, because gcd(a, b) = 1.
+    a*t + b = 0 mod q and a*t + b >= q*q.  A composite value is at least the
+    square of its least prime factor, so it is struck; a prime value q is
+    below q*q, so it never is.  After values below 2 are masked the survivors
+    are exactly the t where every value is prime.  A prime q dividing a never
+    divides a*t + b, because gcd(a, b) = 1.
     """
     if lo > hi:
         raise ValueError("sieve_forms requires lo <= hi")
@@ -112,7 +113,7 @@ def sieve_forms(forms, lo: int, hi: int) -> np.ndarray:
             if a % q == 0:
                 continue
             root = (-b * pow(a, -1, q)) % q
-            first = max(lo, (q - b) // a + 1)  # first t with a*t + b > q
+            first = max(lo, (q * q - b + a - 1) // a)  # first t with a*t + b >= q*q
             start = first + (root - first) % q
             mask[start - lo :: q] = False
     return mask

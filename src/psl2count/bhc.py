@@ -17,6 +17,7 @@ is 5 + 12*t.  Degrees above 2 are not supported.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -270,13 +271,17 @@ def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
 # ---------------------------------------------------------------------------
 # Quadrature
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
+@functools.cache
+def _gl7():
+    """7-point Gauss-Legendre rule, built on first use: start-up skips numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(7)
 
 
 def _panel(f, lo: float, hi: float) -> float:
+    nodes, weights = _gl7()
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    return half * float((_GL_WEIGHTS * f(mid + half * _GL_NODES)).sum())
+    return half * float((weights * f(mid + half * nodes)).sum())
 
 
 def integrate_adaptive(f, lo: float, hi: float, *, rel_tol: float = 1e-8, max_panels: int = 200000):

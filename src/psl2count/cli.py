@@ -7,8 +7,7 @@ can be preset through an environment variable PSL2_<FLAG>, e.g.
 PSL2_T_MAX=1000000 or PSL2_FORMAT=json; an explicit flag wins.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 resource
-abort (a resource cap or running out of memory), 4 internal error (any other
-exception; the traceback and a one-line summary go to standard error).
+abort (a cap or out of memory), 4 internal error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -269,14 +268,14 @@ def cmd_verify_table(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.hit_cap < 0 or args.show_hits < 0:
-        raise ValueError("--hit-cap and --show-hits must be at least 0")
+    if args.show_hits < 0:
+        raise ValueError("--show-hits must be at least 0")
     spec = search.case_spec(args.case)
     jobs = args.threads if args.threads is not None else search.default_jobs()
     summary = search.scan(
         spec,
         args.t_max,
-        hit_cap=min(args.hit_cap, args.show_hits),  # only the shown hits are built
+        hit_cap=args.show_hits,  # only the shown hits are built
         jobs=jobs,
         progress=args.t_max >= PROGRESS_THRESHOLD,
     )
@@ -329,13 +328,14 @@ def cmd_bhc(args) -> int:
         print(f"E = {_real(est.e_value)}")
 
     if args.q_file is not None:
-        with open(args.q_file, "r", encoding="utf-8") as fh:
-            scan_data = json.load(fh)
-        if scan_data.get("case") != args.case:
-            raise ValueError(
-                f"scan file is for case {scan_data.get('case')!r}, estimate is for {args.case!r}"
-            )
-        q = scan_data["q_count"]
+        try:
+            with open(args.q_file, "r", encoding="utf-8") as fh:
+                scan_data = json.load(fh)
+            q, case = scan_data["q_count"], scan_data.get("case")
+        except (OSError, KeyError) as exc:  # input errors, not bugs: exit 2
+            raise ValueError(f"cannot read q_count from scan file {args.q_file}: {exc!r}") from exc
+        if case != args.case:
+            raise ValueError(f"scan file is for case {case!r}, estimate is for {args.case!r}")
         rel = bhc.compare(q, est)
         stream = sys.stdout if args.format == "table" else sys.stderr
         print(f"Q = {q} at t_max = {scan_data.get('t_max')}, (E - Q)/Q = {rel * 100:+.4f}%",
@@ -350,6 +350,7 @@ def cmd_bhc(args) -> int:
 def cmd_hb(args) -> int:
     cands = heathbrown.scan_hb(args.limit)
     bounds = heathbrown.derive_upper_bounds()
+    cols = ("p", "omega_minus", "omega_plus", "i", "c", "s", "n")
     rows = []
     violations = 0
     for c in cands:
@@ -362,15 +363,11 @@ def cmd_hb(args) -> int:
         out = {
             "limit": args.limit,
             "bounds": dict(zip("icsn", bounds)),
-            "candidates": [
-                {"p": r[0], "omega_minus": r[1], "omega_plus": r[2],
-                 "i": r[3], "c": r[4], "s": r[5], "n": r[6]}
-                for r in rows
-            ],
+            "candidates": [dict(zip(cols, r)) for r in rows],
         }
         print(json.dumps(out))
     elif args.format == "csv":
-        print("p,omega_minus,omega_plus,i,c,s,n")
+        print(",".join(cols))
         for r in rows:
             print(",".join(str(v) for v in r))
     else:
@@ -425,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p_sea, "--t-max", type=_int_arg, required=True, help="scan t in [1, t_max]")
     _add(p_sea, "--threads", type=_int_arg, default=None,
          help="worker processes (default: machine parallelism; result independent of it)")
-    _add(p_sea, "--hit-cap", type=_int_arg, default=10000,
-         help="stop recording hits after this many (counts stay exact)")
     _add(p_sea, "--show-hits", type=_int_arg, default=10,
          help="hits to include in table/json output")
     p_sea.set_defaults(func=cmd_search)
@@ -466,11 +461,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"psl2count: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except oracle.ResourceLimitError as exc:
-        print(f"psl2count: resource cap hit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except MemoryError as exc:
-        print(f"psl2count: out of memory: {exc}", file=sys.stderr)
+    except (oracle.ResourceLimitError, MemoryError) as exc:
+        print(f"psl2count: resource cap hit: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except Exception as exc:
         traceback.print_exc()

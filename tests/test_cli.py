@@ -173,7 +173,6 @@ class TestSearchCommand:
 
     def test_negative_hit_counts_are_usage_errors(self):
         assert run(["search", "a", "--t-max", "100", "--show-hits", "-1"])[0] == 2
-        assert run(["search", "a", "--t-max", "100", "--hit-cap", "-3"])[0] == 2
 
 
 class TestBhcCommand:
@@ -199,6 +198,15 @@ class TestBhcCommand:
         code, _, err = run(["bhc", "a", "--x", "1e6", "--trunc", "1e4", "--q-file", str(qf)])
         assert code == 2
         assert "case" in err
+
+    def test_unreadable_q_file_is_a_usage_error(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        no_count = tmp_path / "no_count.json"
+        no_count.write_text(json.dumps({"case": "a", "t_max": 10}))
+        for qf in (missing, no_count):
+            code, _, err = run(["bhc", "a", "--x", "1e6", "--trunc", "1e4", "--q-file", str(qf)])
+            assert code == 2
+            assert "scan file" in err and "Traceback" not in err
 
     def test_usage_errors(self):
         assert run(["bhc", "a", "--x", "0.5", "--trunc", "1e4"])[0] == 2
