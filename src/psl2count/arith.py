@@ -23,6 +23,10 @@ _WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+class ResourceLimitError(RuntimeError):
+    """Raised before a computation whose working set would pass a fixed cap."""
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n <= 2**64 - 1.
 
@@ -119,24 +123,25 @@ def sieve_forms(forms, lo: int, hi: int) -> np.ndarray:
     return mask
 
 
-def primes_of_form(a: int, b: int, lo: int, hi: int, *, segment_bytes: int = _SEGMENT_BYTES) -> list[int]:
-    """The prime values a*t + b for lo <= t <= hi, ascending.
+def primes_of_form(a: int, b: int, lo: int, hi: int, *, segment_bytes: int = _SEGMENT_BYTES) -> np.ndarray:
+    """The prime values a*t + b for lo <= t <= hi, ascending, as a uint64 array.
 
     t is sieved by sieve_forms in segments whose masks hold at most
     segment_bytes bytes; each segment fetches its own base primes.  An
-    empty range (lo > hi) gives an empty list.
+    empty range (lo > hi) gives an empty array.
     """
     if segment_bytes < 1:
         raise ValueError("segment_bytes must be at least 1")
-    out: list[int] = []
+    segments = [np.empty(0, dtype=np.uint64)]
     for seg_lo in range(lo, hi + 1, segment_bytes):
         seg_hi = min(seg_lo + segment_bytes - 1, hi)
-        offsets = np.flatnonzero(sieve_forms([(a, b)], seg_lo, seg_hi)).astype(np.uint64)
+        values = np.flatnonzero(sieve_forms([(a, b)], seg_lo, seg_hi)).astype(np.uint64)
         # uint64 arithmetic wraps mod 2**64; every prime value lies in
         # [2, 2**64), so the wrapped value is the exact one.
-        base = np.uint64((a * seg_lo + b) % 2**64)
-        out.extend((offsets * np.uint64(a) + base).tolist())
-    return out
+        values *= np.uint64(a)
+        values += np.uint64((a * seg_lo + b) % 2**64)
+        segments.append(values)
+    return np.concatenate(segments)
 
 
 def primes_in_range(lo: int, hi: int, *, segment_bytes: int = _SEGMENT_BYTES) -> list[int]:
@@ -151,7 +156,7 @@ def primes_in_range(lo: int, hi: int, *, segment_bytes: int = _SEGMENT_BYTES) ->
     if hi > U64_MAX:
         raise ValueError("primes_in_range requires hi < 2**64")
     two = [2] if lo <= 2 <= hi else []
-    return two + primes_of_form(2, 1, max(lo, 2) // 2, (hi - 1) // 2, segment_bytes=segment_bytes)
+    return two + primes_of_form(2, 1, max(lo, 2) // 2, (hi - 1) // 2, segment_bytes=segment_bytes).tolist()
 
 
 _TRIAL = tuple(primes_in_range(2, 1000))

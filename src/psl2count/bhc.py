@@ -103,7 +103,8 @@ def check_sh(fam: PolynomialFamily) -> ShReport:
 
     A fixed prime divisor q of the product can only arise from q at most
     the product's degree (a nonzero polynomial mod q of smaller degree
-    cannot vanish at all residues) or from q dividing every coefficient,
+    cannot vanish at all residues) or from q dividing every coefficient of
+    one polynomial (the product's content is the product of the contents),
     so those two finite checks decide the matter.  The smallest offender
     is reported.
     """
@@ -125,12 +126,10 @@ def check_sh(fam: PolynomialFamily) -> ShReport:
 
     total_degree = sum(fam.degrees())
     candidates = set(arith.primes_in_range(2, max(2, total_degree)))
-    content = 0
     for coeffs in fam.polys:
-        for c in coeffs:
-            content = math.gcd(content, abs(c))
-    if content > 1:
-        candidates.update(q for q, _ in arith.factorize(content).factors)
+        content = math.gcd(*coeffs)
+        if content > 1:
+            candidates.update(q for q, _ in arith.factorize(content).factors)
 
     failing = None
     for q in sorted(candidates):
@@ -230,6 +229,99 @@ def omega_roots(fam: PolynomialFamily, p: int, *, brute_threshold: int = 100) ->
     return len(roots)
 
 
+# Primes below this always get omega_roots: they include p = 2, where a
+# quadratic's root count is not 1 + (disc/p).
+_EXACT_BELOW = 100
+
+# hl_constant refuses a larger truncation point before it sieves: the primes
+# up to 10**8 fill a 46 MB uint64 array, and primes below 2**32 keep every
+# product in _mod_primes and _euler_criterion inside uint64.
+TRUNCATION_CAP = 10**8
+
+
+def _primitive(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """The polynomial divided by the gcd of its coefficients, degree-trimmed."""
+    trimmed = coeffs[: _degree(coeffs) + 1]
+    content = math.gcd(*trimmed)
+    return tuple(c // content for c in trimmed)
+
+
+def _resultant(f: tuple[int, ...], g: tuple[int, ...]) -> int:
+    """Resultant, up to sign, of two polynomials of degree 1 or 2 (ascending, trimmed)."""
+    if len(f) > len(g):
+        f, g = g, f
+    if len(f) == 2:
+        # Res(a*t + b, g) = a**deg(g) * g(-b/a)
+        b, a = f
+        n = len(g) - 1
+        return sum(gk * (-b) ** k * a ** (n - k) for k, gk in enumerate(g))
+    (c1, b1, a1), (c2, b2, a2) = f, g
+    return (a1 * c2 - a2 * c1) ** 2 - (a1 * b2 - a2 * b1) * (b1 * c2 - b2 * c1)
+
+
+def _mod_primes(n: int, primes: np.ndarray) -> np.ndarray:
+    """n mod p for every p in a uint64 array of primes below 2**32, for any integer n.
+
+    Horner over the 32-bit limbs of |n|: the remainder stays below p < 2**32,
+    so remainder * 2**32 + limb fits in uint64.
+    """
+    rem = np.zeros_like(primes)
+    mag = abs(n)
+    for shift in range(32 * ((mag.bit_length() - 1) // 32), -1, -32):
+        rem <<= np.uint64(32)
+        rem |= np.uint64((mag >> shift) & 0xFFFFFFFF)
+        rem %= primes
+    return rem if n >= 0 else (primes - rem) % primes
+
+
+def _euler_criterion(d: int, primes: np.ndarray) -> np.ndarray:
+    """d**((p-1)/2) mod p for every p in a uint64 array of primes below 2**32.
+
+    For an odd prime p not dividing d this is 1 when d is a square mod p and
+    p - 1 when it is not.  Factors stay below 2**32, so products fit in uint64.
+    """
+    base = _mod_primes(d, primes)
+    exp = primes >> np.uint64(1)  # (p - 1) / 2 for odd p
+    out = np.ones_like(primes)
+    while exp.any():
+        out = np.where(exp & np.uint64(1), out * base % primes, out)
+        base = base * base % primes
+        exp >>= np.uint64(1)
+    return out
+
+
+def _omega(fam: PolynomialFamily, primes: np.ndarray) -> np.ndarray:
+    """omega(p) for every p in a uint64 array of primes below 2**32.
+
+    Let g_1, ..., g_k be the distinct primitive parts of the polynomials.  At
+    a prime dividing no leading coefficient, no discriminant of a quadratic
+    g_i and no resultant of two g_i, every g_i keeps its degree mod p, has
+    simple roots and shares none with another g_j, so omega(p) is the number
+    of linear g_i plus 1 + (disc_i/p) for each quadratic g_i.  Those finitely
+    many exceptional primes, and every p below _EXACT_BELOW, are counted by
+    omega_roots instead.  Distinct primitive parts of degree at most 2 that
+    pass check_sh have nonzero resultants; a zero one would only make every
+    prime exceptional.
+    """
+    distinct = sorted({_primitive(c) for c in fam.polys})
+    exceptional = [_leading(c) for c in fam.polys]
+    omega = np.zeros(len(primes), dtype=np.int64)
+    for i, g in enumerate(distinct):
+        if len(g) == 2:
+            omega += 1
+        else:
+            disc = g[1] * g[1] - 4 * g[2] * g[0]
+            exceptional.append(disc)
+            omega += np.where(_euler_criterion(disc, primes) == 1, 2, 0)
+        exceptional.extend(_resultant(g, h) for h in distinct[:i])
+    exact = primes < _EXACT_BELOW
+    for n in exceptional:
+        exact |= _mod_primes(n, primes) == 0
+    for i in np.flatnonzero(exact):
+        omega[i] = omega_roots(fam, int(primes[i]))
+    return omega
+
+
 @dataclass(frozen=True)
 class HlConstant:
     """Truncated Hardy-Littlewood product with its truncation point and a
@@ -243,8 +335,12 @@ class HlConstant:
 def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
     """Product over primes p <= truncation of (1-1/p)^(-m) * (1-omega(p)/p).
 
-    Accumulated in log space with exact compensated summation, so the result
-    is independent of how the prime range might be blocked or parallelised.
+    omega(p) is closed-form at all but finitely many primes (see _omega),
+    which counts only the small and the exceptional primes one at a time.
+    The log factors form one array, summed with exact compensated summation,
+    so the result does not depend on how the primes were sieved.  A
+    truncation above TRUNCATION_CAP raises ResourceLimitError before any
+    sieving.
 
     The tail bound comes from the second-order expansion of the log factor:
     for all but finitely many p the product polynomial has exactly
@@ -254,14 +350,18 @@ def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
     """
     if truncation < 1000:
         raise ValueError("truncation below 1000 gives meaningless constants")
+    if truncation > TRUNCATION_CAP:
+        raise arith.ResourceLimitError(
+            f"truncation {truncation} exceeds the cap {TRUNCATION_CAP} on the Euler product's prime array"
+        )
     report = check_sh(fam)
     if not report.ok:
         raise ValueError(f"family fails admissibility checks: {report}")
-    m = fam.m
-    terms = []
-    for p in arith.primes_in_range(2, truncation):
-        w = omega_roots(fam, p)
-        terms.append(-m * math.log1p(-1.0 / p) + math.log1p(-w / p))
+    primes = np.concatenate(  # 2, then the odd primes 2t + 1
+        (np.array([2], dtype=np.uint64), arith.primes_of_form(2, 1, 1, (truncation - 1) // 2))
+    )
+    p = primes.astype(float)
+    terms = -fam.m * np.log1p(-1.0 / p) + np.log1p(-_omega(fam, primes) / p)
     value = math.exp(math.fsum(terms))
     root_count = sum(fam.degrees())
     tail = value * root_count * max(root_count - 1, 0) / (truncation * math.log(truncation))

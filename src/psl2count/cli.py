@@ -7,7 +7,9 @@ can be preset through an environment variable PSL2_<FLAG>, e.g.
 PSL2_T_MAX=1000000 or PSL2_FORMAT=json; an explicit flag wins.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 resource
-abort (a cap or out of memory), 4 internal error (traceback on stderr).
+abort (a cap or out of memory), 4 internal error (traceback on stderr), 141
+(128 + SIGPIPE) when the reader of standard output closed it early, as
+`| head` does; that ends quietly, with no traceback.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a reader that stopped
 
 ORACLE_CAP = 13
 ORACLE_CAP_SLOW = 19  # with --allow-slow-oracle; p = 17, 19 take about 18-34 s
@@ -457,7 +460,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ValueError as exc:
         print(f"psl2count: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -58,7 +58,8 @@ def scan_hb(limit: int) -> list[HbCandidate]:
     if limit < HB_MODULUS + HB_RESIDUE:
         raise ValueError(f"limit below {HB_MODULUS + HB_RESIDUE} cannot contain a candidate beyond p=5")
     out = []
-    for p in arith.primes_of_form(HB_MODULUS, HB_RESIDUE, 0, (limit - HB_RESIDUE) // HB_MODULUS):
+    # tolist: profile and the factor counts take Python ints, which never wrap
+    for p in arith.primes_of_form(HB_MODULUS, HB_RESIDUE, 0, (limit - HB_RESIDUE) // HB_MODULUS).tolist():
         cand = qualifies(p)
         if not cand.qualifies:
             continue

@@ -21,11 +21,8 @@ from math import gcd, lcm
 import numpy as np
 
 from . import arith
+from .arith import ResourceLimitError
 from .invariants import ClassCensus, ClassEntry
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when an enumeration would exceed its configured working-set cap."""
 
 
 @dataclass(frozen=True)

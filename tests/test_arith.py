@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,4 +208,6 @@ class TestSieveForms:
     def test_primes_of_form_segments(self, segment_bytes):
         for a, b in ((72, 5), (2, -1)):
             expect = [a * t + b for t in range(0, 2001) if a * t + b >= 2 and arith.is_prime(a * t + b)]
-            assert arith.primes_of_form(a, b, 0, 2000, segment_bytes=segment_bytes) == expect, (a, b)
+            got = arith.primes_of_form(a, b, 0, 2000, segment_bytes=segment_bytes)
+            assert got.dtype == np.uint64
+            assert got.tolist() == expect, (a, b)

@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from psl2count import arith, bhc, search
+from psl2count import arith, bhc, oracle, search
 
 FAMS = {c: search.case_spec(c).polys for c in search.CASE_IDS}
 
@@ -51,6 +52,13 @@ class TestAdmissibility:
         assert not rep.ok and rep.failing_prime == 2
         rep = bhc.check_sh(bhc.family((-1, 0, 1)))              # t^2 - 1 splits
         assert not rep.ok and not rep.all_irreducible
+
+    def test_fixed_divisor_of_one_member(self):
+        # 3 divides every value of 3t + 3, though not every coefficient of the family
+        rep = bhc.check_sh(bhc.family((1, 1), (3, 3)))
+        assert not rep.ok and rep.failing_prime == 3
+        with pytest.raises(ValueError):
+            bhc.hl_constant(bhc.family((1, 1), (3, 3)), 10**4)
 
     def test_constant_polynomial_rejected(self):
         rep = bhc.check_sh(bhc.family((7,)))
@@ -120,6 +128,79 @@ class TestConstant:
     def test_inadmissible_family_rejected(self):
         with pytest.raises(ValueError):
             bhc.hl_constant(bhc.family((0, 1), (1, 1)), 10**4)
+
+
+# Families for the closed-form omega: the paper's cases, exceptional primes
+# above 100 from a discriminant or a resultant, p = 2 for a quadratic, and
+# members that repeat up to a constant factor.
+CLOSED_FORM_FAMS = {
+    **{f"case {c}": fam for c, fam in FAMS.items()},
+    "twin": bhc.family((0, 1), (2, 1)),
+    "t^2 + 1": bhc.family((1, 0, 1)),
+    # odd middle coefficient and no even exceptional integer: at p = 2 the
+    # generic 1 + (disc/p) reads 2, but t^2 + t + 41 is odd at every t
+    "t^2 + t + 41, disc -163": bhc.family((41, 1, 1)),
+    "linear pair, resultant 1999": bhc.family((1, 2), (1000, 1)),
+    "linear + quadratic, resultant 2 * 37 * 149": bhc.family((105, 1), (1, 0, 1)),
+    "quadratic pair, resultant 1601": bhc.family((41, 1, 1), (1, 0, 1)),
+    "repeated and rescaled": bhc.family((0, 1), (2, 1), (0, 1), (6, 3)),
+}
+
+
+def _reference_constant(fam, truncation):
+    """The Euler product one prime at a time, as a plain reference."""
+    return math.exp(math.fsum(
+        -fam.m * math.log1p(-1.0 / p) + math.log1p(-bhc.omega_roots(fam, p) / p)
+        for p in arith.primes_in_range(2, truncation)
+    ))
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("name", CLOSED_FORM_FAMS)
+    def test_omega_matches_root_count_below_1e5(self, name):
+        fam = CLOSED_FORM_FAMS[name]
+        primes = arith.primes_in_range(2, 10**5)
+        got = bhc._omega(fam, np.array(primes, dtype=np.uint64)).tolist()
+        # brute force only at p = 2, where the quadratic formula does not apply
+        want = [bhc.omega_roots(fam, p, brute_threshold=3) for p in primes]
+        bad = [(p, g, w) for p, g, w in zip(primes, got, want) if g != w]
+        assert not bad, bad[:5]
+
+    @pytest.mark.parametrize("name", ["case a", "twin", "t^2 + 1", "t^2 + t + 41, disc -163",
+                                      "linear + quadratic, resultant 2 * 37 * 149",
+                                      "quadratic pair, resultant 1601"])
+    def test_constant_matches_per_prime_product(self, name):
+        fam = CLOSED_FORM_FAMS[name]
+        for truncation in (10**4, 10**5):
+            got = bhc.hl_constant(fam, truncation).value
+            assert math.isclose(got, _reference_constant(fam, truncation), rel_tol=1e-13), truncation
+
+    def test_only_small_and_exceptional_primes_are_counted_one_by_one(self, monkeypatch):
+        seen = []
+        real = bhc.omega_roots
+        monkeypatch.setattr(bhc, "omega_roots", lambda fam, p: seen.append(p) or real(fam, p))
+        small = arith.primes_in_range(2, 99)
+        bhc.hl_constant(FAMS["a"], 10**5)
+        assert seen == small  # case a's exceptional primes are 2 and 3
+        seen.clear()
+        # a repeated member must not give a zero resultant
+        bhc.hl_constant(bhc.family((0, 1), (2, 1), (0, 1)), 10**5)
+        assert seen == small
+        seen.clear()
+        bhc.hl_constant(CLOSED_FORM_FAMS["linear + quadratic, resultant 2 * 37 * 149"], 10**5)
+        assert seen == small + [149]
+
+    def test_mod_primes_of_large_and_negative_integers(self):
+        primes = arith.primes_in_range(2, 2000) + [4294967291]  # the largest prime below 2**32
+        arr = np.array(primes, dtype=np.uint64)
+        for n in (0, 1, -1, 2**32, -(2**32) - 1, 3**200, -(7**90) + 11):
+            assert bhc._mod_primes(n, arr).tolist() == [n % p for p in primes], n
+
+    def test_truncation_cap_is_a_resource_abort(self):
+        assert oracle.ResourceLimitError is arith.ResourceLimitError
+        with pytest.raises(arith.ResourceLimitError):
+            bhc.hl_constant(FAMS["a"], bhc.TRUNCATION_CAP + 1)
+        assert bhc.TRUNCATION_CAP < 2**32
 
 
 class TestQuadrature:

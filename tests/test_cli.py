@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -212,6 +214,13 @@ class TestBhcCommand:
         assert run(["bhc", "a", "--x", "0.5", "--trunc", "1e4"])[0] == 2
         assert run(["bhc", "a", "--x", "1e6", "--trunc", "10"])[0] == 2
 
+    def test_oversized_truncation_is_a_resource_abort(self):
+        code, out, err = run(["bhc", "a", "--x", "1e9", "--trunc", "1e12"])
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("psl2count: "), err
+
 
 class TestHbCommand:
     def test_csv_schema(self):
@@ -261,6 +270,24 @@ class TestPlumbing:
         assert err.strip().splitlines()[-1] == (
             "psl2count: internal error: ArithmeticError: divisibility check failed"
         )
+
+    def test_reader_closing_the_pipe_early_ends_quietly(self):
+        # about 140 kB of csv: more than a pipe holds, so the writer is still
+        # blocked on a full pipe when the reader closes its end
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from psl2count.cli import entry; entry()",
+             "hb", "--limit", "2e6", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert os.read(proc.stdout.fileno(), 2) == b"p,"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+        assert err == b""
 
     def test_memory_error_is_a_resource_abort(self, monkeypatch):
         def exhausted(prof):

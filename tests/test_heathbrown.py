@@ -1,5 +1,7 @@
 """Qualifying-prime scan and the derived count bounds."""
 
+import dataclasses
+
 import pytest
 
 from psl2count import arith, heathbrown, invariants
@@ -49,6 +51,12 @@ class TestScan:
                 continue
             quad = invariants.counts(c.profile)
             assert all(v <= b for v, b in zip(quad, bounds)), c.p
+
+    def test_results_are_python_ints(self):
+        # numpy integers mixed with Python ints can wrap; none may leak out
+        for c in heathbrown.scan_hb(10**5):
+            values = (c.p, c.omega_minus, c.omega_plus) + dataclasses.astuple(c.profile)
+            assert all(type(v) is int for v in values), c
 
     def test_limit_floor(self):
         with pytest.raises(ValueError):
