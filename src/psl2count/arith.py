@@ -16,6 +16,12 @@ U64_MAX = 2**64 - 1
 
 _SEGMENT_BYTES = 64 * 1024 * 1024
 
+# The largest prime any prime list or array here reaches: sieve_forms refuses
+# a window whose base primes would pass it, and bhc.hl_constant a truncation
+# above it.  The primes up to 10**8 fill a 46 MB uint64 array, or a list of
+# 5.76M ints as base primes.
+PRIME_CAP = 10**8
+
 # Strong-pseudoprime witnesses covering every n < 2**64 (the seven-base set
 # found by Sinclair; verified minimal for this range).
 _WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -97,7 +103,8 @@ def sieve_forms(forms, lo: int, hi: int) -> np.ndarray:
     square of its least prime factor, so it is struck; a prime value q is
     below q*q, so it never is.  After values below 2 are masked the survivors
     are exactly the t where every value is prime.  A prime q dividing a never
-    divides a*t + b, because gcd(a, b) = 1.
+    divides a*t + b, because gcd(a, b) = 1.  Values past PRIME_CAP**2 raise
+    ResourceLimitError before any base prime is fetched.
     """
     if lo > hi:
         raise ValueError("sieve_forms requires lo <= hi")
@@ -107,6 +114,8 @@ def sieve_forms(forms, lo: int, hi: int) -> np.ndarray:
     top = max(a * hi + b for a, b in forms)
     if top > U64_MAX:
         raise ValueError("sieve_forms requires every value below 2**64")
+    if math.isqrt(max(top, 0)) > PRIME_CAP:
+        raise ResourceLimitError(f"sieving values up to {top} needs base primes above the cap {PRIME_CAP}")
     mask = np.ones(hi - lo + 1, dtype=bool)
     for a, b in forms:
         below = (1 - b) // a  # last t with a*t + b < 2

@@ -196,7 +196,7 @@ def _roots_mod(coeffs: tuple[int, ...], p: int) -> set[int] | None:
     if deg == 1:
         b, a = reduced[0], reduced[1]
         return {(-b * pow(a, -1, p)) % p}
-    # quadratic; p is odd here (the brute-force path covers small primes)
+    # quadratic; p is odd here (omega_roots counts p = 2 by brute force)
     c0, b, a = reduced[0], reduced[1], reduced[2]
     disc = (b * b - 4 * a * c0) % p
     if disc == 0:
@@ -211,14 +211,14 @@ def _roots_mod(coeffs: tuple[int, ...], p: int) -> set[int] | None:
 def omega_roots(fam: PolynomialFamily, p: int, *, brute_threshold: int = 100) -> int:
     """Number of t mod p at which the family product vanishes.
 
-    Below brute_threshold every residue is tried directly; above it the
-    roots of each factor are collected explicitly and deduplicated, which
-    agrees with the brute force on all primes (tested) and returns p for a
-    product vanishing identically.
+    Below brute_threshold, and always at p = 2, every residue is tried
+    directly; otherwise the roots of each factor are collected explicitly
+    and deduplicated, which agrees with the brute force on all primes
+    (tested) and returns p for a product vanishing identically.
     """
     if p < 2 or not arith.is_prime(p):
         raise ValueError("omega_roots requires a prime modulus")
-    if p < brute_threshold:
+    if p < brute_threshold or p == 2:  # the quadratic formula needs 2a invertible
         return sum(1 for t in range(p) if _product_mod(fam, t, p) == 0)
     roots: set[int] = set()
     for coeffs in fam.polys:
@@ -232,11 +232,6 @@ def omega_roots(fam: PolynomialFamily, p: int, *, brute_threshold: int = 100) ->
 # Primes below this always get omega_roots: they include p = 2, where a
 # quadratic's root count is not 1 + (disc/p).
 _EXACT_BELOW = 100
-
-# hl_constant refuses a larger truncation point before it sieves: the primes
-# up to 10**8 fill a 46 MB uint64 array, and primes below 2**32 keep every
-# product in _mod_primes and _euler_criterion inside uint64.
-TRUNCATION_CAP = 10**8
 
 
 def _primitive(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -339,8 +334,9 @@ def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
     which counts only the small and the exceptional primes one at a time.
     The log factors form one array, summed with exact compensated summation,
     so the result does not depend on how the primes were sieved.  A
-    truncation above TRUNCATION_CAP raises ResourceLimitError before any
-    sieving.
+    truncation above arith.PRIME_CAP raises ResourceLimitError before any
+    sieving; that cap, below 2**32, also keeps every product in _mod_primes
+    and _euler_criterion inside uint64.
 
     The tail bound comes from the second-order expansion of the log factor:
     for all but finitely many p the product polynomial has exactly
@@ -350,9 +346,9 @@ def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
     """
     if truncation < 1000:
         raise ValueError("truncation below 1000 gives meaningless constants")
-    if truncation > TRUNCATION_CAP:
+    if truncation > arith.PRIME_CAP:
         raise arith.ResourceLimitError(
-            f"truncation {truncation} exceeds the cap {TRUNCATION_CAP} on the Euler product's prime array"
+            f"truncation {truncation} exceeds the cap {arith.PRIME_CAP} on the Euler product's prime array"
         )
     report = check_sh(fam)
     if not report.ok:

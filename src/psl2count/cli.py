@@ -20,7 +20,7 @@ import os
 import sys
 import traceback
 
-from . import bhc, heathbrown, invariants, oracle, search
+from . import arith, bhc, heathbrown, invariants, oracle, search
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -30,7 +30,7 @@ EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a reader that stopped
 
 ORACLE_CAP = 13
-ORACLE_CAP_SLOW = 19  # with --allow-slow-oracle; p = 17, 19 take about 18-34 s
+ORACLE_CAP_SLOW = 19  # with --allow-slow-oracle; p = 17, 19 take about 7 s and 9 s
 
 PROGRESS_THRESHOLD = 10**7  # scans at least this long report blocks on stderr
 
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p_cen, "--oracle", action="store_true", default=False,
          help="also run the brute-force census and diff it (p <= 13)")
     _add(p_cen, "--allow-slow-oracle", action="store_true", default=False,
-         help="raise the brute-force cap to p <= 19 (about half a minute of work)")
+         help="raise the brute-force cap to p <= 19 (about 6-9 s of work)")
     _add_format(p_cen)
     p_cen.set_defaults(func=cmd_census)
 
@@ -471,7 +471,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"psl2count: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (oracle.ResourceLimitError, MemoryError) as exc:
+    except (arith.ResourceLimitError, MemoryError) as exc:
         print(f"psl2count: resource cap hit: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except Exception as exc:

@@ -9,14 +9,15 @@ without reference to any counting formula.  That makes it an independent
 check of the closed-form catalogue.
 
 Exact enumeration is only feasible for small p; the required range is
-p <= 13 (at most 1092 elements).  p = 17 and 19 work too but take
-noticeably longer, so they sit behind an explicit opt-in.
+p <= 13 (at most 1092 elements).  p = 17 and 19 work too but sit behind an
+explicit opt-in: `census p --oracle` took 1.3-1.6 s at p = 13, 6.2-6.9 s
+at p = 17 and 8.1-8.7 s at p = 19 on a 2-core Xeon with Python 3.11.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
@@ -51,8 +52,11 @@ class PermGroup:
     """PSL(2, p) as explicit permutations of the projective line.
 
     elements is an (n, p + 1) array; row i is the image list of point x
-    under element i, with index p standing for infinity.  The Cayley table,
-    inverse list and element orders are computed on first use and cached.
+    under element i, with index p standing for infinity.  PGL(2, p) acts
+    sharply 3-transitively on the line, so an element is fixed by its images
+    of 0, 1 and infinity; with d = p + 1 the key (img0 * d + img1) * d + imginf
+    indexes a dense lookup array of d**3 entries.  The Cayley table, inverse
+    list and element orders are computed on first use and cached.
     """
 
     def __init__(self, p: int, elements: np.ndarray, generators: tuple[int, ...]):
@@ -61,140 +65,141 @@ class PermGroup:
         self.elements = elements
         self.generators = generators
         self.order = elements.shape[0]
-        ident = np.arange(self.degree, dtype=elements.dtype)
-        self.identity = int(np.flatnonzero((elements == ident).all(axis=1))[0])
+        self._lookup = np.full(self.degree**3, -1, dtype=np.int32)
+        self._lookup[self._element_keys(elements[:, [0, 1, p]])] = np.arange(self.order)
+        if np.count_nonzero(self._lookup >= 0) != self.order:
+            raise AssertionError("two elements share the images of 0, 1 and infinity")
+        self.identity = int(self._locate(np.array([0, 1, p])))
         self._table: np.ndarray | None = None
         self._inverses: np.ndarray | None = None
         self._element_orders: np.ndarray | None = None
 
+    def _element_keys(self, points: np.ndarray) -> np.ndarray:
+        d = self.degree
+        return (points[..., 0].astype(np.intp) * d + points[..., 1]) * d + points[..., 2]
+
+    def _locate(self, points: np.ndarray) -> np.ndarray:
+        """Element indices from images of (0, 1, infinity) along the last axis."""
+        found = self._lookup[self._element_keys(points)]
+        if (found < 0).any():
+            raise AssertionError("images of 0, 1 and infinity match no element")
+        return found
+
     def table(self) -> np.ndarray:
         """Cayley table: table[i, j] is the index of element i composed after j."""
         if self._table is None:
-            n, d = self.elements.shape
-            index = {self.elements[i].tobytes(): i for i in range(n)}
+            n = self.order
+            points = self.elements[:, [0, 1, self.p]]
             table = np.empty((n, n), dtype=np.int32)
-            for i in range(n):
-                rows = self.elements[i][self.elements]
-                buf = rows.tobytes()
-                ti = table[i]
-                for j in range(n):
-                    ti[j] = index[buf[j * d : (j + 1) * d]]
+            rows = max(1, 2**16 // n)  # rows per block, so each block's temporaries stay small
+            for lo in range(0, n, rows):
+                table[lo : lo + rows] = self._locate(self.elements[lo : lo + rows, points])
             self._table = table
         return self._table
 
     def inverses(self) -> np.ndarray:
         if self._inverses is None:
-            n = self.order
-            index = {self.elements[i].tobytes(): i for i in range(n)}
-            inv = np.empty(n, dtype=np.int64)
-            dtype = self.elements.dtype
-            for i in range(n):
-                inv[i] = index[np.argsort(self.elements[i]).astype(dtype).tobytes()]
-            self._inverses = inv
+            rows, cols = np.nonzero(self.table() == self.identity)
+            if rows.size != self.order:
+                raise AssertionError("every element needs exactly one inverse")
+            self._inverses = cols.astype(np.int64)
         return self._inverses
 
     def element_orders(self) -> np.ndarray:
         if self._element_orders is None:
-            n, d = self.elements.shape
-            orders = np.empty(n, dtype=np.int64)
-            for i in range(n):
-                perm = self.elements[i]
-                seen = [False] * d
-                o = 1
-                for start in range(d):
-                    if seen[start]:
-                        continue
-                    length = 0
-                    x = start
-                    while not seen[x]:
-                        seen[x] = True
-                        x = int(perm[x])
-                        length += 1
-                    o = lcm(o, length)
-                orders[i] = o
-            self._element_orders = orders
+            self._element_orders = _cyclic_masks(self.table()).sum(axis=1)
         return self._element_orders
+
+
+def _cyclic_masks(table: np.ndarray) -> np.ndarray:
+    """Row x is the member mask of <x>: the powers x, x^2, ... until they repeat."""
+    n = table.shape[0]
+    x = np.arange(n)
+    masks = np.zeros((n, n), dtype=bool)
+    power = x
+    while not masks[x, power].all():
+        masks[x, power] = True
+        power = table[power, x]
+    return masks
 
 
 def build_psl2(p: int, *, allow_large: bool = False) -> PermGroup:
     """Construct PSL(2, p) for an odd prime 3 <= p <= 19.
 
-    p = 17 and 19 are refused unless allow_large is set; their Cayley
-    tables and lattices take tens of seconds to build.
+    p = 17 and 19 are refused unless allow_large is set; their censuses
+    take several times as long as p = 13 (timings in the module docstring).
     """
     if p < 3 or p > 19 or not arith.is_prime(p):
         raise ValueError(f"build_psl2 supports primes 3 <= p <= 19, got {p}")
     if p > 13 and not allow_large:
-        raise ValueError(f"p = {p} needs allow_large=True (multi-minute budget)")
+        raise ValueError(f"p = {p} needs allow_large=True (a census of 6-9 s against 1.5 s at p = 13)")
 
-    inf = p
-    inv_mod = [0] * p
-    for x in range(1, p):
-        inv_mod[x] = pow(x, p - 2, p)
-
-    def action(a: int, b: int, c: int, d: int) -> bytes:
-        image = []
-        for x in range(p):
-            den = (c * x + d) % p
-            image.append(inf if den == 0 else (a * x + b) * inv_mod[den] % p)
-        image.append(a * inv_mod[c] % p if c % p else inf)
-        return bytes(image)
-
-    # Unimodular matrices: either a != 0 with d forced, or a = 0 with
-    # c = -1/b.  Each matrix pair {M, -M} collapses to one permutation,
-    # which is why deduplication by image suffices.
-    seen: dict[bytes, None] = {}
-    for a in range(1, p):
-        for b in range(p):
-            for c in range(p):
-                d = inv_mod[a] * (1 + b * c) % p
-                seen.setdefault(action(a, b, c, d), None)
-    for b in range(1, p):
-        c = (-inv_mod[b]) % p
-        for d in range(p):
-            seen.setdefault(action(0, b, c, d), None)
-
-    elements = np.frombuffer(b"".join(seen), dtype=np.uint8).reshape(len(seen), p + 1).copy()
+    inv_mod = np.array([0] + [pow(x, -1, p) for x in range(1, p)])
+    # Unimodular matrices (a, b, c, d): either a != 0 with d forced, or a = 0
+    # with c = -1/b.  Each matrix pair {M, -M} collapses to one permutation,
+    # so the first matrix of each image list is kept.
+    x = np.arange(p)
+    a, b, c = (v.ravel() for v in np.meshgrid(x[1:], x, x, indexing="ij"))
+    b0, d0 = (v.ravel() for v in np.meshgrid(x[1:], x, indexing="ij"))
+    matrices = [[a, b, c, inv_mod[a] * (1 + b * c) % p], [0 * b0, b0, -inv_mod[b0] % p, d0]]
+    a, b, c, d = np.concatenate(matrices, axis=1)
+    den = (c[:, None] * x + d[:, None]) % p
+    finite = np.where(den == 0, p, (a[:, None] * x + b[:, None]) * inv_mod[den] % p)
+    at_inf = np.where(c != 0, a * inv_mod[c] % p, p)
+    images = np.column_stack([finite, at_inf]).astype(np.uint8)
+    _, first = np.unique(images, axis=0, return_index=True)
+    elements = images[np.sort(first)]
     expected = p * (p * p - 1) // 2
     if elements.shape[0] != expected:
         raise AssertionError(f"built {elements.shape[0]} elements, expected {expected}")
 
-    index = {elements[i].tobytes(): i for i in range(len(seen))}
-    translation = action(1, 1, 0, 1)   # x -> x + 1
-    inversion = action(0, p - 1, 1, 0)  # x -> -1/x
-    generators = (index[translation], index[inversion])
-    return PermGroup(p, elements, generators)
+    group = PermGroup(p, elements, ())
+    # x -> x + 1 and x -> -1/x, by their images of 0, 1 and infinity
+    group.generators = tuple(group._locate(np.array([[1, 2 % p, p], [p, p - 1, 0]])).tolist())
+    return group
+
+
+def _mask_key(mask: np.ndarray) -> bytes:
+    """Dictionary key of a member set given as a boolean mask over the group."""
+    return np.packbits(mask).tobytes()
+
+
+def _mask_keys(masks: np.ndarray) -> list[bytes]:
+    """_mask_key of each row of a 2-D mask array."""
+    return [row.tobytes() for row in np.packbits(masks, axis=1)]
 
 
 def _generated_subgroup(table: np.ndarray, gens: tuple[int, ...], identity: int) -> np.ndarray:
-    """Member indices of the subgroup generated by gens (orbit of the identity
+    """Member mask of the subgroup generated by gens (orbit of the identity
     under right multiplication; positive words suffice in a finite group)."""
     n = table.shape[0]
     seen = np.zeros(n, dtype=bool)
     seen[identity] = True
     frontier = np.array([identity])
-    gen_arr = np.unique(np.asarray(gens, dtype=np.int64))
+    gen_arr = np.asarray(gens, dtype=np.int64)
     while frontier.size:
-        prod = table[np.ix_(frontier, gen_arr)].ravel()
-        prod = prod[~seen[prod]]
-        if prod.size == 0:
-            break
-        frontier = np.unique(prod)
-        seen[frontier] = True
-    return np.flatnonzero(seen)
+        reached = np.zeros(n, dtype=bool)
+        reached[table[frontier[:, None], gen_arr]] = True
+        reached &= ~seen
+        seen |= reached
+        frontier = np.flatnonzero(reached)
+    return seen
 
 
-def _conjugacy_orbit(table: np.ndarray, inverses: np.ndarray, members: np.ndarray):
+def _conjugacy_orbit(table: np.ndarray, inverses: np.ndarray, mask: np.ndarray):
     """All conjugates of a subgroup plus its normaliser order.
 
-    Returns (matrix of sorted member rows, one per distinct conjugate,
-    normaliser order).  Orbit times stabiliser must cover the whole group.
+    Returns (keys of the distinct conjugates, normaliser order).  Orbit
+    times stabiliser must cover the whole group.
     """
-    conj = table[table[:, members], inverses[:, None]]
-    conj.sort(axis=1)
-    stab = int(np.all(conj == members[None, :], axis=1).sum())
-    orbit = np.unique(conj, axis=0)
-    if orbit.shape[0] * stab != table.shape[0]:
+    n = table.shape[0]
+    conj = table[table[:, mask], inverses[:, None]]  # row g: g h g^-1 for each member h
+    masks = np.zeros((n, n), dtype=bool)
+    masks[np.arange(n)[:, None], conj] = True
+    keys = _mask_keys(masks)
+    stab = keys.count(_mask_key(mask))
+    orbit = list(dict.fromkeys(keys))
+    if len(orbit) * stab != n:
         raise AssertionError("orbit size times normaliser order must equal |G|")
     return orbit, stab
 
@@ -210,48 +215,42 @@ def enumerate_subgroups(group: PermGroup, *, max_subgroups: int = 10**6) -> list
     """
     table = group.table()
     inverses = group.inverses()
-    identity = group.identity
+    n = group.order
 
-    cyclic: dict[tuple[int, ...], int] = {}
-    for x in range(group.order):
-        members = [identity]
-        y = x
-        while y != identity:
-            members.append(y)
-            y = int(table[y, x])
-        cyclic.setdefault(tuple(sorted(members)), x)
+    cyclic = _cyclic_masks(table)
+    seeds: dict[bytes, int] = {}
+    for g, key in enumerate(_mask_keys(cyclic)):
+        seeds.setdefault(key, g)
 
-    found: dict[tuple[int, ...], None] = {}
-    worklist: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    found: dict[bytes, None] = {}
+    worklist: list[tuple[np.ndarray, tuple[int, ...]]] = []
 
-    def admit(key: tuple[int, ...], gens: tuple[int, ...]) -> None:
-        if key in found:
+    def admit(mask: np.ndarray, gens: tuple[int, ...]) -> None:
+        if _mask_key(mask) in found:
             return
-        orbit, _ = _conjugacy_orbit(table, inverses, np.array(key, dtype=np.int64))
-        for row in range(orbit.shape[0]):
-            found[tuple(int(v) for v in orbit[row])] = None
+        orbit, _ = _conjugacy_orbit(table, inverses, mask)
+        found.update(dict.fromkeys(orbit))
         if len(found) > max_subgroups:
             raise ResourceLimitError(
                 f"subgroup working set exceeded {max_subgroups}; raise max_subgroups"
             )
-        worklist.append((key, gens))
+        worklist.append((mask, gens))
 
-    for key, x in cyclic.items():
-        admit(key, (x,))
+    for g in seeds.values():
+        admit(cyclic[g], (g,))
 
-    seeds = list(cyclic.items())
     while worklist:
-        key, gens = worklist.pop()
-        member_set = set(key)
-        for seed_key, x in seeds:
-            if x in member_set:
+        mask, gens = worklist.pop()
+        for g in seeds.values():
+            if mask[g]:
                 continue
-            joined = _generated_subgroup(table, gens + (x,), identity)
-            jkey = tuple(int(v) for v in joined)
-            if jkey not in found:
-                admit(jkey, gens + (x,))
+            admit(_generated_subgroup(table, gens + (g,), group.identity), gens + (g,))
 
-    return [Subgroup(k) for k in sorted(found, key=lambda k: (len(k), k))]
+    subs = [
+        tuple(np.flatnonzero(np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=n)).tolist())
+        for key in found
+    ]
+    return [Subgroup(members) for members in sorted(subs, key=lambda m: (len(m), m))]
 
 
 # Element-order multisets of the fixed-size isomorphism types.  Within the
@@ -273,29 +272,27 @@ def _dihedral_orders(n: int) -> dict[int, int]:
     return counts
 
 
-def _order_multiset(orders: np.ndarray, members: np.ndarray) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for o in orders[members]:
-        counts[int(o)] = counts.get(int(o), 0) + 1
-    return counts
+def _order_multiset(orders: np.ndarray, mask: np.ndarray) -> dict[int, int]:
+    values, counts = np.unique(orders[mask], return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
-def _label_subgroup(group: PermGroup, members: np.ndarray) -> str:
-    """Isomorphism-type label of a subgroup within the known catalogue.
+def _label_subgroup(group: PermGroup, mask: np.ndarray) -> str:
+    """Isomorphism-type label of the subgroup with this member mask.
 
     Proper subgroups of PSL(2, p) are cyclic, dihedral, affine (a normal
     Sylow-p extended by a cyclic group, which covers the Sylow-p itself at
     e = 1 and the order-2p case that would otherwise read as dihedral),
     A4, S4 or A5.  Anything else trips an error.
     """
-    m = len(members)
+    m = int(np.count_nonzero(mask))
     p = group.p
     if m == 1:
         return "C1"
     if m == group.order:
         return f"PSL2({p})"
     orders = group.element_orders()
-    multiset = _order_multiset(orders, members)
+    multiset = _order_multiset(orders, mask)
 
     if m % p == 0:
         # Proper subgroups of order divisible by p normalise a Sylow-p
@@ -327,27 +324,29 @@ def classify(group: PermGroup, subs: list[Subgroup]) -> list[OracleClass]:
     """
     table = group.table()
     inverses = group.inverses()
-    present = {s.members for s in subs}
-    assigned: set[tuple[int, ...]] = set()
+    masks = np.zeros((len(subs), group.order), dtype=bool)
+    for row, sub in enumerate(subs):
+        masks[row, list(sub.members)] = True
+    keys = _mask_keys(masks)
+    present = set(keys)
+    assigned: set[bytes] = set()
     classes: list[OracleClass] = []
 
-    for sub in sorted(subs, key=lambda s: (s.order, s.members)):
-        if sub.members in assigned:
+    for row in sorted(range(len(subs)), key=lambda r: (subs[r].order, subs[r].members)):
+        sub = subs[row]
+        if keys[row] in assigned:
             continue
-        members = np.array(sub.members, dtype=np.int64)
-        orbit, normaliser_order = _conjugacy_orbit(table, inverses, members)
-        keys = [tuple(int(v) for v in orbit[r]) for r in range(orbit.shape[0])]
-        for key in keys:
+        orbit, normaliser_order = _conjugacy_orbit(table, inverses, masks[row])
+        for key in orbit:
             if key not in present:
                 raise AssertionError("conjugate missing from subgroup list")
-            assigned.add(key)
-        label = _label_subgroup(group, members)
+        assigned.update(orbit)
         classes.append(
             OracleClass(
                 representative=sub,
-                class_size=len(keys),
+                class_size=len(orbit),
                 normaliser_order=normaliser_order,
-                label=label,
+                label=_label_subgroup(group, masks[row]),
                 excluded_from_census=sub.order in (1, group.order),
             )
         )

@@ -1,6 +1,7 @@
 """Number-theory helpers checked against sieve-built oracles."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -203,6 +204,13 @@ class TestSieveForms:
         ):
             with pytest.raises(ValueError):
                 arith.sieve_forms(forms, lo, hi)
+
+    def test_base_prime_cap(self):
+        # every base prime below 2**31 would be fetched; the cap refuses first
+        start = time.perf_counter()
+        with pytest.raises(arith.ResourceLimitError):
+            arith.primes_in_range(2**62, 2**62 + 200)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("segment_bytes", (1, 7, 10**6))
     def test_primes_of_form_segments(self, segment_bytes):

@@ -80,10 +80,15 @@ class TestRootCounting:
                 assert brute == formula, (case_id, p)
 
     def test_quadratic_roots(self):
-        fam = bhc.family((1, 0, 1))  # t^2 + 1
-        for p in arith.primes_in_range(3, 200):
-            expect = 2 if p % 4 == 1 else 0
-            assert bhc.omega_roots(fam, p, brute_threshold=0) == expect, p
+        cases = {
+            (1, 0, 1): lambda p: 1 if p == 2 else 2 if p % 4 == 1 else 0,  # t^2 + 1
+            (41, 1, 1): lambda p: sum((t * t + t + 41) % p == 0 for t in range(p)),  # t^2 + t + 41
+        }
+        assert cases[(41, 1, 1)](2) == 0
+        for coeffs, expect in cases.items():
+            fam = bhc.family(coeffs)
+            for p in arith.primes_in_range(2, 200):
+                assert bhc.omega_roots(fam, p, brute_threshold=0) == expect(p), (coeffs, p)
 
     def test_bounded_by_degree_sum(self):
         for fam in FAMS.values():
@@ -199,8 +204,8 @@ class TestClosedForm:
     def test_truncation_cap_is_a_resource_abort(self):
         assert oracle.ResourceLimitError is arith.ResourceLimitError
         with pytest.raises(arith.ResourceLimitError):
-            bhc.hl_constant(FAMS["a"], bhc.TRUNCATION_CAP + 1)
-        assert bhc.TRUNCATION_CAP < 2**32
+            bhc.hl_constant(FAMS["a"], arith.PRIME_CAP + 1)
+        assert arith.PRIME_CAP < 2**32
 
 
 class TestQuadrature:

@@ -1,5 +1,7 @@
 """Brute-force group-theoretic checks against the formula-side catalogue."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,22 @@ def _classes(p):
 _classes.cache = {}
 
 
+def _cycle_order(perm):
+    """Order of a permutation as the lcm of its cycle lengths."""
+    seen = [False] * len(perm)
+    order = 1
+    for start in range(len(perm)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = perm[x]
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order
+
+
 class TestBuild:
     def test_orders(self):
         assert _group(3).order == 12
@@ -42,14 +60,35 @@ class TestBuild:
 
     def test_generators_generate(self):
         g = _group(7)
-        members = oracle._generated_subgroup(g.table(), g.generators, g.identity)
-        assert len(members) == g.order
+        assert g.elements[list(g.generators)].tolist() == [
+            [1, 2, 3, 4, 5, 6, 0, 7],  # x -> x + 1
+            [7, 6, 3, 2, 5, 4, 1, 0],  # x -> -1/x
+        ]
+        mask = oracle._generated_subgroup(g.table(), g.generators, g.identity)
+        assert np.count_nonzero(mask) == g.order
+        translations = oracle._generated_subgroup(g.table(), g.generators[:1], g.identity)
+        assert np.count_nonzero(translations) == 7
+
+    def test_shared_key_raises(self):
+        g = _group(5)
+        with pytest.raises(AssertionError):
+            oracle.PermGroup(5, np.vstack([g.elements, g.elements[:1]]), ())
 
     def test_element_orders_lagrange(self):
         g = _group(7)
         orders = g.element_orders()
         assert orders[g.identity] == 1
         assert all(g.order % int(o) == 0 for o in orders)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_arrays_match_permutation_arithmetic(self, p):
+        g = _group(p)
+        perms = g.elements
+        table = g.table()
+        for i in range(g.order):
+            assert np.array_equal(perms[table[i]], perms[i][perms]), i
+        assert np.array_equal(perms[g.inverses()], np.argsort(perms, axis=1))
+        assert g.element_orders().tolist() == [_cycle_order(row) for row in perms.tolist()]
 
     def test_cap_and_overrides(self):
         with pytest.raises(ValueError):
