@@ -1,4 +1,5 @@
-"""Integer arithmetic helpers: primality, factorization, divisor counts, one prime sieve.
+"""Integer arithmetic helpers: primality, factorization, divisor counts, and
+two sieves of linear forms: one for primes, one for factor counts.
 
 Everything here is exact and deterministic.  Primality testing uses a fixed
 witness set that is proven correct for all inputs below 2**64, so no function
@@ -16,9 +17,9 @@ U64_MAX = 2**64 - 1
 
 _SEGMENT_BYTES = 64 * 1024 * 1024
 
-# The largest prime any prime list or array here reaches: sieve_forms refuses
-# a window whose base primes would pass it, and bhc.hl_constant a truncation
-# above it.  The primes up to 10**8 fill a 46 MB uint64 array, or a list of
+# The largest prime any prime list or array here reaches: check_prime_cap
+# refuses a sieve window whose base primes would pass it, and
+# bhc.hl_constant a truncation above it.  The primes up to 10**8 fill a 46 MB uint64 array, or a list of
 # 5.76M ints as base primes.
 PRIME_CAP = 10**8
 
@@ -94,6 +95,12 @@ class Factorization:
         return divs
 
 
+def check_prime_cap(top: int) -> None:
+    """Raise ResourceLimitError if sieving values up to top needs base primes past PRIME_CAP."""
+    if math.isqrt(max(top, 0)) > PRIME_CAP:
+        raise ResourceLimitError(f"values up to {top} need base primes above the cap {PRIME_CAP}")
+
+
 def sieve_forms(forms, lo: int, hi: int) -> np.ndarray:
     """Bool mask over t in [lo, hi], True where every a*t + b in forms is prime.
 
@@ -114,8 +121,7 @@ def sieve_forms(forms, lo: int, hi: int) -> np.ndarray:
     top = max(a * hi + b for a, b in forms)
     if top > U64_MAX:
         raise ValueError("sieve_forms requires every value below 2**64")
-    if math.isqrt(max(top, 0)) > PRIME_CAP:
-        raise ResourceLimitError(f"sieving values up to {top} needs base primes above the cap {PRIME_CAP}")
+    check_prime_cap(top)
     mask = np.ones(hi - lo + 1, dtype=bool)
     for a, b in forms:
         below = (1 - b) // a  # last t with a*t + b < 2
@@ -130,6 +136,56 @@ def sieve_forms(forms, lo: int, hi: int) -> np.ndarray:
             start = first + (root - first) % q
             mask[start - lo :: q] = False
     return mask
+
+
+def factor_counts(a: int, b: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Omega (int8) and tau (int32) of a*t + b for every t in [lo, hi].
+
+    a >= 1, gcd(a, b) = 1 and every value in [1, 2**64).  Each prime power
+    q**e up to the largest value, with q <= isqrt(largest value), strikes the
+    t with a*t + b = 0 mod q**e from lo on: one more prime factor, tau times
+    (e + 1)/e, and the value's uint64 residual divided by q.  A residual above
+    1 at the end has no prime factor up to the square root of its value, so
+    it is one more prime.  A window with no multiple of q**e has none of
+    q**(e + 1) either, so the powers of q stop there.  Values past
+    PRIME_CAP**2 raise ResourceLimitError before any base prime is fetched.
+
+    >>> [w.tolist() for w in factor_counts(1, 0, 1, 12)]
+    [[0, 1, 1, 2, 1, 2, 1, 3, 2, 2, 1, 3], [1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6]]
+    """
+    if lo > hi:
+        raise ValueError("factor_counts requires lo <= hi")
+    if a < 1 or math.gcd(a, b) != 1:
+        raise ValueError(f"factor_counts requires a >= 1 and gcd(a, b) = 1, got ({a}, {b})")
+    first, top = a * lo + b, a * hi + b
+    if first < 1:
+        raise ValueError("factor_counts requires every value to be at least 1")
+    if top > U64_MAX:
+        raise ValueError("factor_counts requires every value below 2**64")
+    check_prime_cap(top)
+    residual = np.arange(hi - lo + 1, dtype=np.uint64)
+    residual *= np.uint64(a)
+    residual += np.uint64(first)
+    omega = np.zeros(residual.size, dtype=np.int8)
+    tau = np.ones(residual.size, dtype=np.int32)
+    for q in primes_in_range(2, max(2, math.isqrt(top))):
+        if a % q == 0:  # gcd(a, b) = 1, so q never divides a*t + b
+            continue
+        qe, e = q, 1
+        while qe <= top:
+            start = (-first * pow(a, -1, qe)) % qe  # offset of the first t >= lo with qe | a*t + b
+            if start >= residual.size:
+                break
+            hit = slice(start, None, qe)
+            omega[hit] += 1
+            tau[hit] = tau[hit] // e * (e + 1)
+            residual[hit] //= np.uint64(q)
+            qe *= q
+            e += 1
+    rest = residual > 1
+    omega[rest] += 1
+    tau[rest] *= 2
+    return omega, tau
 
 
 def primes_of_form(a: int, b: int, lo: int, hi: int, *, segment_bytes: int = _SEGMENT_BYTES) -> np.ndarray:

@@ -1,17 +1,25 @@
-"""Scan for the primes feeding the conditional upper-bound argument.
+"""Scan for the primes behind the unconditional upper bounds.
 
-Under a standard sieve-theoretic hypothesis there are infinitely many
-primes p = 5 mod 72 for which p - 1 and p + 1 together carry at most 11
+Heath-Brown's sieve result gives, with no unproved hypothesis, infinitely
+many primes p = 5 mod 72 for which p - 1 and p + 1 together carry at most 11
 prime factors (with multiplicity), at most 8 on either side.  For every
 such prime the divisor-split profile is pinned down far enough (k = 0,
 l = 1, sigma = 0) that the four subgroup-class counts admit absolute upper
 bounds.  Those bounds are derived here by pushing the extremal admissible
 profiles through the count formulas rather than by quoting numbers.
+
+The scan runs along t with p = 72t + 5, where p - 1 = 4(18t + 1) and
+p + 1 = 6(12t + 1) with both linear forms prime to 6: one factor-count
+sieve per form gives Omega(p -+ 1) and the divisor counts of (p -+ 1)/2
+for a whole segment of t at once, and the exact prime sieve picks the t
+where p is prime.  qualifies() is the one-prime path, by factorisation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import arith, invariants
 
@@ -19,6 +27,8 @@ HB_MODULUS = 72
 HB_RESIDUE = 5
 HB_TOTAL_LIMIT = 11   # Omega(p-1) + Omega(p+1)
 HB_SIDE_LIMIT = 8     # Omega on either side
+
+_SEGMENT = 2**15  # t per sieve segment: a 256 KiB uint64 residual per form
 
 
 @dataclass(frozen=True)
@@ -51,22 +61,43 @@ def qualifies(p: int) -> HbCandidate:
 def scan_hb(limit: int) -> list[HbCandidate]:
     """All qualifying primes up to limit, ascending.
 
-    Primes are sieved along 72t + 5 before any factoring happens.  Every
-    candidate's profile must show k = 0, l = 1 and sigma = 0; the
-    congruence forces that, so a violation means a bug and raises.
+    Equal to qualifies(p) for every prime p = 5 mod 72 up to limit that
+    qualifies, without factoring any p -+ 1 one at a time: t runs in
+    segments of _SEGMENT, and arith.factor_counts sieves 18t + 1 and 12t + 1
+    over each.  Every candidate's profile must show k = 0, l = 1 and
+    sigma = 0; the congruence forces that, so a violation means a bug and
+    raises.
     """
     if limit < HB_MODULUS + HB_RESIDUE:
         raise ValueError(f"limit below {HB_MODULUS + HB_RESIDUE} cannot contain a candidate beyond p=5")
     out = []
-    # tolist: profile and the factor counts take Python ints, which never wrap
-    for p in arith.primes_of_form(HB_MODULUS, HB_RESIDUE, 0, (limit - HB_RESIDUE) // HB_MODULUS).tolist():
-        cand = qualifies(p)
-        if not cand.qualifies:
-            continue
-        prof = cand.profile
-        if (prof.k, prof.l, prof.sigma) != (0, 1, 0):
-            raise AssertionError(f"residue 5 mod 72 must force (k, l, sigma) = (0, 1, 0); p={p}")
-        out.append(cand)
+    t_max = (limit - HB_RESIDUE) // HB_MODULUS
+    for lo in range(0, t_max + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT - 1, t_max)
+        # p - 1 = 4(18t + 1) and p + 1 = 6(12t + 1): Omega(4) = Omega(6) = 2,
+        # and tau((p -+ 1)/2) = 2 tau(18t + 1 | 12t + 1), as 2 and 3 are prime
+        # to both forms.  int16 keeps the sums below clear of int8 overflow.
+        odd_minus, tau_minus = arith.factor_counts(18, 1, lo, hi)
+        odd_plus, tau_plus = arith.factor_counts(12, 1, lo, hi)
+        om = odd_minus.astype(np.int16) + 2
+        op = odd_plus.astype(np.int16) + 2
+        keep = (
+            arith.sieve_forms([(HB_MODULUS, HB_RESIDUE)], lo, hi)
+            & (om + op <= HB_TOTAL_LIMIT)
+            & (om <= HB_SIDE_LIMIT)
+            & (op <= HB_SIDE_LIMIT)
+        )
+        idx = np.flatnonzero(keep)
+        # tolist: the profile and the counts take Python ints, which never wrap
+        for t, o_minus, o_plus, t_minus, t_plus in zip(
+            (idx + lo).tolist(), om[idx].tolist(), op[idx].tolist(),
+            tau_minus[idx].tolist(), tau_plus[idx].tolist(),
+        ):
+            p = HB_MODULUS * t + HB_RESIDUE
+            prof = invariants.assemble_profile(p, delta=2 * t_plus, epsilon=2 * t_minus)
+            if (prof.k, prof.l, prof.sigma) != (0, 1, 0):
+                raise AssertionError(f"residue 5 mod 72 must force (k, l, sigma) = (0, 1, 0); p={p}")
+            out.append(HbCandidate(p=p, omega_minus=o_minus, omega_plus=o_plus, qualifies=True, profile=prof))
     return out
 
 

@@ -50,14 +50,21 @@ def profile(p: int) -> InvariantProfile:
     """Compute the invariant profile of a prime p >= 5."""
     if p < 5 or not arith.is_prime(p):
         raise ValueError(f"profile requires a prime p >= 5, got {p}")
-    m_plus = (p + 1) // 2
-    m_minus = (p - 1) // 2
+    return assemble_profile(p, arith.tau((p + 1) // 2), arith.tau((p - 1) // 2))
+
+
+def assemble_profile(p: int, delta: int, epsilon: int) -> InvariantProfile:
+    """The profile of a prime p >= 5 whose divisor counts are already known.
+
+    k, l, sigma and alpha follow from p alone.  p is not tested for
+    primality here; profile() does that before it factors.
+    """
     prof = InvariantProfile(
         p=p,
-        delta=arith.tau(m_plus),
-        epsilon=arith.tau(m_minus),
-        k=arith.two_adic_valuation(m_plus),
-        l=arith.two_adic_valuation(m_minus),
+        delta=delta,
+        epsilon=epsilon,
+        k=arith.two_adic_valuation((p + 1) // 2),
+        l=arith.two_adic_valuation((p - 1) // 2),
         sigma=1 if p % 8 in (1, 7) else 0,
         alpha=1 if p % 5 in (1, 4) else 0,
     )

@@ -283,7 +283,8 @@ def _label_subgroup(group: PermGroup, mask: np.ndarray) -> str:
     Proper subgroups of PSL(2, p) are cyclic, dihedral, affine (a normal
     Sylow-p extended by a cyclic group, which covers the Sylow-p itself at
     e = 1 and the order-2p case that would otherwise read as dihedral),
-    A4, S4 or A5.  Anything else trips an error.
+    A4, S4 or A5.  Anything else is a defect of the oracle and raises
+    AssertionError, like its other invariant checks.
     """
     m = int(np.count_nonzero(mask))
     p = group.p
@@ -300,7 +301,7 @@ def _label_subgroup(group: PermGroup, mask: np.ndarray) -> str:
         # and A5 at p = 5 is the whole group).
         e = m // p
         if ((p - 1) // 2) % e != 0 or multiset.get(p, 0) != p - 1:
-            raise ValueError(f"unrecognised subgroup of order {m} (p-part malformed)")
+            raise AssertionError(f"unrecognised subgroup of order {m} (p-part malformed)")
         return f"E{p}:C{e}"
     if max(multiset) == m:
         return f"C{m}"
@@ -312,7 +313,7 @@ def _label_subgroup(group: PermGroup, mask: np.ndarray) -> str:
         return "A5"
     if m % 2 == 0 and multiset == _dihedral_orders(m // 2):
         return f"D{m // 2}"
-    raise ValueError(f"subgroup of order {m} matches no catalogue type")
+    raise AssertionError(f"subgroup of order {m} matches no catalogue type")
 
 
 def classify(group: PermGroup, subs: list[Subgroup]) -> list[OracleClass]:

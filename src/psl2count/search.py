@@ -23,6 +23,7 @@ while staying bit-for-bit independent of the process count.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import os
 import sys
@@ -171,6 +172,17 @@ def _scan_block(args) -> tuple[int, int, list[int]]:
     return len(survivors), sz_count, hit_ts
 
 
+def _in_order(pool, block_args, depth: int):
+    """_scan_block over block_args on pool, results in order, at most depth blocks in flight."""
+    pending: collections.deque = collections.deque()
+    for args in block_args:
+        pending.append(pool.submit(_scan_block, args))
+        if len(pending) == depth:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def scan(
     spec: CaseSpec,
     t_max: int,
@@ -183,7 +195,9 @@ def scan(
     """Count prime triples for t in [1, t_max] and record hits.
 
     q_count is exact regardless of hit_cap.  Blocks are merged in index
-    order, so the result is identical for every jobs value.
+    order, so the result is identical for every jobs value.  Blocks are made
+    as the pool takes them, and a t_max whose base primes would pass
+    arith.PRIME_CAP raises ResourceLimitError before the first.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
@@ -193,23 +207,28 @@ def scan(
         raise ValueError("jobs must be at least 1")
     if hit_cap < 0:
         raise ValueError("hit_cap must be at least 0")
+    if block_size < 1:
+        raise ValueError("block_size must be at least 1")
+    coeffs = _CASE_DEFS[spec.case_id][0]
+    arith.check_prime_cap(max(a * t_max + b for b, a in coeffs))
 
-    block_args = [
+    n_blocks = -(-t_max // block_size)
+    block_args = (
         (spec.case_id, lo, min(lo + block_size - 1, t_max), hit_cap)
         for lo in range(1, t_max + 1, block_size)
-    ]
+    )
     q_count = 0
     sz_count = 0
     hit_ts: list[int] = []
-    workers = min(jobs, len(block_args))  # a single block runs in-process
+    workers = min(jobs, n_blocks)  # a single block runs in-process
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
-        blocks = pool.map(_scan_block, block_args) if pool else map(_scan_block, block_args)
+        blocks = _in_order(pool, block_args, 2 * workers) if pool else map(_scan_block, block_args)
         for i, (q, sz, ts) in enumerate(blocks, 1):
             q_count += q
             sz_count += sz
             hit_ts.extend(ts[: hit_cap - len(hit_ts)])
             if progress:
-                print(f"scan {spec.case_id}: block {i}/{len(block_args)}", file=sys.stderr)
+                print(f"scan {spec.case_id}: block {i}/{n_blocks}", file=sys.stderr)
     hits = tuple(_make_hit(spec, t) for t in hit_ts)
     return SearchSummary(
         case_id=spec.case_id,

@@ -219,3 +219,57 @@ class TestSieveForms:
             got = arith.primes_of_form(a, b, 0, 2000, segment_bytes=segment_bytes)
             assert got.dtype == np.uint64
             assert got.tolist() == expect, (a, b)
+
+
+FACTOR_FORMS = ((18, 1), (12, 1), (2, 1), (1, 0))
+
+
+def _plain_counts(a, b, lo, hi):
+    """Reference for arith.factor_counts: Omega and tau by arith.factorize."""
+    facts = [arith.factorize(a * t + b) for t in range(lo, hi + 1)]
+    return [f.big_omega() for f in facts], [f.tau() for f in facts]
+
+
+class TestFactorCounts:
+    @pytest.mark.parametrize("form", FACTOR_FORMS)
+    def test_random_windows_match_factorize(self, form):
+        # values near 2**40, then log-uniform below it; isqrt(2**60) = 2**30
+        # is past PRIME_CAP, so 2**60 itself is the cap test below
+        a, b = form
+        rng = random.Random(f"factor-counts-{form}")
+        for i in range(10):
+            lo = max(1, 2 ** (40 if i == 0 else rng.randint(0, 40)) // a)
+            hi = lo + rng.randint(0, 3000)
+            omega, tau = arith.factor_counts(a, b, lo, hi)
+            assert (omega.dtype, tau.dtype) == (np.int8, np.int32)
+            assert [omega.tolist(), tau.tolist()] == list(_plain_counts(a, b, lo, hi)), (lo, hi)
+
+    @pytest.mark.parametrize("form", FACTOR_FORMS)
+    def test_every_small_window(self, form):
+        # a value equal to a sieving prime (or its square) counts it; 1 has no factor
+        a, b = form
+        first = 1 if b == 0 else 0
+        omegas, taus = _plain_counts(a, b, first, 69)
+        for lo in range(first, 70):
+            for hi in range(lo, 70):
+                omega, tau = arith.factor_counts(a, b, lo, hi)
+                assert omega.tolist() == omegas[lo - first : hi - first + 1], (lo, hi)
+                assert tau.tolist() == taus[lo - first : hi - first + 1], (lo, hi)
+
+    def test_validation(self):
+        for a, b, lo, hi in (
+            (0, 1, 0, 10),              # a = 0
+            (6, 3, 0, 10),              # gcd(a, b) = 3
+            (2, 1, 5, 4),               # lo > hi
+            (1, 0, 0, 10),              # the value 0
+            (2, -5, 1, 10),             # a negative value
+            (1, 0, 2**64 - 5, 2**64),   # a value of 2**64
+        ):
+            with pytest.raises(ValueError):
+                arith.factor_counts(a, b, lo, hi)
+
+    def test_base_prime_cap(self):
+        start = time.perf_counter()
+        with pytest.raises(arith.ResourceLimitError):
+            arith.factor_counts(1, 0, 2**60, 2**60 + 200)
+        assert time.perf_counter() - start < 1.0

@@ -6,10 +6,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from psl2count import cli, invariants, search
+from psl2count import cli, invariants, oracle, search
 
 
 def run(argv, env=None):
@@ -78,6 +79,15 @@ class TestCensusCommand:
         assert "capped" in err
         code, _, err = run(["census", "23", "--oracle", "--allow-slow-oracle"])
         assert code == 2
+
+    def test_oracle_label_failure_is_internal(self, monkeypatch):
+        # a subgroup the catalogue cannot name is a defect of the oracle, not a usage error
+        monkeypatch.setattr(oracle, "_A4_ORDERS", {})
+        code, _, err = run(["census", "5", "--oracle"])
+        assert code == 4
+        assert err.strip().splitlines()[-1] == (
+            "psl2count: internal error: AssertionError: subgroup of order 12 matches no catalogue type"
+        )
 
     def test_p3_requires_oracle(self):
         assert run(["census", "3"])[0] == 2
@@ -172,6 +182,15 @@ class TestSearchCommand:
         code, out, _ = run(["search", "a", "--t-max", "1000", "--show-hits", "3"])
         assert code == 0 and caps == [3]
         assert out.count("  t=") == 3
+
+    def test_oversized_scan_is_a_resource_abort(self):
+        # refused before any block is built: there would be 2.5e11 of them
+        start = time.perf_counter()
+        code, out, err = run(["search", "a", "--t-max", "1e18"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err.startswith("psl2count: resource cap hit: ResourceLimitError")
 
     def test_negative_hit_counts_are_usage_errors(self):
         assert run(["search", "a", "--t-max", "100", "--show-hits", "-1"])[0] == 2

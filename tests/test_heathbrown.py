@@ -44,6 +44,23 @@ class TestScan:
         assert got == expect
         assert got[:6] == [5, 149, 293, 509, 653, 797]
 
+    def test_matches_one_prime_path(self):
+        # the sieve's factor counts and profiles against per-prime factorisation
+        limit = 10**6
+        expect = [
+            c for c in map(heathbrown.qualifies, arith.primes_of_form(72, 5, 0, (limit - 5) // 72).tolist())
+            if c.qualifies
+        ]
+        assert heathbrown.scan_hb(limit) == expect
+
+    def test_frozen_1e8(self):
+        cands = heathbrown.scan_hb(10**8)
+        assert len(cands) == 229098
+        assert cands[-1].p == 99999941
+        bounds = heathbrown.derive_upper_bounds()
+        for c in cands:
+            assert all(v <= b for v, b in zip(invariants.counts(c.profile), bounds)), c.p
+
     def test_every_candidate_within_bounds(self):
         bounds = heathbrown.derive_upper_bounds()
         for c in heathbrown.scan_hb(10**5):
