@@ -19,8 +19,8 @@ _SEGMENT_BYTES = 64 * 1024 * 1024
 
 # The largest prime any prime list or array here reaches: check_prime_cap
 # refuses a sieve window whose base primes would pass it, and
-# bhc.hl_constant a truncation above it.  The primes up to 10**8 fill a 46 MB uint64 array, or a list of
-# 5.76M ints as base primes.
+# bhc.hl_constant a truncation above it.  The primes up to 10**8 fill a
+# 46 MB uint64 array.
 PRIME_CAP = 10**8
 
 # Strong-pseudoprime witnesses covering every n < 2**64 (the seven-base set
@@ -101,53 +101,129 @@ def check_prime_cap(top: int) -> None:
         raise ResourceLimitError(f"values up to {top} need base primes above the cap {PRIME_CAP}")
 
 
+def prime_array(n: int) -> np.ndarray:
+    """The primes up to n, ascending, as a uint64 array.
+
+    Up to _TABLE_TOP a slice of a fixed table; above it 2 and then the odd
+    primes from primes_of_form, whose own base primes come from the table
+    for n below 2**32.
+    """
+    if n <= _TABLE_TOP:
+        return _TABLE[: np.searchsorted(_TABLE, n, side="right")]
+    return np.concatenate((_TABLE[:1], primes_of_form(2, 1, 1, (n - 1) // 2)))
+
+
+def inverse_mod(a: int, primes: np.ndarray) -> np.ndarray:
+    """a**-1 mod q for every uint64 prime q in primes, and 0 where q divides a.
+
+    For 1 <= a < 2**32.  x = (k*q + 1)/a is the inverse when k = -q**-1 mod
+    a, and k depends only on q mod a: so Python inverts each residue mod a
+    (or, when a passes the number of primes, each prime's residue) once,
+    and the rest is a few vector operations.  k < 2**32 and q < 2**27 keep
+    k*q + 1 below 2**59.  Where q divides a, gcd(q mod a, a) = q, so k = 0
+    and x = 0.
+    """
+    residue = primes % np.uint64(a)
+    tabled = a <= primes.size
+    k = np.array(
+        [-pow(r, -1, a) % a if math.gcd(r, a) == 1 else 0 for r in (range(a) if tabled else residue.tolist())],
+        dtype=np.uint64,
+    )
+    if tabled:
+        k = k[residue]
+    return (k * primes + np.uint64(1)) // np.uint64(a)
+
+
+def root_offsets(v: int, inv: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """The least o >= 0 with v + a*o = 0 mod q, for each prime q not dividing a.
+
+    inv is inverse_mod(a, primes) and |v| < 2**64: v is a*t + b at the
+    window's first t, and o the offset from it of the first t with q
+    dividing a*t + b.
+    """
+    neg = np.uint64(abs(v)) % primes  # -v mod q
+    if v > 0:
+        neg = (primes - neg) % primes
+    return neg * inv % primes
+
+
+def strike_form(mask: np.ndarray, lo: int, a: int, b: int, primes: np.ndarray, roots: np.ndarray) -> None:
+    """Clear mask, over t in [lo, lo + mask.size), wherever a*t + b is below 2 or composite.
+
+    primes holds, as ascending uint64, every prime up to isqrt of the
+    largest value that divides some a*t + b in the window (any other prime
+    never strikes), and roots = root_offsets(a*lo + b, ...) on them.  Each
+    prime q not dividing a strikes the t with a*t + b = 0 mod q and
+    a*t + b >= q*q, from the first such t.  A prime shorter than the window
+    strikes one strided slice; every longer prime has at most one such t in
+    the window, and they all strike in one fancy-index assignment.
+    """
+    n = mask.size
+    d = min(max(0, (1 - b) // a - lo + 1), n)  # the first d values are below 2
+    mask[:d] = False
+    if d == n:
+        return
+    v = a * (lo + d) + b  # 2 <= v < 2**64
+    start = roots.copy() if d == 0 else (roots + primes - np.uint64(d) % primes) % primes
+    j = int(np.searchsorted(primes, math.isqrt(v), side="right"))  # from j on, q*q > v
+    if j < primes.size:
+        q = primes[j:]
+        f = (q * q - np.uint64(v + 1)) // np.uint64(a) + np.uint64(1)  # first offset with value >= q*q
+        start[j:] = f + (start[j:] + q - f % q) % q
+    low = primes[: np.searchsorted(primes, a, side="right")]  # only these can divide a
+    start[: low.size][np.uint64(a) % low == 0] = n  # gcd(a, b) = 1: q | a never divides a*t + b
+    n -= d
+    k = int(np.searchsorted(primes, n))
+    for s, q in zip(start[:k].tolist(), primes[:k].tolist()):
+        mask[d + s :: q] = False
+    far = start[k:]
+    mask[d + far[far < n]] = False
+
+
 def sieve_forms(forms, lo: int, hi: int) -> np.ndarray:
     """Bool mask over t in [lo, hi], True where every a*t + b in forms is prime.
 
-    forms holds (a, b) pairs with a >= 1 and gcd(a, b) = 1.  Exact sieve:
-    each prime q <= isqrt(largest value) strikes, per form, the t with
-    a*t + b = 0 mod q and a*t + b >= q*q.  A composite value is at least the
-    square of its least prime factor, so it is struck; a prime value q is
-    below q*q, so it never is.  After values below 2 are masked the survivors
-    are exactly the t where every value is prime.  A prime q dividing a never
-    divides a*t + b, because gcd(a, b) = 1.  Values past PRIME_CAP**2 raise
+    forms holds (a, b) pairs with 1 <= a < 2**32 and gcd(a, b) = 1.  Exact
+    sieve: strike_form has each prime q <= isqrt(largest value) strike, per
+    form, the t with a*t + b = 0 mod q and a*t + b >= q*q.  A composite
+    value is at least the square of its least prime factor, so it is
+    struck; a prime value q is below q*q, so it never is, and values below 2
+    are masked.  The survivors are exactly the t where every value is prime.
+    A prime q dividing a never divides a*t + b, because gcd(a, b) = 1.  The
+    base primes are one uint64 array, and each form's roots mod all of them
+    come from one vectorised inverse.  Values past PRIME_CAP**2 raise
     ResourceLimitError before any base prime is fetched.
     """
     if lo > hi:
         raise ValueError("sieve_forms requires lo <= hi")
     for a, b in forms:
-        if a < 1 or math.gcd(a, b) != 1:
-            raise ValueError(f"sieve_forms requires a >= 1 and gcd(a, b) = 1, got ({a}, {b})")
+        if not 1 <= a < 2**32 or math.gcd(a, b) != 1:
+            raise ValueError(f"sieve_forms requires 1 <= a < 2**32 and gcd(a, b) = 1, got ({a}, {b})")
+        if a * hi + b > U64_MAX or a * lo + b < -U64_MAX:
+            raise ValueError("sieve_forms requires every value below 2**64 in absolute value")
     top = max(a * hi + b for a, b in forms)
-    if top > U64_MAX:
-        raise ValueError("sieve_forms requires every value below 2**64")
     check_prime_cap(top)
+    primes = prime_array(math.isqrt(max(top, 0)))  # max(top, 0) admits all-negative values
     mask = np.ones(hi - lo + 1, dtype=bool)
     for a, b in forms:
-        below = (1 - b) // a  # last t with a*t + b < 2
-        mask[: max(0, min(below, hi) - lo + 1)] = False
-    # max(2, ...) ends the recursion; max(top, 0) admits all-negative values
-    for q in primes_in_range(2, max(2, math.isqrt(max(top, 0)))):
-        for a, b in forms:
-            if a % q == 0:
-                continue
-            root = (-b * pow(a, -1, q)) % q
-            first = max(lo, (q * q - b + a - 1) // a)  # first t with a*t + b >= q*q
-            start = first + (root - first) % q
-            mask[start - lo :: q] = False
+        strike_form(mask, lo, a, b, primes, root_offsets(a * lo + b, inverse_mod(a, primes), primes))
     return mask
 
 
 def factor_counts(a: int, b: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Omega (int8) and tau (int32) of a*t + b for every t in [lo, hi].
 
-    a >= 1, gcd(a, b) = 1 and every value in [1, 2**64).  Each prime power
-    q**e up to the largest value, with q <= isqrt(largest value), strikes the
-    t with a*t + b = 0 mod q**e from lo on: one more prime factor, tau times
-    (e + 1)/e, and the value's uint64 residual divided by q.  A residual above
-    1 at the end has no prime factor up to the square root of its value, so
-    it is one more prime.  A window with no multiple of q**e has none of
-    q**(e + 1) either, so the powers of q stop there.  Values past
+    1 <= a < 2**32, gcd(a, b) = 1 and every value in [1, 2**64).  Each prime
+    power q**e up to the largest value, with q <= isqrt(largest value),
+    strikes the t with a*t + b = 0 mod q**e from lo on: one more prime
+    factor, tau times (e + 1)/e, and the value's uint64 residual divided by
+    q.  A residual above 1 at the end has no prime factor up to the square
+    root of its value, so it is one more prime.  The first multiple of q**e
+    in the window comes from the one of q**(e - 1) by a Hensel step; a
+    window with none has none of q**(e + 1) either, so the powers of q stop
+    there.  As in strike_form, powers shorter than the window strike a
+    strided slice each and the rest, with at most one hit each, strike
+    together (ufunc.at, since two of them can hit one t).  Values past
     PRIME_CAP**2 raise ResourceLimitError before any base prime is fetched.
 
     >>> [w.tolist() for w in factor_counts(1, 0, 1, 12)]
@@ -155,33 +231,47 @@ def factor_counts(a: int, b: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndar
     """
     if lo > hi:
         raise ValueError("factor_counts requires lo <= hi")
-    if a < 1 or math.gcd(a, b) != 1:
-        raise ValueError(f"factor_counts requires a >= 1 and gcd(a, b) = 1, got ({a}, {b})")
+    if not 1 <= a < 2**32 or math.gcd(a, b) != 1:
+        raise ValueError(f"factor_counts requires 1 <= a < 2**32 and gcd(a, b) = 1, got ({a}, {b})")
     first, top = a * lo + b, a * hi + b
     if first < 1:
         raise ValueError("factor_counts requires every value to be at least 1")
     if top > U64_MAX:
         raise ValueError("factor_counts requires every value below 2**64")
     check_prime_cap(top)
-    residual = np.arange(hi - lo + 1, dtype=np.uint64)
+    n = hi - lo + 1
+    residual = np.arange(n, dtype=np.uint64)
     residual *= np.uint64(a)
     residual += np.uint64(first)
-    omega = np.zeros(residual.size, dtype=np.int8)
-    tau = np.ones(residual.size, dtype=np.int32)
-    for q in primes_in_range(2, max(2, math.isqrt(top))):
-        if a % q == 0:  # gcd(a, b) = 1, so q never divides a*t + b
-            continue
-        qe, e = q, 1
-        while qe <= top:
-            start = (-first * pow(a, -1, qe)) % qe  # offset of the first t >= lo with qe | a*t + b
-            if start >= residual.size:
-                break
-            hit = slice(start, None, qe)
+    omega = np.zeros(n, dtype=np.int8)
+    tau = np.ones(n, dtype=np.int32)
+    q = prime_array(math.isqrt(top))
+    inv = inverse_mod(a, q)
+    q, inv = q[inv != 0], inv[inv != 0]  # gcd(a, b) = 1, so q | a never divides a*t + b
+    qe, off, e = q, root_offsets(first, inv, q), 1  # off: offset of the first multiple of qe
+    while q.size:
+        near = off < n
+        q, inv, qe, off = q[near], inv[near], qe[near], off[near]
+        k = int(np.searchsorted(qe, n))  # qe ascends with q
+        for s, m, p in zip(off[:k].tolist(), qe[:k].tolist(), q[:k].tolist()):
+            hit = slice(s, None, m)
             omega[hit] += 1
             tau[hit] = tau[hit] // e * (e + 1)
-            residual[hit] //= np.uint64(q)
-            qe *= q
-            e += 1
+            residual[hit] //= np.uint64(p)
+        if k < q.size:
+            hit = off[k:]
+            np.add.at(omega, hit, 1)
+            np.floor_divide.at(tau, hit, e)  # each hit's tau holds a factor e for its own q
+            np.multiply.at(tau, hit, e + 1)
+            np.floor_divide.at(residual, hit, q[k:])
+        # Hensel: the value at off is a multiple w of qe, and off + qe*c is
+        # a multiple of qe*q when w/qe + a*c = 0 mod q.
+        room = qe <= np.uint64(top) // q
+        q, inv, qe, off = q[room], inv[room], qe[room], off[room]
+        w = (off * np.uint64(a) + np.uint64(first)) // qe % q
+        off = off + qe * ((q - w) % q * inv % q)
+        qe = qe * q
+        e += 1
     rest = residual > 1
     omega[rest] += 1
     tau[rest] *= 2
@@ -214,7 +304,7 @@ def primes_in_range(lo: int, hi: int, *, segment_bytes: int = _SEGMENT_BYTES) ->
 
     2 if it is in range, then the odd primes 2t + 1 from primes_of_form.
     Each segment's mask stays below segment_bytes, but the base primes every
-    segment needs form a list that grows as pi(isqrt(hi)).
+    segment needs form a uint64 array that grows as pi(isqrt(hi)).
     """
     if lo > hi:
         raise ValueError("primes_in_range requires lo <= hi")
@@ -224,7 +314,12 @@ def primes_in_range(lo: int, hi: int, *, segment_bytes: int = _SEGMENT_BYTES) ->
     return two + primes_of_form(2, 1, max(lo, 2) // 2, (hi - 1) // 2, segment_bytes=segment_bytes).tolist()
 
 
-_TRIAL = tuple(primes_in_range(2, 1000))
+# The primes prime_array slices: seeded with those up to 40, then
+# extended to 2**16 by prime_array itself.
+_TABLE_TOP, _TABLE = 40, np.array(_SMALL_PRIMES, dtype=np.uint64)
+_TABLE_TOP, _TABLE = 2**16, prime_array(2**16)
+
+_TRIAL = tuple(prime_array(1000).tolist())
 
 
 def _brent_rho(n: int) -> int:

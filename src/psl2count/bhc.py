@@ -353,9 +353,7 @@ def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
     report = check_sh(fam)
     if not report.ok:
         raise ValueError(f"family fails admissibility checks: {report}")
-    primes = np.concatenate(  # 2, then the odd primes 2t + 1
-        (np.array([2], dtype=np.uint64), arith.primes_of_form(2, 1, 1, (truncation - 1) // 2))
-    )
+    primes = arith.prime_array(truncation)
     p = primes.astype(float)
     terms = -fam.m * np.log1p(-1.0 / p) + np.log1p(-_omega(fam, primes) / p)
     value = math.exp(math.fsum(terms))

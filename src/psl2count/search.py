@@ -15,18 +15,25 @@ product of six primes with the split parameters at their minima.  In cases
 (i, c, s, n) = (17, 18, 6, 12); smaller p and the other two cases can
 miss one or more of them, which the attainment flags record.
 
-Scanning runs the exact sieve of linear forms, arith.sieve_forms, over t
-for the three polynomials at once, so the survivors are exactly the prime
-triples.  The sieve runs in blocks so the work can spread over processes
-while staying bit-for-bit independent of the process count.
+Scanning runs the exact sieve of linear forms of arith over t for the
+three polynomials at once, so the survivors are exactly the prime triples.
+Only 16 of the 210 classes of t mod 2*3*5*7 leave all three values prime
+to 2, 3, 5 and 7; every other class holds at most a few t with a value
+equal to one of them, which are checked one at a time.  Each of the 16 is
+the progression t = 210*u + r, sieved in u as three linear forms, and base
+primes longer than the window strike their one hit per form together.
+The sieve runs in blocks of t so the work can spread over processes while
+staying bit-for-bit independent of the process count.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
+import math
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -144,32 +151,84 @@ def _sigma_alpha_zero(p: int) -> bool:
     return p % 8 in (3, 5) and p % 5 in (2, 3, 0)
 
 
+_WHEEL = 2 * 3 * 5 * 7
+
+
+def _wheel(polys) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The classes mod _WHEEL that can hold a triple above 7, and the special t.
+
+    A class r qualifies when no a*r + b has a factor 2, 3, 5 or 7; the
+    special t are those where some a*t + b is 2, 3, 5 or 7.
+    """
+    classes = tuple(r for r in range(_WHEEL) if all(math.gcd(a * r + b, _WHEEL) == 1 for a, b in polys))
+    special = sorted({(q - b) // a for a, b in polys for q in (2, 3, 5, 7) if (q - b) % a == 0})
+    return classes, tuple(special)
+
+
+def _forms(case_id: str) -> list[tuple[int, int]]:
+    return [(c[1], c[0]) for c in _CASE_DEFS[case_id][0]]  # (a, b) with value a*t + b
+
+
+_WHEELS = {case_id: _wheel(_forms(case_id)) for case_id in CASE_IDS}
+
+
 def _scan_block(args) -> tuple[int, int, list[int]]:
     """Scan [lo, hi] for one case; returns (q_count, sz_count, hit ts).
 
-    arith.sieve_forms leaves exactly the t where all three values are
-    prime; each is counted, and the first hit_cap with s and r at least 5
-    are kept as hits.
+    Only the classes r mod 210 where no value has a factor 2, 3, 5 or 7 can
+    hold a triple with every value above 7.  In each, t = 210*u + r and
+    the three forms become (210*a, a*r + b) in u, which arith.strike_form
+    sieves exactly over the u with t in [lo, hi]; their roots mod each base
+    prime come from the roots in t, so the block inverts once per form.
+    Primes 2, 3, 5 and 7 divide 210*a and never strike.  Every survivor is
+    counted and, since s and r are at least 11, is a hit; p mod 40 is fixed
+    by r, so sigma = alpha = 0 holds for all of a class or none.  The first
+    hit_cap u of each class become hit ts.  A triple in any other class has
+    a value equal to 2, 3, 5 or 7: those special t are checked one at a
+    time by arith.sieve_forms.
     """
     case_id, lo, hi, hit_cap = args
-    coeffs, roles, _, _ = _CASE_DEFS[case_id]
-    polys = [(c[1], c[0]) for c in coeffs]  # (a, b) with value a*t + b
-    survivors = np.flatnonzero(arith.sieve_forms(polys, lo, hi)).tolist()
-    sz_count = 0
+    roles = _CASE_DEFS[case_id][1]
+    polys = _forms(case_id)
+    classes, special = _WHEELS[case_id]
+    primes = arith.prime_array(math.isqrt(max(a * hi + b for a, b in polys)))
+    inv_wheel = arith.inverse_mod(_WHEEL, primes)
+    t_roots = []  # per form: the primes with a root in [lo, hi], those roots less lo, 1/210 mod each
+    for a, b in polys:
+        rho = arith.root_offsets(a * lo + b, arith.inverse_mod(a, primes), primes)
+        near = rho <= hi - lo
+        t_roots.append((primes[near], rho[near], inv_wheel[near]))
+    a_p, b_p = polys[roles["p"]]
+    q_count = sz_count = 0
     hit_ts: list[int] = []
+    for r in classes:
+        u_lo, u_hi = -((r - lo) // _WHEEL), (hi - r) // _WHEEL
+        if u_lo > u_hi:
+            continue
+        mask = np.ones(u_hi - u_lo + 1, dtype=bool)
+        shift = np.uint64(_WHEEL * u_lo + r - lo)  # t at u_lo, less lo
+        for (a, b), (q, rho, inv) in zip(polys, t_roots):
+            u_roots = (rho + q - shift % q) % q * inv % q
+            arith.strike_form(mask, u_lo, _WHEEL * a, a * r + b, q, u_roots)
+        count = int(np.count_nonzero(mask))
+        q_count += count
+        if _sigma_alpha_zero(a_p * r + b_p):  # 2520 = 40 * 63, so p = a_p*r + b_p mod 40
+            sz_count += count
+        if hit_cap and count:
+            hit_ts.extend((_WHEEL * (u_lo + np.flatnonzero(mask)[:hit_cap]) + r).tolist())
     p_idx, s_idx, r_idx = roles["p"], roles["s"], roles["r"]
-    for off in survivors:
-        t = lo + off
-        p = polys[p_idx][0] * t + polys[p_idx][1]
-        s = polys[s_idx][0] * t + polys[s_idx][1]
-        r = polys[r_idx][0] * t + polys[r_idx][1]
+    for t in special:
+        if not (lo <= t <= hi and arith.sieve_forms(polys, t, t)[0]):
+            continue
+        q_count += 1
+        p, s, r = (polys[i][0] * t + polys[i][1] for i in (p_idx, s_idx, r_idx))
         if s in (2, 3) or r in (2, 3):
             continue
         if _sigma_alpha_zero(p):
             sz_count += 1
-        if len(hit_ts) < hit_cap:
-            hit_ts.append(t)
-    return len(survivors), sz_count, hit_ts
+        hit_ts.append(t)
+    hit_ts.sort()
+    return q_count, sz_count, hit_ts[:hit_cap]
 
 
 def _in_order(pool, block_args, depth: int):
@@ -183,13 +242,24 @@ def _in_order(pool, block_args, depth: int):
         yield pending.popleft().result()
 
 
+def _progress_line(case_id: str, done: int, t_max: int, started: float) -> str:
+    """One progress line: t done, the mean rate so far and the time left at it.
+
+    >>> _progress_line("a", 5, 10, time.monotonic() - 2.0)
+    'scan a: t 5/10, 2.5e0 t/s, ETA 2 s'
+    """
+    rate = done / max(time.monotonic() - started, 1e-9)
+    mantissa, exponent = f"{rate:.1e}".split("e")
+    return f"scan {case_id}: t {done}/{t_max}, {mantissa}e{int(exponent)} t/s, ETA {(t_max - done) / rate:.0f} s"
+
+
 def scan(
     spec: CaseSpec,
     t_max: int,
     *,
     hit_cap: int = 10000,
     jobs: int = 1,
-    block_size: int = 4_000_000,
+    block_size: int = _WHEEL * 2**20,
     progress: bool = False,
 ) -> SearchSummary:
     """Count prime triples for t in [1, t_max] and record hits.
@@ -197,7 +267,9 @@ def scan(
     q_count is exact regardless of hit_cap.  Blocks are merged in index
     order, so the result is identical for every jobs value.  Blocks are made
     as the pool takes them, and a t_max whose base primes would pass
-    arith.PRIME_CAP raises ResourceLimitError before the first.
+    arith.PRIME_CAP raises ResourceLimitError before the first.  With
+    progress, each merged block prints the t done, the rate and an ETA on
+    stderr.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
@@ -209,8 +281,7 @@ def scan(
         raise ValueError("hit_cap must be at least 0")
     if block_size < 1:
         raise ValueError("block_size must be at least 1")
-    coeffs = _CASE_DEFS[spec.case_id][0]
-    arith.check_prime_cap(max(a * t_max + b for b, a in coeffs))
+    arith.check_prime_cap(max(a * t_max + b for a, b in _forms(spec.case_id)))
 
     n_blocks = -(-t_max // block_size)
     block_args = (
@@ -221,6 +292,7 @@ def scan(
     sz_count = 0
     hit_ts: list[int] = []
     workers = min(jobs, n_blocks)  # a single block runs in-process
+    started = time.monotonic()
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
         blocks = _in_order(pool, block_args, 2 * workers) if pool else map(_scan_block, block_args)
         for i, (q, sz, ts) in enumerate(blocks, 1):
@@ -228,7 +300,7 @@ def scan(
             sz_count += sz
             hit_ts.extend(ts[: hit_cap - len(hit_ts)])
             if progress:
-                print(f"scan {spec.case_id}: block {i}/{n_blocks}", file=sys.stderr)
+                print(_progress_line(spec.case_id, min(i * block_size, t_max), t_max, started), file=sys.stderr)
     hits = tuple(_make_hit(spec, t) for t in hit_ts)
     return SearchSummary(
         case_id=spec.case_id,

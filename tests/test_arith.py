@@ -195,9 +195,26 @@ class TestSieveForms:
         for lo in range(61):
             assert arith.sieve_forms(forms, lo, 300).tolist() == _plain_mask(forms, lo, 300), lo
 
+    @pytest.mark.parametrize("forms", SIEVE_FORMS)
+    def test_windows_near_2_44_and_2_50(self, forms):
+        # base primes up to 2**25: far more of them than the window is long
+        rng = random.Random(f"forms-high-{forms}")
+        for k in (44, 50):
+            lo = 2**k // max(a for a, _ in forms) - rng.randint(0, 10**6)
+            hi = lo + rng.randint(0, 3000)
+            assert arith.sieve_forms(forms, lo, hi).tolist() == _plain_mask(forms, lo, hi), (lo, hi)
+
+    def test_inverse_mod(self):
+        primes = arith.prime_array(10**4)
+        assert primes.dtype == np.uint64
+        for a in (1, 2, 12, 210, 2520, 2**31 - 1):  # residues tabled, then one per prime
+            expect = [pow(a, -1, q) if a % q else 0 for q in primes.tolist()]
+            assert arith.inverse_mod(a, primes).tolist() == expect, a
+
     def test_validation(self):
         for forms, lo, hi in (
             ([(0, 1)], 0, 10),          # a = 0
+            ([(2**32, 1)], 0, 10),      # a = 2**32
             ([(6, 3)], 0, 10),          # gcd(a, b) = 3
             ([(2, 1)], 5, 4),           # lo > hi
             ([(1, 0)], 2**64 - 5, 2**64),  # a value of 2**64
@@ -256,9 +273,22 @@ class TestFactorCounts:
                 assert omega.tolist() == omegas[lo - first : hi - first + 1], (lo, hi)
                 assert tau.tolist() == taus[lo - first : hi - first + 1], (lo, hi)
 
+    @pytest.mark.parametrize("form", FACTOR_FORMS)
+    def test_windows_near_2_44_and_2_50(self, form):
+        # prime powers past the window length strike together, and two of
+        # them can hit one t
+        a, b = form
+        rng = random.Random(f"factor-counts-high-{form}")
+        for k in (44, 50):
+            lo = 2**k // a - rng.randint(0, 10**6)
+            hi = lo + rng.randint(0, 1000)
+            omega, tau = arith.factor_counts(a, b, lo, hi)
+            assert [omega.tolist(), tau.tolist()] == list(_plain_counts(a, b, lo, hi)), (lo, hi)
+
     def test_validation(self):
         for a, b, lo, hi in (
             (0, 1, 0, 10),              # a = 0
+            (2**32, 1, 0, 10),          # a = 2**32
             (6, 3, 0, 10),              # gcd(a, b) = 3
             (2, 1, 5, 4),               # lo > hi
             (1, 0, 0, 10),              # the value 0

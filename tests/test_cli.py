@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -182,6 +183,16 @@ class TestSearchCommand:
         code, out, _ = run(["search", "a", "--t-max", "1000", "--show-hits", "3"])
         assert code == 0 and caps == [3]
         assert out.count("  t=") == 3
+
+    def test_progress_goes_to_stderr(self):
+        code, out, err = run(["search", "a", "--t-max", "1e7", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["q_count"] == 13037
+        lines = err.splitlines()
+        assert lines
+        for line in lines:
+            assert re.fullmatch(r"scan a: t \d+/10000000, \d\.\de\d+ t/s, ETA \d+ s", line), line
+        assert lines[-1].startswith("scan a: t 10000000/10000000, ")
 
     def test_oversized_scan_is_a_resource_abort(self):
         # refused before any block is built: there would be 2.5e11 of them

@@ -108,6 +108,35 @@ class TestExactSieve:
             assert got == _plain_block(SPECS[case_id], lo, 300), (case_id, lo)
 
 
+class TestWheel:
+    """The 16 classes mod 210 and the special t, against the plain loop."""
+
+    @pytest.mark.parametrize("case_id", search.CASE_IDS)
+    def test_special_ts_match_plain_loop(self, case_id):
+        # a triple outside the 16 classes has a value equal to 2, 3, 5 or 7
+        spec = SPECS[case_id]
+        special = [t for t in range(8) if any(spec.value(x, t) in (2, 3, 5, 7) for x in "psr")]
+        assert special
+        for t in special:
+            assert search._scan_block((case_id, t, t, 10)) == _plain_block(spec, t, t), (case_id, t)
+
+    @pytest.mark.parametrize("case_id", search.CASE_IDS)
+    def test_windows_near_1e12_match_plain_loop(self, case_id):
+        rng = random.Random(f"wheel-{case_id}")
+        for _ in range(10):
+            lo = 10**12 + rng.randint(0, 10**9)
+            hi = lo + rng.randint(0, 3000)
+            got = search._scan_block((case_id, lo, hi, 10**6))
+            assert got == _plain_block(SPECS[case_id], lo, hi), (case_id, lo, hi)
+
+    @pytest.mark.parametrize("case_id", search.CASE_IDS)
+    def test_block_sizes_around_the_wheel(self, case_id):
+        # blocks shorter than, equal to and just past 210 t
+        base = search.scan(SPECS[case_id], 2000)
+        for block_size in (1, 209, 210, 211):
+            assert search.scan(SPECS[case_id], 2000, block_size=block_size) == base, (case_id, block_size)
+
+
 class TestHits:
     def test_first_hit_case_b(self):
         hits = search.scan(SPECS["b"], 10**3).hits
