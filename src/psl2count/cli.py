@@ -29,8 +29,7 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a reader that stopped
 
-ORACLE_CAP = 13
-ORACLE_CAP_SLOW = 19  # with --allow-slow-oracle; p = 17, 19 take about 7 s and 9 s
+ORACLE_CAP = 19  # the largest p that oracle.build_psl2 accepts
 
 PROGRESS_THRESHOLD = 10**7  # scans at least this long report blocks on stderr
 
@@ -172,12 +171,8 @@ def _print_census(cen: invariants.ClassCensus, fmt: str) -> None:
 
 def cmd_census(args) -> int:
     p = args.p
-    cap = ORACLE_CAP_SLOW if args.allow_slow_oracle else ORACLE_CAP
-    if args.oracle and not 3 <= p <= cap:
-        raise ValueError(
-            f"brute-force census is capped at p <= {cap}"
-            + ("" if args.allow_slow_oracle else " (raise to 19 with --allow-slow-oracle)")
-        )
+    if args.oracle and not 3 <= p <= ORACLE_CAP:
+        raise ValueError(f"brute-force census is capped at p <= {ORACLE_CAP}")
     if p == 3 and not args.oracle:
         raise ValueError("census formulas require p >= 5; use --oracle for p = 3")
 
@@ -191,7 +186,7 @@ def cmd_census(args) -> int:
     if not args.oracle:
         return EXIT_OK
 
-    brute = oracle.oracle_census(p, allow_large=args.allow_slow_oracle)
+    brute = oracle.oracle_census(p)
     diffs = _census_diff(cen, brute)
     print("diff (formula vs brute force):", file=diff_stream)
     if diffs:
@@ -406,9 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen = sub.add_parser("census", help="subgroup-class catalogue for one prime")
     p_cen.add_argument("p", type=_int_arg)
     _add(p_cen, "--oracle", action="store_true", default=False,
-         help="also run the brute-force census and diff it (p <= 13)")
-    _add(p_cen, "--allow-slow-oracle", action="store_true", default=False,
-         help="raise the brute-force cap to p <= 19 (about 6-9 s of work)")
+         help="also run the brute-force census and diff it (p <= 19)")
     _add_format(p_cen)
     p_cen.set_defaults(func=cmd_census)
 
@@ -416,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p_ver, "--strict", action="store_true", default=False,
          help="exit 1 on known issues too, not only on fresh mismatches")
     _add(p_ver, "--oracle-rows", action="store_true", default=False,
-         help="also recompute p in {5,7,11,13} by brute force")
+         help="also recompute p in {5,7,11,13,17,19} by brute force")
     _add_format(p_ver)
     p_ver.set_defaults(func=cmd_verify_table)
 

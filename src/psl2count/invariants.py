@@ -396,8 +396,8 @@ def verify_golden(*, oracle_rows: bool = False) -> GoldenReport:
 
     Rows with p >= 5 are checked column by column against profile() and the
     count formulas.  The p = 3 row is checked on its four counts only, using
-    the brute-force census.  With oracle_rows=True the rows p = 5, 7, 11, 13
-    are additionally recomputed by brute force.
+    the brute-force census.  With oracle_rows=True the rows p = 5, 7, 11, 13,
+    17, 19 are additionally recomputed by brute force.
     """
     # Imported here: the brute-force module depends on this one for its
     # census types, so a top-level import would be circular.
@@ -417,7 +417,7 @@ def verify_golden(*, oracle_rows: bool = False) -> GoldenReport:
         quad = counts(prof)
         for col, exp, comp in zip(_COUNT_COLUMNS, (row.i, row.c, row.s, row.n), quad):
             checks.append(_check(row.p, col, exp, comp))
-        if oracle_rows and row.p in (5, 7, 11, 13):
+        if oracle_rows and row.p in (5, 7, 11, 13, 17, 19):
             cen = oracle.oracle_census(row.p)
             got = (cen.i, cen.c, cen.s, cen.n)
             for col, exp, comp in zip(_COUNT_COLUMNS, (row.i, row.c, row.s, row.n), got):

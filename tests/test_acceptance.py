@@ -43,7 +43,8 @@ def test_02_p37_worked_example():
 def test_03_brute_force_agreement():
     t0 = time.monotonic()
     expected = {3: (3, 3, 1, 2), 5: (7, 7, 3, 4), 7: (10, 13, 5, 8),
-                11: (12, 14, 6, 8), 13: (13, 14, 4, 10)}
+                11: (12, 14, 6, 8), 13: (13, 14, 4, 10), 17: (16, 20, 6, 14),
+                19: (15, 17, 7, 10)}
     ok = True
     detail = []
     for p, want in expected.items():
@@ -61,7 +62,7 @@ def test_03_brute_force_agreement():
                 detail.append(f"p={p}: label-level censuses differ")
     dt = time.monotonic() - t0
     _line(
-        "brute-force censuses, p in {3,5,7,11,13}",
+        "brute-force censuses, p in {3,5,7,11,13,17,19}",
         ok and dt < 120,
         "; ".join(detail) or f"aggregates and labels agree, {dt:.1f}s (budget 120s)",
     )

@@ -77,9 +77,10 @@ class TestCensusCommand:
     def test_oracle_cap(self):
         code, _, err = run(["census", "23", "--oracle"])
         assert code == 2
-        assert "capped" in err
-        code, _, err = run(["census", "23", "--oracle", "--allow-slow-oracle"])
-        assert code == 2
+        assert "capped at p <= 19" in err
+        code, _, err = run(["census", "17", "--oracle", "--allow-slow-oracle"])
+        assert code == 2  # the opt-in flag is gone: p <= 19 needs none
+        assert "--allow-slow-oracle" in err
 
     def test_oracle_label_failure_is_internal(self, monkeypatch):
         # a subgroup the catalogue cannot name is a defect of the oracle, not a usage error

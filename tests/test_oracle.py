@@ -91,15 +91,64 @@ class TestBuild:
         assert g.element_orders().tolist() == [_cycle_order(row) for row in perms.tolist()]
 
     def test_cap_and_overrides(self):
+        assert _group(19).order == 3420  # the largest group built, with no opt-in
         with pytest.raises(ValueError):
-            oracle.build_psl2(23, allow_large=True)
-        with pytest.raises(ValueError):
-            oracle.build_psl2(17)  # needs allow_large
+            oracle.build_psl2(23)
         with pytest.raises(ValueError):
             oracle.build_psl2(4)
+        with pytest.raises(TypeError):
+            oracle.build_psl2(17, allow_large=True)  # the opt-in is gone
+
+
+def _reference_subgroups(group):
+    """The slow enumeration: every cyclic subgroup is a seed, and every
+    class representative is joined with every seed outside it."""
+    table, inverses = group.table(), group.inverses()
+    cyclic = oracle._cyclic_masks(table)
+    seeds = {}
+    for g, key in enumerate(oracle._mask_keys(cyclic)):
+        seeds.setdefault(key, g)
+    found = {}
+    worklist = []
+
+    def admit(mask, gens):
+        if oracle._mask_key(mask) not in found:
+            orbit, _ = oracle._conjugacy_orbit(table, inverses, mask)
+            found.update(dict.fromkeys(orbit))
+            worklist.append((mask, gens))
+
+    for g in seeds.values():
+        admit(cyclic[g], (g,))
+    while worklist:
+        mask, gens = worklist.pop()
+        for g in seeds.values():
+            if not mask[g]:
+                admit(oracle._generated_subgroup(table, gens + (g,), group.identity), gens + (g,))
+    members = [
+        tuple(np.flatnonzero(np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=group.order)).tolist())
+        for key in found
+    ]
+    return sorted(members, key=lambda m: (len(m), m))
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_matches_every_seed_every_join(self, p):
+        g = _group(p)
+        assert [s.members for s in oracle.enumerate_subgroups(g)] == _reference_subgroups(g)
+
+    @pytest.mark.parametrize("p,total", [(3, 10), (5, 59), (7, 179), (11, 620),
+                                         (13, 942), (17, 2420), (19, 2912)])
+    def test_frozen_totals(self, p, total):
+        assert len(oracle.enumerate_subgroups(_group(p))) == total
+
+    def test_normal_subgroups_skip_conjugation(self):
+        g = _group(7)
+        for mask in (np.arange(g.order) == g.identity, np.ones(g.order, dtype=bool)):
+            orbit, normaliser = oracle._conjugacy_orbit(g.table(), g.inverses(), mask)
+            assert orbit == [oracle._mask_key(mask)]
+            assert normaliser.all()
+
     def test_subgroup_count_p5(self):
         subs = oracle.enumerate_subgroups(_group(5))
         assert len(subs) == 59
