@@ -28,7 +28,7 @@ from .invariants import (
 from .oracle import OracleClass, PermGroup, ResourceLimitError, Subgroup, build_psl2, classify, enumerate_subgroups, oracle_census
 from .search import CaseSpec, SearchSummary, TripleHit, case_spec, scan, verify_attainment
 from .bhc import BhcEstimate, HlConstant, PolynomialFamily, check_sh, estimate_E, family, hl_constant, omega_roots
-from .heathbrown import HbCandidate, derive_upper_bounds, qualifies, scan_hb
+from .heathbrown import HbCandidate, HbScan, derive_upper_bounds, qualifies, scan_hb
 
 __all__ = [
     "Factorization",
@@ -75,6 +75,7 @@ __all__ = [
     "hl_constant",
     "estimate_E",
     "HbCandidate",
+    "HbScan",
     "qualifies",
     "scan_hb",
     "derive_upper_bounds",

@@ -402,8 +402,16 @@ def divisors(n: int) -> list[int]:
     return factorize(n).divisors()
 
 
-def two_adic_valuation(n: int) -> int:
-    """Exponent of the largest power of two dividing n (n >= 1)."""
-    if n < 1:
+def two_adic_valuation(n):
+    """Exponent of the largest power of two dividing n (n >= 1).
+
+    Elementwise on an int64 array, giving an int64 array; an int gives an int.
+
+    >>> two_adic_valuation(96), two_adic_valuation(np.array([1, 2, 96])).tolist()
+    (5, [0, 1, 5])
+    """
+    column = isinstance(n, np.ndarray)
+    if (n < 1).any() if column else n < 1:
         raise ValueError("two_adic_valuation requires n >= 1")
-    return (n & -n).bit_length() - 1
+    low = n & -n  # the lowest set bit
+    return np.bitwise_count(low - 1).astype(np.int64) if column else low.bit_length() - 1

@@ -15,10 +15,13 @@ abort (a cap or out of memory), 4 internal error (traceback on stderr), 141
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 import traceback
+
+import numpy as np
 
 from . import arith, bhc, heathbrown, invariants, oracle, search
 
@@ -346,36 +349,31 @@ def cmd_bhc(args) -> int:
 
 
 def cmd_hb(args) -> int:
-    cands = heathbrown.scan_hb(args.limit)
+    found = heathbrown.scan_hb(args.limit)
     bounds = heathbrown.derive_upper_bounds()
+    quad = invariants.counts(invariants.assemble_profile(found.p, found.delta, found.epsilon))
+    violations = int(np.count_nonzero((np.column_stack(quad) > bounds).any(axis=1)))
     cols = ("p", "omega_minus", "omega_plus", "i", "c", "s", "n")
-    rows = []
-    violations = 0
-    for c in cands:
-        quad = invariants.counts(c.profile)
-        if any(v > b for v, b in zip(quad, bounds)):
-            violations += 1
-        rows.append((c.p, c.omega_minus, c.omega_plus) + quad)
+    # tolist: json writes Python ints, not numpy ones
+    columns = [c.tolist() for c in (found.p, found.omega_minus, found.omega_plus, *quad)]
 
     if args.format == "json":
         out = {
             "limit": args.limit,
             "bounds": dict(zip("icsn", bounds)),
-            "candidates": [dict(zip(cols, r)) for r in rows],
+            "candidates": list(map(dict, map(zip, itertools.repeat(cols), zip(*columns)))),
         }
         print(json.dumps(out))
     elif args.format == "csv":
-        print(",".join(cols))
-        for r in rows:
-            print(",".join(str(v) for v in r))
+        print("\n".join([",".join(cols), *map(",".join, zip(*(map(str, c) for c in columns)))]))
     else:
-        print(f"primes p = 5 mod 72 with few factors around them, p <= {args.limit}: {len(rows)}")
+        print(f"primes p = 5 mod 72 with few factors around them, p <= {args.limit}: {len(found)}")
         print("bounds: i<={} c<={} s<={} n<={}".format(*bounds))
-        for r in rows[: args.show]:
+        for r in list(zip(*columns))[: args.show]:
             print(f"  p={r[0]:<10} Omega(p-1)={r[1]} Omega(p+1)={r[2]} "
                   f"i={r[3]} c={r[4]} s={r[5]} n={r[6]}")
-        if len(rows) > args.show:
-            print(f"  ... {len(rows) - args.show} more (use --show)")
+        if len(found) > args.show:
+            print(f"  ... {len(found) - args.show} more (use --show)")
     if violations:
         print(f"{violations} candidates exceed the derived bounds", file=sys.stderr)
         return EXIT_MISMATCH
@@ -475,3 +473,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

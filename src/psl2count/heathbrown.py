@@ -12,7 +12,9 @@ The scan runs along t with p = 72t + 5, where p - 1 = 4(18t + 1) and
 p + 1 = 6(12t + 1) with both linear forms prime to 6: one factor-count
 sieve per form gives Omega(p -+ 1) and the divisor counts of (p -+ 1)/2
 for a whole segment of t at once, and the exact prime sieve picks the t
-where p is prime.  qualifies() is the one-prime path, by factorisation.
+where p is prime.  The result is columnar, one int64 array per quantity,
+so that the bounds check downstream runs on whole columns.  qualifies() is
+the one-prime reference path, by factorisation.
 """
 
 from __future__ import annotations
@@ -58,7 +60,26 @@ def qualifies(p: int) -> HbCandidate:
     return HbCandidate(p=p, omega_minus=om, omega_plus=op, qualifies=ok, profile=prof)
 
 
-def scan_hb(limit: int) -> list[HbCandidate]:
+@dataclass(frozen=True, eq=False)
+class HbScan:
+    """The qualifying primes up to a limit, ascending, as int64 columns.
+
+    Row j is the prime p[j] with Omega(p - 1), Omega(p + 1) and the divisor
+    counts delta, epsilon of (p + 1)/2 and (p - 1)/2; qualifies(p[j]) gives
+    the same numbers one prime at a time.
+    """
+
+    p: np.ndarray
+    omega_minus: np.ndarray  # Omega(p - 1)
+    omega_plus: np.ndarray   # Omega(p + 1)
+    delta: np.ndarray
+    epsilon: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.p)
+
+
+def scan_hb(limit: int) -> HbScan:
     """All qualifying primes up to limit, ascending.
 
     Equal to qualifies(p) for every prime p = 5 mod 72 up to limit that
@@ -67,10 +88,14 @@ def scan_hb(limit: int) -> list[HbCandidate]:
     over each.  Every candidate's profile must show k = 0, l = 1 and
     sigma = 0; the congruence forces that, so a violation means a bug and
     raises.
+
+    >>> found = scan_hb(300)
+    >>> len(found), found.p.tolist(), found.omega_plus.tolist()
+    (3, [5, 149, 293], [2, 4, 4])
     """
     if limit < HB_MODULUS + HB_RESIDUE:
         raise ValueError(f"limit below {HB_MODULUS + HB_RESIDUE} cannot contain a candidate beyond p=5")
-    out = []
+    segments = []
     t_max = (limit - HB_RESIDUE) // HB_MODULUS
     for lo in range(0, t_max + 1, _SEGMENT):
         hi = min(lo + _SEGMENT - 1, t_max)
@@ -88,17 +113,16 @@ def scan_hb(limit: int) -> list[HbCandidate]:
             & (op <= HB_SIDE_LIMIT)
         )
         idx = np.flatnonzero(keep)
-        # tolist: the profile and the counts take Python ints, which never wrap
-        for t, o_minus, o_plus, t_minus, t_plus in zip(
-            (idx + lo).tolist(), om[idx].tolist(), op[idx].tolist(),
-            tau_minus[idx].tolist(), tau_plus[idx].tolist(),
-        ):
-            p = HB_MODULUS * t + HB_RESIDUE
-            prof = invariants.assemble_profile(p, delta=2 * t_plus, epsilon=2 * t_minus)
-            if (prof.k, prof.l, prof.sigma) != (0, 1, 0):
-                raise AssertionError(f"residue 5 mod 72 must force (k, l, sigma) = (0, 1, 0); p={p}")
-            out.append(HbCandidate(p=p, omega_minus=o_minus, omega_plus=o_plus, qualifies=True, profile=prof))
-    return out
+        segments.append((idx + lo, om[idx], op[idx], tau_plus[idx], tau_minus[idx]))
+    t, om, op, tau_plus, tau_minus = (np.concatenate(col).astype(np.int64) for col in zip(*segments))
+    found = HbScan(p=HB_MODULUS * t + HB_RESIDUE, omega_minus=om, omega_plus=op,
+                   delta=2 * tau_plus, epsilon=2 * tau_minus)
+    prof = invariants.assemble_profile(found.p, found.delta, found.epsilon)
+    bad = (prof.k != 0) | (prof.l != 1) | (prof.sigma != 0)
+    if np.count_nonzero(bad):
+        raise AssertionError(
+            f"residue 5 mod 72 must force (k, l, sigma) = (0, 1, 0); p={found.p[bad][:3].tolist()}")
+    return found
 
 
 def derive_upper_bounds() -> tuple[int, int, int, int]:

@@ -11,7 +11,10 @@ All four are determined by a small parameter tuple extracted from the
 divisor structure of (p + 1)/2 and (p - 1)/2.  The formulas are evaluated
 in exact integer arithmetic on delta / (k+1) and epsilon / (l+1); those
 divisions are exact for every genuine profile, so a remainder means the
-profile itself is corrupt, and it raises.
+profile itself is corrupt, and it raises.  The formulas and their checks run
+elementwise: a profile of int64 columns, one row per prime, gives int64
+columns of counts and raises if any row fails a check; a profile of ints
+gives ints.
 
 census() expands the counts into an explicit catalogue of subgroup classes
 (cyclic, dihedral, affine, and the exceptional types A4, S4, A5) with class
@@ -21,7 +24,10 @@ computation can confirm label by label for small p.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import arith
 
@@ -34,7 +40,8 @@ class InvariantProfile:
     k and l are their 2-adic valuations (exactly one of the halves is even,
     so exactly one of k, l is zero).  sigma is 1 when p = +-1 mod 8 (square
     root of 2 exists, so S4 embeds) and alpha is 1 when p = +-1 mod 5
-    (A5 embeds).
+    (A5 embeds).  The fields are either all ints or, for many primes at
+    once, all equal-length int64 arrays.
     """
 
     p: int
@@ -53,11 +60,15 @@ def profile(p: int) -> InvariantProfile:
     return assemble_profile(p, arith.tau((p + 1) // 2), arith.tau((p - 1) // 2))
 
 
-def assemble_profile(p: int, delta: int, epsilon: int) -> InvariantProfile:
+def assemble_profile(p, delta, epsilon) -> InvariantProfile:
     """The profile of a prime p >= 5 whose divisor counts are already known.
 
     k, l, sigma and alpha follow from p alone.  p is not tested for
-    primality here; profile() does that before it factors.
+    primality here; profile() does that before it factors.  p, delta and
+    epsilon are ints, or equal-length int64 arrays for a column profile.
+
+    >>> assemble_profile(np.array([37, 41]), np.array([2, 4]), np.array([6, 6])).l.tolist()
+    [1, 2]
     """
     prof = InvariantProfile(
         p=p,
@@ -65,32 +76,49 @@ def assemble_profile(p: int, delta: int, epsilon: int) -> InvariantProfile:
         epsilon=epsilon,
         k=arith.two_adic_valuation((p + 1) // 2),
         l=arith.two_adic_valuation((p - 1) // 2),
-        sigma=1 if p % 8 in (1, 7) else 0,
-        alpha=1 if p % 5 in (1, 4) else 0,
+        sigma=_flag((p % 8 == 1) | (p % 8 == 7)),
+        alpha=_flag((p % 5 == 1) | (p % 5 == 4)),
     )
-    if (prof.k == 0) == (prof.l == 0):
-        raise AssertionError(f"exactly one of (p+1)/2, (p-1)/2 must be even, got {prof}")
+    _raise_where((prof.k == 0) == (prof.l == 0), AssertionError,
+                 "exactly one of (p+1)/2, (p-1)/2 must be even", prof)
     return prof
 
 
-def _reduced(prof: InvariantProfile) -> tuple[int, int]:
+def _flag(cond):
+    """A condition as 0 or 1: an int for a bool, an int64 array for a bool array."""
+    return cond.astype(np.int64) if isinstance(cond, np.ndarray) else int(cond)
+
+
+def _raise_where(bad, exc: type[Exception], what: str, prof: InvariantProfile) -> None:
+    """Raise exc if bad holds in any row of prof, quoting the first such rows.
+
+    bad is a bool for a profile of ints and a bool array for a column, which
+    np.count_nonzero checks in every row (a bare if refuses an array).  The
+    scalar path skips numpy, whose call would double the cost of counts().
+    """
+    if bad is not False and np.count_nonzero(bad):
+        rows = {f.name: np.asarray(getattr(prof, f.name))[bad][:3].tolist() for f in dataclasses.fields(prof)}
+        raise exc(f"{what}; first rows at fault: {rows}")
+
+
+def _reduced(prof: InvariantProfile):
     """(delta / (k+1), epsilon / (l+1)), checked to be exact.
 
     tau is multiplicative and 2^k exactly divides (p+1)/2, so (k+1) divides
     delta; likewise (l+1) divides epsilon.
     """
-    if prof.delta % (prof.k + 1) or prof.epsilon % (prof.l + 1):
-        raise ArithmeticError(f"(k+1) must divide delta and (l+1) epsilon, got profile {prof}")
+    _raise_where((prof.delta % (prof.k + 1) != 0) | (prof.epsilon % (prof.l + 1) != 0), ArithmeticError,
+                 "(k+1) must divide delta and (l+1) epsilon", prof)
     return prof.delta // (prof.k + 1), prof.epsilon // (prof.l + 1)
 
 
-def i_count(prof: InvariantProfile) -> int:
+def i_count(prof: InvariantProfile):
     """Number of isomorphism types of proper nontrivial subgroups."""
     val = 2 * prof.delta + 3 * prof.epsilon - 3 + prof.sigma + prof.alpha
     return val
 
 
-def c_count(prof: InvariantProfile) -> int:
+def c_count(prof: InvariantProfile):
     """Number of conjugacy classes of proper nontrivial subgroups."""
     d, e = _reduced(prof)
     # (2 + k/(k+1)) delta + (3 + l/(l+1)) epsilon - 4 + 3 sigma + 2 alpha
@@ -103,13 +131,13 @@ def c_count(prof: InvariantProfile) -> int:
     )
 
 
-def s_count(prof: InvariantProfile) -> int:
+def s_count(prof: InvariantProfile):
     """Number of self-normalising conjugacy classes of proper nontrivial subgroups."""
     d, e = _reduced(prof)
     return d + e + 2 * (prof.sigma + prof.alpha)
 
 
-def n_count(prof: InvariantProfile) -> int:
+def n_count(prof: InvariantProfile):
     """Number of non-self-normalising classes; checked against c - s."""
     d, e = _reduced(prof)
     # (2 + (k-1)/(k+1)) delta + (3 + (l-1)/(l+1)) epsilon - 4 + sigma
@@ -119,13 +147,11 @@ def n_count(prof: InvariantProfile) -> int:
         - 4
         + prof.sigma
     )
-    cross = c_count(prof) - s_count(prof)
-    if n != cross:
-        raise ArithmeticError(f"n formula ({n}) disagrees with c - s ({cross}) for {prof}")
+    _raise_where(n != c_count(prof) - s_count(prof), ArithmeticError, "n formula disagrees with c - s", prof)
     return n
 
 
-def counts(prof: InvariantProfile) -> tuple[int, int, int, int]:
+def counts(prof: InvariantProfile) -> tuple:
     """The quadruple (i, c, s, n)."""
     return i_count(prof), c_count(prof), s_count(prof), n_count(prof)
 

@@ -34,7 +34,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,6 +292,9 @@ def scan(
     hit_ts: list[int] = []
     workers = min(jobs, n_blocks)  # a single block runs in-process
     started = time.monotonic()
+    if workers > 1:
+        # imported here, not at the top: every command would pay for it at start-up
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
         blocks = _in_order(pool, block_args, 2 * workers) if pool else map(_scan_block, block_args)
         for i, (q, sz, ts) in enumerate(blocks, 1):

@@ -5,6 +5,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the report lines.
 
 import time
 
+import numpy as np
+
 from psl2count import arith, bhc, heathbrown, invariants, oracle, search
 
 
@@ -182,19 +184,18 @@ def test_08_bounded_factor_primes():
     problems = []
     if bounds != (390, 454, 132, 384):
         problems.append(f"bounds={bounds}")
-    cands = heathbrown.scan_hb(10**6)
-    for cand in cands:
-        prof = cand.profile
-        if (prof.k, prof.l, prof.sigma) != (0, 1, 0):
-            problems.append(f"flags wrong at p={cand.p}")
-        quad = invariants.counts(prof)
-        if any(v > b for v, b in zip(quad, bounds)):
-            problems.append(f"bound exceeded at p={cand.p}")
+    found = heathbrown.scan_hb(10**6)
+    prof = invariants.assemble_profile(found.p, found.delta, found.epsilon)
+    for p in found.p[(prof.k != 0) | (prof.l != 1) | (prof.sigma != 0)].tolist():
+        problems.append(f"flags wrong at p={p}")
+    over = (np.column_stack(invariants.counts(prof)) > bounds).any(axis=1)
+    for p in found.p[over].tolist():
+        problems.append(f"bound exceeded at p={p}")
     dt = time.monotonic() - t0
     _line(
         "derived count bounds for low-factor primes",
         not problems and dt < 60,
-        "; ".join(problems[:4]) or f"bounds {bounds}, {len(cands)} candidates to 1e6 all inside, {dt:.1f}s (budget 60s)",
+        "; ".join(problems[:4]) or f"bounds {bounds}, {len(found)} candidates to 1e6 all inside, {dt:.1f}s (budget 60s)",
     )
 
 

@@ -145,6 +145,14 @@ class TestTwoAdic:
             k = arith.two_adic_valuation(n)
             assert n % (1 << k) == 0 and (n >> k) % 2 == 1
 
+    def test_elementwise_on_int64(self):
+        ns = list(range(1, 4096)) + [2**62, 3 << 40, 2**63 - 1]
+        got = arith.two_adic_valuation(np.array(ns, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == [arith.two_adic_valuation(n) for n in ns]
+        with pytest.raises(ValueError):
+            arith.two_adic_valuation(np.array([4, 0, 2], dtype=np.int64))
+
 
 class TestPrimesInRange:
     def test_against_sieve(self):

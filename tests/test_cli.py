@@ -290,6 +290,23 @@ class TestPlumbing:
     def test_entry_point_exists(self):
         assert callable(cli.entry)
 
+    def test_module_run_prints_the_census(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "psl2count.cli", "census", "13", "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == invariants.census(13).to_json_dict()
+
+    def test_import_leaves_the_pool_unloaded(self):
+        # only a scan that starts worker processes pays for concurrent.futures
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        code = "import sys, psl2count.cli; raise SystemExit('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_internal_error_has_its_own_exit_code(self, monkeypatch):
         def broken(prof):
             raise ArithmeticError("divisibility check failed")

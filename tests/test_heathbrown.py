@@ -1,10 +1,16 @@
 """Qualifying-prime scan and the derived count bounds."""
 
 import dataclasses
+import json
 
+import numpy as np
 import pytest
 
-from psl2count import arith, heathbrown, invariants
+from psl2count import arith, cli, heathbrown, invariants
+
+
+def _column_counts(found):
+    return invariants.counts(invariants.assemble_profile(found.p, found.delta, found.epsilon))
 
 
 class TestQualifies:
@@ -40,7 +46,7 @@ class TestScan:
             om, op = arith.big_omega(p - 1), arith.big_omega(p + 1)
             if om + op <= 11 and om <= 8 and op <= 8:
                 expect.append(p)
-        got = [c.p for c in heathbrown.scan_hb(limit)]
+        got = heathbrown.scan_hb(limit).p.tolist()
         assert got == expect
         assert got[:6] == [5, 149, 293, 509, 653, 797]
 
@@ -51,37 +57,64 @@ class TestScan:
             c for c in map(heathbrown.qualifies, arith.primes_of_form(72, 5, 0, (limit - 5) // 72).tolist())
             if c.qualifies
         ]
-        assert heathbrown.scan_hb(limit) == expect
+        found = heathbrown.scan_hb(limit)
+        prof = invariants.assemble_profile(found.p, found.delta, found.epsilon)
+        assert found.p.tolist() == [c.p for c in expect]
+        assert found.omega_minus.tolist() == [c.omega_minus for c in expect]
+        assert found.omega_plus.tolist() == [c.omega_plus for c in expect]
+        for field in ("delta", "epsilon", "k", "l", "sigma", "alpha"):
+            assert getattr(prof, field).tolist() == [getattr(c.profile, field) for c in expect], field
 
     def test_frozen_1e8(self):
-        cands = heathbrown.scan_hb(10**8)
-        assert len(cands) == 229098
-        assert cands[-1].p == 99999941
+        found = heathbrown.scan_hb(10**8)
+        assert len(found) == 229098
+        assert found.p[-1] == 99999941
         bounds = heathbrown.derive_upper_bounds()
-        for c in cands:
-            assert all(v <= b for v, b in zip(invariants.counts(c.profile), bounds)), c.p
+        for v, b in zip(_column_counts(found), bounds):
+            assert not np.any(v > b), found.p[v > b][:5]
 
     def test_every_candidate_within_bounds(self):
         bounds = heathbrown.derive_upper_bounds()
-        for c in heathbrown.scan_hb(10**5):
-            if c.profile is None:
-                continue
-            quad = invariants.counts(c.profile)
-            assert all(v <= b for v, b in zip(quad, bounds)), c.p
+        found = heathbrown.scan_hb(10**5)
+        for v, b in zip(_column_counts(found), bounds):
+            assert not np.any(v > b), found.p[v > b][:5]
 
-    def test_results_are_python_ints(self):
-        # numpy integers mixed with Python ints can wrap; none may leak out
-        for c in heathbrown.scan_hb(10**5):
-            values = (c.p, c.omega_minus, c.omega_plus) + dataclasses.astuple(c.profile)
-            assert all(type(v) is int for v in values), c
+    def test_columns_are_int64(self):
+        # int64 columns and int64 counts: no narrow dtype can wrap in the formulas
+        found = heathbrown.scan_hb(10**5)
+        columns = (found.p, found.omega_minus, found.omega_plus, found.delta, found.epsilon)
+        assert all(c.dtype == np.int64 and len(c) == len(found) for c in columns)
+        assert all(v.dtype == np.int64 for v in _column_counts(found))
+
+    def test_results_are_python_ints(self, capsys):
+        # what hb prints for json must be JSON integers, not floats or numpy scalars
+        assert cli.main(["hb", "--limit", "100000", "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        values = [out["limit"], *out["bounds"].values()]
+        values += [v for cand in out["candidates"] for v in cand.values()]
+        assert len(out["candidates"]) == len(heathbrown.scan_hb(10**5))
+        assert all(type(v) is int for v in values)
+
+    def test_flag_check_fires_on_a_column(self, monkeypatch):
+        assemble = invariants.assemble_profile
+
+        def sigma_one_in_row_3(p, delta, epsilon):
+            prof = assemble(p, delta, epsilon)
+            sigma = prof.sigma.copy()
+            sigma[3] = 1
+            return dataclasses.replace(prof, sigma=sigma)
+
+        monkeypatch.setattr(invariants, "assemble_profile", sigma_one_in_row_3)
+        with pytest.raises(AssertionError, match="residue 5 mod 72"):
+            heathbrown.scan_hb(10**5)
 
     def test_limit_floor(self):
         with pytest.raises(ValueError):
             heathbrown.scan_hb(10)
 
     def test_limit_is_inclusive(self):
-        assert [c.p for c in heathbrown.scan_hb(148)] == [5]
-        assert [c.p for c in heathbrown.scan_hb(149)] == [5, 149]
+        assert heathbrown.scan_hb(148).p.tolist() == [5]
+        assert heathbrown.scan_hb(149).p.tolist() == [5, 149]
 
 
 class TestBounds:

@@ -1,14 +1,82 @@
 """Formula-side counts, the explicit class catalogue and the reference table."""
 
+import dataclasses
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psl2count import arith, invariants
+
+
+class TestColumnProfile:
+    """The formulas on one column profile of every prime 5 <= p <= 1e5, row by row against profile(p)."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        primes = arith.primes_in_range(5, 10**5)
+        scalar = [invariants.profile(p) for p in primes]
+        column = invariants.assemble_profile(
+            np.array(primes, dtype=np.int64),
+            np.array([prof.delta for prof in scalar], dtype=np.int64),
+            np.array([prof.epsilon for prof in scalar], dtype=np.int64),
+        )
+        return scalar, column
+
+    def test_profiles_match(self, rows):
+        scalar, column = rows
+        for field in dataclasses.fields(invariants.InvariantProfile):
+            got = getattr(column, field.name)
+            assert got.dtype == np.int64, field.name
+            assert got.tolist() == [getattr(prof, field.name) for prof in scalar], field.name
+
+    def test_rows_cover_every_shape(self, rows):
+        _, column = rows
+        assert set(column.sigma.tolist()) == set(column.alpha.tolist()) == {0, 1}
+        assert set(column.k.tolist()) == set(range(14))  # 49151 = 3 * 2**14 - 1 has k = 13
+        assert set(column.l.tolist()) == set(range(13)) | {15}  # 65537 = 2**16 + 1 has l = 15
+
+    def test_counts_match(self, rows):
+        scalar, column = rows
+        got = list(zip(*(v.tolist() for v in invariants.counts(column))))
+        assert got == [invariants.counts(prof) for prof in scalar]
+
+    def test_delta_not_divisible_by_k_plus_one_raises(self, rows):
+        _, column = rows
+        delta = column.delta.copy()
+        delta[np.flatnonzero(column.k > 0)[-1]] += 1  # k + 1 >= 2 now leaves remainder 1
+        with pytest.raises(ArithmeticError, match=r"\(k\+1\) must divide delta"):
+            invariants.counts(dataclasses.replace(column, delta=delta))
+
+    def test_both_sides_even_raises(self, rows, monkeypatch):
+        _, column = rows
+        valuation = arith.two_adic_valuation
+
+        def off_by_one_in_row_7(n):
+            v = valuation(n)
+            v[7] += 1  # the side that was odd now looks even too
+            return v
+
+        monkeypatch.setattr(arith, "two_adic_valuation", off_by_one_in_row_7)
+        with pytest.raises(AssertionError, match="exactly one of"):
+            invariants.assemble_profile(column.p, column.delta, column.epsilon)
+
+    def test_n_against_c_minus_s_raises(self, rows, monkeypatch):
+        _, column = rows
+        s_count = invariants.s_count
+
+        def off_by_one_in_row_7(prof):
+            s = s_count(prof).copy()
+            s[7] += 1
+            return s
+
+        monkeypatch.setattr(invariants, "s_count", off_by_one_in_row_7)
+        with pytest.raises(ArithmeticError, match="disagrees with c - s"):
+            invariants.n_count(column)
 
 
 class TestProfile:
