@@ -154,9 +154,10 @@ def strike_form(mask: np.ndarray, lo: int, a: int, b: int, primes: np.ndarray, r
     largest value that divides some a*t + b in the window (any other prime
     never strikes), and roots = root_offsets(a*lo + b, ...) on them.  Each
     prime q not dividing a strikes the t with a*t + b = 0 mod q and
-    a*t + b >= q*q, from the first such t.  A prime shorter than the window
-    strikes one strided slice; every longer prime has at most one such t in
-    the window, and they all strike in one fancy-index assignment.
+    a*t + b >= q*q, from the first such t.  Primes whose first such t lies
+    past the window are dropped; of the rest, a prime shorter than the window
+    strikes one strided slice, and every longer prime has exactly one such t
+    in the window, and they all strike in one fancy-index assignment.
     """
     n = mask.size
     d = min(max(0, (1 - b) // a - lo + 1), n)  # the first d values are below 2
@@ -173,11 +174,12 @@ def strike_form(mask: np.ndarray, lo: int, a: int, b: int, primes: np.ndarray, r
     low = primes[: np.searchsorted(primes, a, side="right")]  # only these can divide a
     start[: low.size][np.uint64(a) % low == 0] = n  # gcd(a, b) = 1: q | a never divides a*t + b
     n -= d
+    live = start < n  # the rest have no t to strike in the window
+    start, primes = start[live], primes[live]
     k = int(np.searchsorted(primes, n))
     for s, q in zip(start[:k].tolist(), primes[:k].tolist()):
         mask[d + s :: q] = False
-    far = start[k:]
-    mask[d + far[far < n]] = False
+    mask[d + start[k:]] = False
 
 
 def sieve_forms(forms, lo: int, hi: int) -> np.ndarray:

@@ -15,7 +15,6 @@ abort (a cap or out of memory), 4 internal error (traceback on stderr), 141
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -348,28 +347,43 @@ def cmd_bhc(args) -> int:
 # hb
 
 
+_HB_COLUMNS = ("p", "omega_minus", "omega_plus", "i", "c", "s", "n")
+_HB_CHUNK = 2**14  # rows per write: bounds the Python objects alive at once
+
+
+def _write_rows(columns, template: str, sep: str) -> None:
+    """Write template % row for each row of the int64 columns, with sep between rows.
+
+    The columns become Python ints _HB_CHUNK rows at a time, so no list
+    over all rows is ever built.
+    """
+    for lo in range(0, len(columns[0]), _HB_CHUNK):
+        rows = zip(*(c[lo : lo + _HB_CHUNK].tolist() for c in columns))
+        sys.stdout.write((sep if lo else "") + sep.join(map(template.__mod__, rows)))
+
+
 def cmd_hb(args) -> int:
     found = heathbrown.scan_hb(args.limit)
     bounds = heathbrown.derive_upper_bounds()
     quad = invariants.counts(invariants.assemble_profile(found.p, found.delta, found.epsilon))
     violations = int(np.count_nonzero((np.column_stack(quad) > bounds).any(axis=1)))
-    cols = ("p", "omega_minus", "omega_plus", "i", "c", "s", "n")
-    # tolist: json writes Python ints, not numpy ones
-    columns = [c.tolist() for c in (found.p, found.omega_minus, found.omega_plus, *quad)]
+    columns = (found.p, found.omega_minus, found.omega_plus, *quad)
 
+    # Every check is done: from here on only output, so a failure never leaves partial JSON.
     if args.format == "json":
-        out = {
-            "limit": args.limit,
-            "bounds": dict(zip("icsn", bounds)),
-            "candidates": list(map(dict, map(zip, itertools.repeat(cols), zip(*columns)))),
-        }
-        print(json.dumps(out))
+        # the bytes of json.dumps(out) over the whole dict, with its ", " and ": " separators
+        head = json.dumps({"limit": args.limit, "bounds": dict(zip("icsn", bounds))})
+        sys.stdout.write(head[:-1] + ', "candidates": [')
+        template = "{" + ", ".join(f'"{name}": %d' for name in _HB_COLUMNS) + "}"
+        _write_rows(columns, template, ", ")
+        sys.stdout.write("]}\n")
     elif args.format == "csv":
-        print("\n".join([",".join(cols), *map(",".join, zip(*(map(str, c) for c in columns)))]))
+        sys.stdout.write(",".join(_HB_COLUMNS) + "\n")
+        _write_rows(columns, ",".join(["%d"] * len(_HB_COLUMNS)) + "\n", "")
     else:
         print(f"primes p = 5 mod 72 with few factors around them, p <= {args.limit}: {len(found)}")
         print("bounds: i<={} c<={} s<={} n<={}".format(*bounds))
-        for r in list(zip(*columns))[: args.show]:
+        for r in zip(*(c[: args.show].tolist() for c in columns)):
             print(f"  p={r[0]:<10} Omega(p-1)={r[1]} Omega(p+1)={r[2]} "
                   f"i={r[3]} c={r[4]} s={r[5]} n={r[6]}")
         if len(found) > args.show:

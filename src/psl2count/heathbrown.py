@@ -30,7 +30,7 @@ HB_RESIDUE = 5
 HB_TOTAL_LIMIT = 11   # Omega(p-1) + Omega(p+1)
 HB_SIDE_LIMIT = 8     # Omega on either side
 
-_SEGMENT = 2**15  # t per sieve segment: a 256 KiB uint64 residual per form
+_SEGMENT = 2**17  # t per sieve segment: a 1 MiB uint64 residual per form
 
 
 @dataclass(frozen=True)

@@ -118,9 +118,7 @@ def i_count(prof: InvariantProfile):
     return val
 
 
-def c_count(prof: InvariantProfile):
-    """Number of conjugacy classes of proper nontrivial subgroups."""
-    d, e = _reduced(prof)
+def _c(prof: InvariantProfile, d, e):
     # (2 + k/(k+1)) delta + (3 + l/(l+1)) epsilon - 4 + 3 sigma + 2 alpha
     return (
         2 * prof.delta + prof.k * d
@@ -131,15 +129,32 @@ def c_count(prof: InvariantProfile):
     )
 
 
+def _s(prof: InvariantProfile, d, e):
+    return d + e + 2 * (prof.sigma + prof.alpha)
+
+
+def c_count(prof: InvariantProfile):
+    """Number of conjugacy classes of proper nontrivial subgroups."""
+    return _c(prof, *_reduced(prof))
+
+
 def s_count(prof: InvariantProfile):
     """Number of self-normalising conjugacy classes of proper nontrivial subgroups."""
-    d, e = _reduced(prof)
-    return d + e + 2 * (prof.sigma + prof.alpha)
+    return _s(prof, *_reduced(prof))
 
 
 def n_count(prof: InvariantProfile):
     """Number of non-self-normalising classes; checked against c - s."""
+    return counts(prof)[3]
+
+
+def counts(prof: InvariantProfile) -> tuple:
+    """The quadruple (i, c, s, n), with n checked against c - s.
+
+    (d, e) = _reduced(prof) is taken once, for all of c, s and n.
+    """
     d, e = _reduced(prof)
+    c, s = _c(prof, d, e), _s(prof, d, e)
     # (2 + (k-1)/(k+1)) delta + (3 + (l-1)/(l+1)) epsilon - 4 + sigma
     n = (
         2 * prof.delta + (prof.k - 1) * d
@@ -147,13 +162,8 @@ def n_count(prof: InvariantProfile):
         - 4
         + prof.sigma
     )
-    _raise_where(n != c_count(prof) - s_count(prof), ArithmeticError, "n formula disagrees with c - s", prof)
-    return n
-
-
-def counts(prof: InvariantProfile) -> tuple:
-    """The quadruple (i, c, s, n)."""
-    return i_count(prof), c_count(prof), s_count(prof), n_count(prof)
+    _raise_where(n != c - s, ArithmeticError, "n formula disagrees with c - s", prof)
+    return i_count(prof), c, s, n
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,18 @@ class TestSieveForms:
         for lo in range(61):
             assert arith.sieve_forms(forms, lo, 300).tolist() == _plain_mask(forms, lo, 300), lo
 
+    @pytest.mark.parametrize("forms", [[(12, 5), (2, 1)], [(12, 1), (1, 0)]])
+    def test_forms_of_mismatched_size(self, forms):
+        # the base primes reach isqrt of the larger form, so most of them
+        # cannot strike the smaller one anywhere in the window
+        for lo in range(61):
+            assert arith.sieve_forms(forms, lo, 400).tolist() == _plain_mask(forms, lo, 400), lo
+        rng = random.Random(f"forms-mismatched-{forms}")
+        for _ in range(10):
+            lo = rng.randint(0, 10**6)
+            hi = lo + rng.randint(0, 3000)
+            assert arith.sieve_forms(forms, lo, hi).tolist() == _plain_mask(forms, lo, hi), (lo, hi)
+
     @pytest.mark.parametrize("forms", SIEVE_FORMS)
     def test_windows_near_2_44_and_2_50(self, forms):
         # base primes up to 2**25: far more of them than the window is long

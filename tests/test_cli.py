@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from psl2count import cli, invariants, oracle, search
+from psl2count import cli, heathbrown, invariants, oracle, search
 
 
 def run(argv, env=None):
@@ -272,6 +272,56 @@ class TestHbCommand:
     def test_limit_floor(self):
         assert run(["hb", "--limit", "10"])[0] == 2
 
+    @staticmethod
+    def _reference(limit, fmt, show=10):
+        """hb's stdout built from per-candidate rows: one dict per row and json.dumps over all."""
+        found = heathbrown.scan_hb(limit)
+        bounds = heathbrown.derive_upper_bounds()
+        quad = invariants.counts(invariants.assemble_profile(found.p, found.delta, found.epsilon))
+        cols = ("p", "omega_minus", "omega_plus", "i", "c", "s", "n")
+        rows = list(zip(*(c.tolist() for c in (found.p, found.omega_minus, found.omega_plus, *quad))))
+        if fmt == "json":
+            return json.dumps({
+                "limit": limit,
+                "bounds": dict(zip("icsn", bounds)),
+                "candidates": [dict(zip(cols, r)) for r in rows],
+            }) + "\n"
+        if fmt == "csv":
+            return "\n".join([",".join(cols), *(",".join(map(str, r)) for r in rows)]) + "\n"
+        lines = [f"primes p = 5 mod 72 with few factors around them, p <= {limit}: {len(rows)}",
+                 "bounds: i<={} c<={} s<={} n<={}".format(*bounds)]
+        lines += [f"  p={r[0]:<10} Omega(p-1)={r[1]} Omega(p+1)={r[2]} "
+                  f"i={r[3]} c={r[4]} s={r[5]} n={r[6]}" for r in rows[:show]]
+        if len(rows) > show:
+            lines.append(f"  ... {len(rows) - show} more (use --show)")
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("limit", [10**5, 10**6])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_rows_equal_the_per_candidate_reference(self, limit, fmt):
+        code, out, err = run(["hb", "--limit", str(limit), "--format", fmt])
+        assert (code, err) == (0, "")
+        assert out == self._reference(limit, fmt)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_chunk_size_leaves_stdout_unchanged(self, chunk, fmt, monkeypatch):
+        monkeypatch.setattr(cli, "_HB_CHUNK", chunk)
+        assert run(["hb", "--limit", "100000", "--format", fmt])[1] == self._reference(10**5, fmt)
+
+    @pytest.mark.parametrize("show", [0, 3, -1, 10**6])
+    def test_table_show(self, show):
+        out = run(["hb", "--limit", "100000", "--show", str(show)])[1]
+        assert out == self._reference(10**5, "table", show)
+
+    def test_single_candidate(self):
+        code, out, _ = run(["hb", "--limit", "77", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["candidates"] == [
+            {"p": 5, "omega_minus": 2, "omega_plus": 2, "i": 7, "c": 7, "s": 3, "n": 4}
+        ]
+        assert out == self._reference(77, "json")
+
 
 class TestPlumbing:
     def test_no_arguments_is_usage_error(self):
@@ -320,22 +370,24 @@ class TestPlumbing:
         )
 
     def test_reader_closing_the_pipe_early_ends_quietly(self):
-        # about 140 kB of csv: more than a pipe holds, so the writer is still
-        # blocked on a full pipe when the reader closes its end
+        # about 140 kB of csv and 530 kB of json, written in chunks: more than
+        # a pipe holds, so the writer is still blocked on a full pipe when the
+        # reader closes its end
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        proc = subprocess.Popen(
-            [sys.executable, "-c", "from psl2count.cli import entry; entry()",
-             "hb", "--limit", "2e6", "--format", "csv"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        try:
-            assert os.read(proc.stdout.fileno(), 2) == b"p,"
-            proc.stdout.close()
-            _, err = proc.communicate(timeout=120)
-        finally:
-            proc.kill()
-        assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
-        assert err == b""
+        for fmt, first in (("csv", b"p,"), ("json", b'{"')):
+            proc = subprocess.Popen(
+                [sys.executable, "-c", "from psl2count.cli import entry; entry()",
+                 "hb", "--limit", "2e6", "--format", fmt],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            )
+            try:
+                assert os.read(proc.stdout.fileno(), 2) == first
+                proc.stdout.close()
+                _, err = proc.communicate(timeout=120)
+            finally:
+                proc.kill()
+            assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141, fmt
+            assert err == b"", fmt
 
     def test_memory_error_is_a_resource_abort(self, monkeypatch):
         def exhausted(prof):

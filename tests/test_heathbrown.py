@@ -108,6 +108,14 @@ class TestScan:
         with pytest.raises(AssertionError, match="residue 5 mod 72"):
             heathbrown.scan_hb(10**5)
 
+    @pytest.mark.parametrize("segment", [2**10, 2**15])
+    def test_segment_size_leaves_columns_unchanged(self, segment, monkeypatch):
+        expect = heathbrown.scan_hb(10**6)
+        monkeypatch.setattr(heathbrown, "_SEGMENT", segment)
+        found = heathbrown.scan_hb(10**6)
+        for field in ("p", "omega_minus", "omega_plus", "delta", "epsilon"):
+            assert getattr(found, field).tolist() == getattr(expect, field).tolist(), field
+
     def test_limit_floor(self):
         with pytest.raises(ValueError):
             heathbrown.scan_hb(10)

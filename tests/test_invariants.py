@@ -67,16 +67,30 @@ class TestColumnProfile:
 
     def test_n_against_c_minus_s_raises(self, rows, monkeypatch):
         _, column = rows
-        s_count = invariants.s_count
+        s_formula = invariants._s
 
-        def off_by_one_in_row_7(prof):
-            s = s_count(prof).copy()
+        def off_by_one_in_row_7(prof, d, e):
+            s = s_formula(prof, d, e).copy()
             s[7] += 1
             return s
 
-        monkeypatch.setattr(invariants, "s_count", off_by_one_in_row_7)
+        monkeypatch.setattr(invariants, "_s", off_by_one_in_row_7)
         with pytest.raises(ArithmeticError, match="disagrees with c - s"):
             invariants.n_count(column)
+        with pytest.raises(ArithmeticError, match="disagrees with c - s"):
+            invariants.counts(column)
+
+    def test_counts_reduces_once(self, rows, monkeypatch):
+        _, column = rows
+        reduced, calls = invariants._reduced, []
+
+        def counted(prof):
+            calls.append(prof)
+            return reduced(prof)
+
+        monkeypatch.setattr(invariants, "_reduced", counted)
+        invariants.counts(column)
+        assert len(calls) == 1
 
 
 class TestProfile:
