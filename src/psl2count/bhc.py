@@ -311,7 +311,10 @@ def _omega(fam: PolynomialFamily, primes: np.ndarray) -> np.ndarray:
         exceptional.extend(_resultant(g, h) for h in distinct[:i])
     exact = primes < _EXACT_BELOW
     for n in exceptional:
-        exact |= _mod_primes(n, primes) == 0
+        # primes ascend, and a nonzero n has no prime divisor above |n|
+        bound = min(abs(n), 2**32) if n else 2**32
+        end = int(np.searchsorted(primes, bound, side="right"))
+        exact[:end] |= _mod_primes(n, primes[:end]) == 0
     for i in np.flatnonzero(exact):
         omega[i] = omega_roots(fam, int(primes[i]))
     return omega

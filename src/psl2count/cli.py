@@ -31,7 +31,7 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a reader that stopped
 
-ORACLE_CAP = 19  # the largest p that oracle.build_psl2 accepts
+ORACLE_CAP = oracle.MAX_P
 
 PROGRESS_THRESHOLD = 10**7  # scans at least this long report blocks on stderr
 
@@ -365,7 +365,7 @@ def _write_rows(columns, template: str, sep: str) -> None:
 def cmd_hb(args) -> int:
     found = heathbrown.scan_hb(args.limit)
     bounds = heathbrown.derive_upper_bounds()
-    quad = invariants.counts(invariants.assemble_profile(found.p, found.delta, found.epsilon))
+    quad = invariants.counts(found.profile)
     violations = int(np.count_nonzero((np.column_stack(quad) > bounds).any(axis=1)))
     columns = (found.p, found.omega_minus, found.omega_plus, *quad)
 

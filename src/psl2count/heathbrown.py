@@ -66,7 +66,8 @@ class HbScan:
 
     Row j is the prime p[j] with Omega(p - 1), Omega(p + 1) and the divisor
     counts delta, epsilon of (p + 1)/2 and (p - 1)/2; qualifies(p[j]) gives
-    the same numbers one prime at a time.
+    the same numbers one prime at a time.  profile is the column profile of
+    p, delta and epsilon that the scan checked.
     """
 
     p: np.ndarray
@@ -74,6 +75,7 @@ class HbScan:
     omega_plus: np.ndarray   # Omega(p + 1)
     delta: np.ndarray
     epsilon: np.ndarray
+    profile: invariants.InvariantProfile
 
     def __len__(self) -> int:
         return len(self.p)
@@ -115,14 +117,13 @@ def scan_hb(limit: int) -> HbScan:
         idx = np.flatnonzero(keep)
         segments.append((idx + lo, om[idx], op[idx], tau_plus[idx], tau_minus[idx]))
     t, om, op, tau_plus, tau_minus = (np.concatenate(col).astype(np.int64) for col in zip(*segments))
-    found = HbScan(p=HB_MODULUS * t + HB_RESIDUE, omega_minus=om, omega_plus=op,
-                   delta=2 * tau_plus, epsilon=2 * tau_minus)
-    prof = invariants.assemble_profile(found.p, found.delta, found.epsilon)
+    p, delta, epsilon = HB_MODULUS * t + HB_RESIDUE, 2 * tau_plus, 2 * tau_minus
+    prof = invariants.assemble_profile(p, delta, epsilon)
     bad = (prof.k != 0) | (prof.l != 1) | (prof.sigma != 0)
     if np.count_nonzero(bad):
         raise AssertionError(
-            f"residue 5 mod 72 must force (k, l, sigma) = (0, 1, 0); p={found.p[bad][:3].tolist()}")
-    return found
+            f"residue 5 mod 72 must force (k, l, sigma) = (0, 1, 0); p={p[bad][:3].tolist()}")
+    return HbScan(p=p, omega_minus=om, omega_plus=op, delta=delta, epsilon=epsilon, profile=prof)
 
 
 def derive_upper_bounds() -> tuple[int, int, int, int]:

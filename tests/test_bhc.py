@@ -171,6 +171,15 @@ class TestClosedForm:
         bad = [(p, g, w) for p, g, w in zip(primes, got, want) if g != w]
         assert not bad, bad[:5]
 
+    @pytest.mark.parametrize("lo,hi", [(2, 1999), (1990, 2010), (1999, 1999), (2000, 3000)])
+    def test_omega_on_windows_around_an_exceptional_prime(self, lo, hi):
+        # the prime arrays end at, straddle, hold only and start past 1999,
+        # the one prime where the pair shares a root
+        fam = CLOSED_FORM_FAMS["linear pair, resultant 1999"]
+        primes = arith.primes_in_range(lo, hi)
+        got = bhc._omega(fam, np.array(primes, dtype=np.uint64)).tolist()
+        assert got == [bhc.omega_roots(fam, p, brute_threshold=3) for p in primes]
+
     @pytest.mark.parametrize("name", ["case a", "twin", "t^2 + 1", "t^2 + t + 41, disc -163",
                                       "linear + quadratic, resultant 2 * 37 * 149",
                                       "quadratic pair, resultant 1601"])

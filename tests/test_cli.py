@@ -357,6 +357,20 @@ class TestPlumbing:
                               env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_oracle_census_leaves_numpy_ma_unloaded(self):
+        # numpy.ma costs about 14 ms of import, and np.unique(x) with no
+        # keyword arguments loads it on numpy 2.4
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        code = ("import sys\n"
+                "from psl2count import cli\n"
+                "if cli.main(['census', '13', '--oracle', '--format', 'json']) != 0:\n"
+                "    raise SystemExit('census failed')\n"
+                "raise SystemExit('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["p"] == 13
+
     def test_internal_error_has_its_own_exit_code(self, monkeypatch):
         def broken(prof):
             raise ArithmeticError("divisibility check failed")

@@ -64,10 +64,12 @@ class TestBuild:
             [1, 2, 3, 4, 5, 6, 0, 7],  # x -> x + 1
             [7, 6, 3, 2, 5, 4, 1, 0],  # x -> -1/x
         ]
-        mask = oracle._generated_subgroup(g.table(), g.generators, g.identity)
+        mask = _reference_join(g.table(), g.generators, g.identity)
         assert np.count_nonzero(mask) == g.order
-        translations = oracle._generated_subgroup(g.table(), g.generators[:1], g.identity)
+        translations = _reference_join(g.table(), g.generators[:1], g.identity)
         assert np.count_nonzero(translations) == 7
+        joins = oracle._joins(g.table(), translations, g.generators[:1], np.array(g.generators[1:]))
+        assert joins.tolist() == [mask.tolist()]
 
     def test_shared_key_raises(self):
         g = _group(5)
@@ -100,6 +102,33 @@ class TestBuild:
             oracle.build_psl2(17, allow_large=True)  # the opt-in is gone
 
 
+def _reference_join(table, gens, identity):
+    """Member mask of <gens>, one breadth-first search from the identity
+    under right multiplication, with no early stop."""
+    n = table.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    seen[identity] = True
+    frontier = np.array([identity])
+    gen_arr = np.asarray(gens, dtype=np.int64)
+    while frontier.size:
+        reached = np.zeros(n, dtype=bool)
+        reached[table[frontier[:, None], gen_arr]] = True
+        reached &= ~seen
+        seen |= reached
+        frontier = np.flatnonzero(reached)
+    return seen
+
+
+def _reference_orbit(table, inverses, mask):
+    """(keys of the distinct conjugates, normaliser mask) from all n
+    conjugates g H g^-1 and a stabiliser count over every member of H."""
+    n = table.shape[0]
+    conj = table[table[:, mask], inverses[:, None]]  # row g: g h g^-1 for each member h
+    masks = np.zeros((n, n), dtype=bool)
+    masks[np.arange(n)[:, None], conj] = True
+    return list(dict.fromkeys(oracle._mask_keys(masks))), mask[conj].all(axis=1)
+
+
 def _reference_subgroups(group):
     """The slow enumeration: every cyclic subgroup is a seed, and every
     class representative is joined with every seed outside it."""
@@ -113,7 +142,7 @@ def _reference_subgroups(group):
 
     def admit(mask, gens):
         if oracle._mask_key(mask) not in found:
-            orbit, _ = oracle._conjugacy_orbit(table, inverses, mask)
+            orbit, _ = _reference_orbit(table, inverses, mask)
             found.update(dict.fromkeys(orbit))
             worklist.append((mask, gens))
 
@@ -123,12 +152,21 @@ def _reference_subgroups(group):
         mask, gens = worklist.pop()
         for g in seeds.values():
             if not mask[g]:
-                admit(oracle._generated_subgroup(table, gens + (g,), group.identity), gens + (g,))
+                admit(_reference_join(table, gens + (g,), group.identity), gens + (g,))
     members = [
         tuple(np.flatnonzero(np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=group.order)).tolist())
         for key in found
     ]
     return sorted(members, key=lambda m: (len(m), m))
+
+
+def _class_masks(p):
+    """(member mask, members) of every class representative at p."""
+    n = _group(p).order
+    for cls in _classes(p):
+        mask = np.zeros(n, dtype=bool)
+        mask[list(cls.representative.members)] = True
+        yield mask, cls.representative.members
 
 
 class TestEnumeration:
@@ -142,12 +180,60 @@ class TestEnumeration:
     def test_frozen_totals(self, p, total):
         assert len(oracle.enumerate_subgroups(_group(p))) == total
 
+    @pytest.mark.parametrize("p", [7, 11, 13])
+    def test_random_joins_match_reference(self, p):
+        g = _group(p)
+        table = g.table()
+        rng = np.random.default_rng(p)
+        cut = proper = 0
+        for size in (0, 1, 1, 2, 2):
+            gens = tuple(rng.integers(g.order, size=size).tolist())
+            mask = _reference_join(table, gens, g.identity)
+            seeds = rng.integers(g.order, size=12)
+            joins = oracle._joins(table, mask, gens, seeds)
+            for row, seed in zip(joins, seeds.tolist()):
+                expected = _reference_join(table, gens + (seed,), g.identity)
+                assert np.array_equal(row, expected), (gens, seed)
+                cut += expected.all()
+                proper += not expected.all()
+        assert cut and proper  # both rows stopped at n/2 and rows closed in full
+
     def test_normal_subgroups_skip_conjugation(self):
         g = _group(7)
-        for mask in (np.arange(g.order) == g.identity, np.ones(g.order, dtype=bool)):
-            orbit, normaliser = oracle._conjugacy_orbit(g.table(), g.inverses(), mask)
-            assert orbit == [oracle._mask_key(mask)]
+        table, inverses = g.table(), g.inverses()
+        for mask, gens in ((np.arange(g.order) == g.identity, ()),
+                           (np.ones(g.order, dtype=bool), g.generators)):
+            normaliser = oracle._normaliser(table, inverses, mask, gens)
             assert normaliser.all()
+            assert oracle._conjugacy_orbit(table, inverses, mask, normaliser) == [oracle._mask_key(mask)]
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_coset_orbit_matches_full_orbit(self, p):
+        g = _group(p)
+        table, inverses = g.table(), g.inverses()
+        for mask, members in _class_masks(p):
+            full, full_normaliser = _reference_orbit(table, inverses, mask)
+            normaliser = oracle._normaliser(table, inverses, mask, members)
+            assert np.array_equal(normaliser, full_normaliser)
+            orbit = oracle._conjugacy_orbit(table, inverses, mask, normaliser)
+            assert len(orbit) == len(full) and set(orbit) == set(full)
+
+    def test_tampered_normaliser_raises(self):
+        g = _group(11)
+        table, inverses = g.table(), g.inverses()
+        for mask, members in _class_masks(11):
+            normaliser = oracle._normaliser(table, inverses, mask, members)
+            if normaliser.all():
+                continue
+            short = normaliser.copy()
+            short[np.flatnonzero(normaliser & (np.arange(g.order) != g.identity))[0]] = False
+            extra = normaliser.copy()
+            extra[np.flatnonzero(~normaliser)[0]] = True
+            # a subgroup of N(H) gives the right count but repeats conjugates
+            inner = [mask] if np.count_nonzero(normaliser) > len(members) else []
+            for tampered in [short, extra, *inner]:
+                with pytest.raises(AssertionError):
+                    oracle._conjugacy_orbit(table, inverses, mask, tampered)
 
     def test_subgroup_count_p5(self):
         subs = oracle.enumerate_subgroups(_group(5))
@@ -206,6 +292,13 @@ class TestClassify:
         assert labels.count("A4") == 2
         assert labels.count("S4") == 2
         assert labels.count("D2") == 2
+
+    def test_list_missing_a_conjugate_raises(self):
+        g = _group(7)
+        subs = oracle.enumerate_subgroups(g)
+        lost = next(i for i, sub in enumerate(subs) if sub.normaliser_order < g.order)
+        with pytest.raises(AssertionError):
+            oracle.classify(g, subs[:lost] + subs[lost + 1:])
 
     def test_d2_classes_not_self_normalising(self):
         for cls in _classes(7):
