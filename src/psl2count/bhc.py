@@ -1,4 +1,4 @@
-"""Bateman-Horn style estimates for families of integer polynomials.
+"""Bateman-Horn style estimates for families of linear integer polynomials.
 
 For a family f_1, ..., f_m satisfying the usual hypotheses (positive
 leading coefficients, irreducible, product with no fixed prime divisor),
@@ -12,7 +12,7 @@ Hardy-Littlewood product over primes of
 the product modulo p.
 
 Polynomials are dense coefficient tuples in ascending order, so (5, 12)
-is 5 + 12*t.  Degrees above 2 are not supported.
+is 5 + 12*t.  Degrees above 1 are not supported.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from . import arith
 
 @dataclass(frozen=True)
 class PolynomialFamily:
-    """A finite family of integer polynomials, coefficients ascending."""
+    """A finite family of constant or linear integer polynomials, coefficients ascending."""
 
     polys: tuple[tuple[int, ...], ...]
 
@@ -40,6 +40,8 @@ class PolynomialFamily:
                 raise ValueError("zero polynomial in family")
             if any(abs(c) > arith.U64_MAX for c in coeffs):
                 raise ValueError("coefficients must fit in 64 bits")
+            if _degree(coeffs) > 1:
+                raise ValueError(f"degree {_degree(coeffs)} polynomials are not supported, only linear ones")
 
     @property
     def m(self) -> int:
@@ -87,19 +89,11 @@ class ShReport:
         return self.positive_leading and self.all_irreducible and self.no_fixed_prime_divisor
 
 
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
-
 def check_sh(fam: PolynomialFamily) -> ShReport:
     """Admissibility checks: leading signs, irreducibility, fixed divisors.
 
-    Irreducibility is decided per degree: linear polynomials always pass,
-    quadratics pass when the discriminant is not a perfect square, and
-    constants fail (they take a single value).  Degree 3 and above raises.
+    Members are constant or linear: linear polynomials are irreducible, and
+    constants fail (they take a single value).
 
     A fixed prime divisor q of the product can only arise from q at most
     the product's degree (a nonzero polynomial mod q of smaller degree
@@ -109,20 +103,7 @@ def check_sh(fam: PolynomialFamily) -> ShReport:
     is reported.
     """
     positive = all(_leading(c) > 0 for c in fam.polys)
-
-    irreducible = True
-    for coeffs in fam.polys:
-        deg = _degree(coeffs)
-        if deg == 0:
-            irreducible = False
-        elif deg == 1:
-            pass
-        elif deg == 2:
-            a, b, c = coeffs[2], coeffs[1], coeffs[0]
-            if _is_square(b * b - 4 * a * c):
-                irreducible = False
-        else:
-            raise ValueError(f"degree {deg} polynomials are not supported")
+    irreducible = all(_degree(c) == 1 for c in fam.polys)
 
     total_degree = sum(fam.degrees())
     candidates = set(arith.primes_in_range(2, max(2, total_degree)))
@@ -154,104 +135,30 @@ def _product_mod(fam: PolynomialFamily, t: int, q: int) -> int:
     return prod
 
 
-def _sqrt_mod(a: int, p: int) -> int:
-    """A square root of a modulo an odd prime p; a must be a QR (Tonelli-Shanks)."""
-    a %= p
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p - 1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def _roots_mod(coeffs: tuple[int, ...], p: int) -> set[int] | None:
-    """Roots of one polynomial mod p, or None when it vanishes identically."""
-    reduced = [c % p for c in coeffs]
-    deg = 0
-    for i in range(len(reduced) - 1, -1, -1):
-        if reduced[i]:
-            deg = i
-            break
-    else:
-        return None
-    if deg == 0:
-        return set()
-    if deg == 1:
-        b, a = reduced[0], reduced[1]
-        return {(-b * pow(a, -1, p)) % p}
-    # quadratic; p is odd here (omega_roots counts p = 2 by brute force)
-    c0, b, a = reduced[0], reduced[1], reduced[2]
-    disc = (b * b - 4 * a * c0) % p
-    if disc == 0:
-        return {(-b * pow(2 * a, -1, p)) % p}
-    if pow(disc, (p - 1) // 2, p) != 1:
-        return set()
-    root = _sqrt_mod(disc, p)
-    inv2a = pow(2 * a, -1, p)
-    return {(-b + root) * inv2a % p, (-b - root) * inv2a % p}
-
-
-def omega_roots(fam: PolynomialFamily, p: int, *, brute_threshold: int = 100) -> int:
+def omega_roots(fam: PolynomialFamily, p: int) -> int:
     """Number of t mod p at which the family product vanishes.
 
-    Below brute_threshold, and always at p = 2, every residue is tried
-    directly; otherwise the roots of each factor are collected explicitly
-    and deduplicated, which agrees with the brute force on all primes
-    (tested) and returns p for a product vanishing identically.
+    A member b + a*t has the one root -b/a when p does not divide a, none
+    when p divides a but not b, and vanishes at every t (omega is then p)
+    when p divides both.
     """
     if p < 2 or not arith.is_prime(p):
         raise ValueError("omega_roots requires a prime modulus")
-    if p < brute_threshold or p == 2:  # the quadratic formula needs 2a invertible
-        return sum(1 for t in range(p) if _product_mod(fam, t, p) == 0)
     roots: set[int] = set()
     for coeffs in fam.polys:
-        poly_roots = _roots_mod(coeffs, p)
-        if poly_roots is None:
+        b, a, *_ = (*coeffs, 0)
+        if a % p:
+            roots.add(-b * pow(a, -1, p) % p)
+        elif b % p == 0:
             return p
-        roots.update(poly_roots)
     return len(roots)
 
 
-# Primes below this always get omega_roots: they include p = 2, where a
-# quadratic's root count is not 1 + (disc/p).
-_EXACT_BELOW = 100
-
-
 def _primitive(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    """The polynomial divided by the gcd of its coefficients, degree-trimmed."""
+    """The polynomial divided by its content, degree-trimmed, with a positive leading coefficient."""
     trimmed = coeffs[: _degree(coeffs) + 1]
-    content = math.gcd(*trimmed)
+    content = math.gcd(*trimmed) if trimmed[-1] > 0 else -math.gcd(*trimmed)
     return tuple(c // content for c in trimmed)
-
-
-def _resultant(f: tuple[int, ...], g: tuple[int, ...]) -> int:
-    """Resultant, up to sign, of two polynomials of degree 1 or 2 (ascending, trimmed)."""
-    if len(f) > len(g):
-        f, g = g, f
-    if len(f) == 2:
-        # Res(a*t + b, g) = a**deg(g) * g(-b/a)
-        b, a = f
-        n = len(g) - 1
-        return sum(gk * (-b) ** k * a ** (n - k) for k, gk in enumerate(g))
-    (c1, b1, a1), (c2, b2, a2) = f, g
-    return (a1 * c2 - a2 * c1) ** 2 - (a1 * b2 - a2 * b1) * (b1 * c2 - b2 * c1)
 
 
 def _mod_primes(n: int, primes: np.ndarray) -> np.ndarray:
@@ -269,52 +176,25 @@ def _mod_primes(n: int, primes: np.ndarray) -> np.ndarray:
     return rem if n >= 0 else (primes - rem) % primes
 
 
-def _euler_criterion(d: int, primes: np.ndarray) -> np.ndarray:
-    """d**((p-1)/2) mod p for every p in a uint64 array of primes below 2**32.
-
-    For an odd prime p not dividing d this is 1 when d is a square mod p and
-    p - 1 when it is not.  Factors stay below 2**32, so products fit in uint64.
-    """
-    base = _mod_primes(d, primes)
-    exp = primes >> np.uint64(1)  # (p - 1) / 2 for odd p
-    out = np.ones_like(primes)
-    while exp.any():
-        out = np.where(exp & np.uint64(1), out * base % primes, out)
-        base = base * base % primes
-        exp >>= np.uint64(1)
-    return out
-
-
 def _omega(fam: PolynomialFamily, primes: np.ndarray) -> np.ndarray:
     """omega(p) for every p in a uint64 array of primes below 2**32.
 
-    Let g_1, ..., g_k be the distinct primitive parts of the polynomials.  At
-    a prime dividing no leading coefficient, no discriminant of a quadratic
-    g_i and no resultant of two g_i, every g_i keeps its degree mod p, has
-    simple roots and shares none with another g_j, so omega(p) is the number
-    of linear g_i plus 1 + (disc_i/p) for each quadratic g_i.  Those finitely
-    many exceptional primes, and every p below _EXACT_BELOW, are counted by
-    omega_roots instead.  Distinct primitive parts of degree at most 2 that
-    pass check_sh have nonzero resultants; a zero one would only make every
-    prime exceptional.
+    Let g_1, ..., g_k be the distinct primitive parts b_i + a_i*t of the
+    linear members, each with a_i > 0.  At a prime dividing no member's
+    leading coefficient and no resultant a_i*b_j - a_j*b_i, no member
+    vanishes mod p and the g_i have k distinct roots, so omega(p) = k.
+    Only those finitely many exceptional primes are counted by omega_roots.
+    Distinct g_i are not proportional, so every resultant is nonzero.
     """
-    distinct = sorted({_primitive(c) for c in fam.polys})
+    linear = sorted({_primitive(c) for c in fam.polys if _degree(c) == 1})
     exceptional = [_leading(c) for c in fam.polys]
-    omega = np.zeros(len(primes), dtype=np.int64)
-    for i, g in enumerate(distinct):
-        if len(g) == 2:
-            omega += 1
-        else:
-            disc = g[1] * g[1] - 4 * g[2] * g[0]
-            exceptional.append(disc)
-            omega += np.where(_euler_criterion(disc, primes) == 1, 2, 0)
-        exceptional.extend(_resultant(g, h) for h in distinct[:i])
-    exact = primes < _EXACT_BELOW
+    exceptional += [a_i * b_j - a_j * b_i for i, (b_i, a_i) in enumerate(linear) for b_j, a_j in linear[:i]]
+    exact = np.zeros(len(primes), dtype=bool)
     for n in exceptional:
         # primes ascend, and a nonzero n has no prime divisor above |n|
-        bound = min(abs(n), 2**32) if n else 2**32
-        end = int(np.searchsorted(primes, bound, side="right"))
+        end = int(np.searchsorted(primes, min(abs(n), 2**32), side="right"))
         exact[:end] |= _mod_primes(n, primes[:end]) == 0
+    omega = np.full(len(primes), len(linear), dtype=np.int64)
     for i in np.flatnonzero(exact):
         omega[i] = omega_roots(fam, int(primes[i]))
     return omega
@@ -334,17 +214,17 @@ def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
     """Product over primes p <= truncation of (1-1/p)^(-m) * (1-omega(p)/p).
 
     omega(p) is closed-form at all but finitely many primes (see _omega),
-    which counts only the small and the exceptional primes one at a time.
-    The log factors form one array, summed with exact compensated summation,
-    so the result does not depend on how the primes were sieved.  A
-    truncation above arith.PRIME_CAP raises ResourceLimitError before any
-    sieving; that cap, below 2**32, also keeps every product in _mod_primes
-    and _euler_criterion inside uint64.
+    which counts only the exceptional primes one at a time.  The log
+    factors form one array, summed with exact compensated summation, so the
+    result does not depend on how the primes were sieved.  A truncation
+    above arith.PRIME_CAP raises ResourceLimitError before any sieving;
+    that cap, below 2**32, also keeps every product in _mod_primes inside
+    uint64.
 
     The tail bound comes from the second-order expansion of the log factor:
-    for all but finitely many p the product polynomial has exactly
-    m = sum of degrees distinct roots, making the 1/p terms cancel and
-    leaving (m - m^2)/(2 p^2) + O(1/p^3); summed over p > P this is about
+    for all but finitely many p the product of the m linear members has
+    exactly m distinct roots, making the 1/p terms cancel and leaving
+    (m - m^2)/(2 p^2) + O(1/p^3); summed over p > P this is about
     m(m-1)/2 * 1/(P ln P), and a factor of two is folded in for safety.
     """
     if truncation < 1000:
@@ -360,8 +240,7 @@ def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
     p = primes.astype(float)
     terms = -fam.m * np.log1p(-1.0 / p) + np.log1p(-_omega(fam, primes) / p)
     value = math.exp(math.fsum(terms))
-    root_count = sum(fam.degrees())
-    tail = value * root_count * max(root_count - 1, 0) / (truncation * math.log(truncation))
+    tail = value * fam.m * (fam.m - 1) / (truncation * math.log(truncation))
     return HlConstant(value=value, truncation=truncation, tail_bound=tail)
 
 
@@ -454,6 +333,8 @@ def integration_lower_limit(fam: PolynomialFamily) -> int:
 
 def estimate_E(fam: PolynomialFamily, x: float, constant: HlConstant, *, rel_tol: float = 1e-8) -> BhcEstimate:
     """Evaluate E(x) = C * integral from a to x of dt / prod ln f_i(t)."""
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     a = integration_lower_limit(fam)
     if x <= a:
         raise ValueError(f"x must exceed the integration lower limit {a}")

@@ -51,7 +51,7 @@ def _int_arg(text: str) -> int:
         return int(text)
     except ValueError:
         val = float(text)
-        if val != int(val):
+        if not val.is_integer():  # also refuses inf and nan
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
         return int(val)
 
@@ -300,7 +300,27 @@ def cmd_search(args) -> int:
 # bhc
 
 
+def _read_q_file(path: str, case: str) -> tuple[int, object]:
+    """q_count and t_max of a JSON scan summary for the given case.
+
+    Every bad input raises ValueError naming the scan file: a usage error, not a bug.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            scan_data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read scan file {path}: {exc!r}") from exc
+    q = scan_data.get("q_count") if isinstance(scan_data, dict) else None
+    if type(q) is not int or q < 1:  # type(), as a bool is an int too
+        raise ValueError(f"scan file {path} has no integer q_count >= 1 at its top level")
+    if scan_data.get("case") != case:
+        raise ValueError(f"scan file is for case {scan_data.get('case')!r}, estimate is for {case!r}")
+    return q, scan_data.get("t_max")
+
+
 def cmd_bhc(args) -> int:
+    # the scan file is checked before anything is computed or printed
+    q_scan = None if args.q_file is None else _read_q_file(args.q_file, args.case)
     fam = search.case_spec(args.case).polys
     constant = bhc.hl_constant(fam, args.trunc)
     est = bhc.estimate_E(fam, float(args.x), constant)
@@ -327,19 +347,11 @@ def cmd_bhc(args) -> int:
         print(f"integral = {_real(est.integral)}")
         print(f"E = {_real(est.e_value)}")
 
-    if args.q_file is not None:
-        try:
-            with open(args.q_file, "r", encoding="utf-8") as fh:
-                scan_data = json.load(fh)
-            q, case = scan_data["q_count"], scan_data.get("case")
-        except (OSError, KeyError) as exc:  # input errors, not bugs: exit 2
-            raise ValueError(f"cannot read q_count from scan file {args.q_file}: {exc!r}") from exc
-        if case != args.case:
-            raise ValueError(f"scan file is for case {case!r}, estimate is for {args.case!r}")
+    if q_scan is not None:
+        q, t_max = q_scan
         rel = bhc.compare(q, est)
         stream = sys.stdout if args.format == "table" else sys.stderr
-        print(f"Q = {q} at t_max = {scan_data.get('t_max')}, (E - Q)/Q = {rel * 100:+.4f}%",
-              file=stream)
+        print(f"Q = {q} at t_max = {t_max}, (E - Q)/Q = {rel * 100:+.4f}%", file=stream)
     return EXIT_OK
 
 

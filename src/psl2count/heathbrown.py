@@ -89,7 +89,8 @@ def scan_hb(limit: int) -> HbScan:
     segments of _SEGMENT, and arith.factor_counts sieves 18t + 1 and 12t + 1
     over each.  Every candidate's profile must show k = 0, l = 1 and
     sigma = 0; the congruence forces that, so a violation means a bug and
-    raises.
+    raises.  A limit whose sieve needs base primes past arith.PRIME_CAP
+    raises ResourceLimitError before the first segment.
 
     >>> found = scan_hb(300)
     >>> len(found), found.p.tolist(), found.omega_plus.tolist()
@@ -97,8 +98,9 @@ def scan_hb(limit: int) -> HbScan:
     """
     if limit < HB_MODULUS + HB_RESIDUE:
         raise ValueError(f"limit below {HB_MODULUS + HB_RESIDUE} cannot contain a candidate beyond p=5")
-    segments = []
     t_max = (limit - HB_RESIDUE) // HB_MODULUS
+    arith.check_prime_cap(HB_MODULUS * t_max + HB_RESIDUE)
+    segments = []
     for lo in range(0, t_max + 1, _SEGMENT):
         hi = min(lo + _SEGMENT - 1, t_max)
         # p - 1 = 4(18t + 1) and p + 1 = 6(12t + 1): Omega(4) = Omega(6) = 2,

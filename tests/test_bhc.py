@@ -1,6 +1,7 @@
 """Density constants, admissibility checks and the main-term integral."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,11 @@ import pytest
 from psl2count import arith, bhc, oracle, search
 
 FAMS = {c: search.case_spec(c).polys for c in search.CASE_IDS}
+
+
+def _brute_omega(fam, p):
+    """omega(p) by trying every residue: the reference for the root formula."""
+    return sum(any(v % p == 0 for v in fam.values(t)) for t in range(p))
 
 
 class TestFamily:
@@ -47,11 +53,11 @@ class TestAdmissibility:
             assert rep.ok, (case_id, rep)
 
     def test_quadratic_handling(self):
-        assert bhc.check_sh(bhc.family((1, 0, 1))).ok           # t^2 + 1
-        rep = bhc.check_sh(bhc.family((2, 1, 1)))               # t^2 + t + 2, even always
-        assert not rep.ok and rep.failing_prime == 2
-        rep = bhc.check_sh(bhc.family((-1, 0, 1)))              # t^2 - 1 splits
-        assert not rep.ok and not rep.all_irreducible
+        # members are constant or linear; a quadratic is refused on construction
+        for coeffs in ((1, 0, 1), (2, 1, 1), (-1, 0, 1)):
+            with pytest.raises(ValueError):
+                bhc.family((0, 1), coeffs)
+        assert bhc.family((5, 12, 0)).degrees() == (1,)  # trailing zeros are not degree
 
     def test_fixed_divisor_of_one_member(self):
         # 3 divides every value of 3t + 3, though not every coefficient of the family
@@ -73,22 +79,12 @@ class TestRootCounting:
         assert bhc.omega_roots(fam, 13) == 3
 
     def test_brute_matches_formula_all_small_primes(self):
-        for case_id, fam in FAMS.items():
+        # 3t + 3 vanishes identically mod 3, and the constant 5 mod 5
+        fams = {**FAMS, "vanishing and constant members": bhc.family((1, 1), (3, 3), (5,))}
+        for name, fam in fams.items():
             for p in arith.primes_in_range(2, 97):
-                brute = bhc.omega_roots(fam, p, brute_threshold=10**6)
-                formula = bhc.omega_roots(fam, p, brute_threshold=0)
-                assert brute == formula, (case_id, p)
-
-    def test_quadratic_roots(self):
-        cases = {
-            (1, 0, 1): lambda p: 1 if p == 2 else 2 if p % 4 == 1 else 0,  # t^2 + 1
-            (41, 1, 1): lambda p: sum((t * t + t + 41) % p == 0 for t in range(p)),  # t^2 + t + 41
-        }
-        assert cases[(41, 1, 1)](2) == 0
-        for coeffs, expect in cases.items():
-            fam = bhc.family(coeffs)
-            for p in arith.primes_in_range(2, 200):
-                assert bhc.omega_roots(fam, p, brute_threshold=0) == expect(p), (coeffs, p)
+                assert bhc.omega_roots(fam, p) == _brute_omega(fam, p), (name, p)
+        assert [bhc.omega_roots(fams["vanishing and constant members"], p) for p in (3, 5)] == [3, 5]
 
     def test_bounded_by_degree_sum(self):
         for fam in FAMS.values():
@@ -135,21 +131,31 @@ class TestConstant:
             bhc.hl_constant(bhc.family((0, 1), (1, 1)), 10**4)
 
 
-# Families for the closed-form omega: the paper's cases, exceptional primes
-# above 100 from a discriminant or a resultant, p = 2 for a quadratic, and
-# members that repeat up to a constant factor.
+# Families for the closed-form omega: the paper's cases, an exceptional prime
+# from a resultant, and members that repeat up to a constant factor.
 CLOSED_FORM_FAMS = {
     **{f"case {c}": fam for c, fam in FAMS.items()},
     "twin": bhc.family((0, 1), (2, 1)),
-    "t^2 + 1": bhc.family((1, 0, 1)),
-    # odd middle coefficient and no even exceptional integer: at p = 2 the
-    # generic 1 + (disc/p) reads 2, but t^2 + t + 41 is odd at every t
-    "t^2 + t + 41, disc -163": bhc.family((41, 1, 1)),
     "linear pair, resultant 1999": bhc.family((1, 2), (1000, 1)),
-    "linear + quadratic, resultant 2 * 37 * 149": bhc.family((105, 1), (1, 0, 1)),
-    "quadratic pair, resultant 1601": bhc.family((41, 1, 1), (1, 0, 1)),
     "repeated and rescaled": bhc.family((0, 1), (2, 1), (0, 1), (6, 3)),
 }
+
+
+def _random_linear_families(seed=20241, count=20):
+    """Seeded families of 1-4 linear members, some with a member repeated
+    up to a factor c in {2, 3, 5, 7} and some with a member negated."""
+    rng = random.Random(seed)
+    fams = []
+    for _ in range(count):
+        polys = [(rng.randint(-(2**20), 2**20), rng.randint(1, 2**20)) for _ in range(rng.randint(1, 4))]
+        b, a = rng.choice(polys)
+        if rng.random() < 0.4:
+            c = rng.choice((2, 3, 5, 7))
+            polys.append((c * b, c * a))
+        if rng.random() < 0.3:
+            polys.append((-b, -a))
+        fams.append(bhc.family(*polys))
+    return fams
 
 
 def _reference_constant(fam, truncation):
@@ -166,10 +172,24 @@ class TestClosedForm:
         fam = CLOSED_FORM_FAMS[name]
         primes = arith.primes_in_range(2, 10**5)
         got = bhc._omega(fam, np.array(primes, dtype=np.uint64)).tolist()
-        # brute force only at p = 2, where the quadratic formula does not apply
-        want = [bhc.omega_roots(fam, p, brute_threshold=3) for p in primes]
+        want = [bhc.omega_roots(fam, p) for p in primes]
         bad = [(p, g, w) for p, g, w in zip(primes, got, want) if g != w]
         assert not bad, bad[:5]
+
+    def test_omega_matches_brute_count_on_random_families(self):
+        exceptional_above_600 = 0
+        for fam in _random_linear_families():
+            polys = fam.polys
+            special = [a for _, a in polys]
+            special += [a_i * b_j - a_j * b_i for i, (b_i, a_i) in enumerate(polys) for b_j, a_j in polys[:i]]
+            primes = [q for q in arith.primes_in_range(2, 5000)
+                      if q < 600 or any(n and n % q == 0 for n in special)]
+            exceptional_above_600 += sum(q > 600 for q in primes)
+            got = bhc._omega(fam, np.array(primes, dtype=np.uint64)).tolist()
+            want = [_brute_omega(fam, q) for q in primes]
+            bad = [(q, g, w) for q, g, w in zip(primes, got, want) if g != w]
+            assert not bad, (fam, bad[:5])
+        assert exceptional_above_600 > 0
 
     @pytest.mark.parametrize("lo,hi", [(2, 1999), (1990, 2010), (1999, 1999), (2000, 3000)])
     def test_omega_on_windows_around_an_exceptional_prime(self, lo, hi):
@@ -178,11 +198,9 @@ class TestClosedForm:
         fam = CLOSED_FORM_FAMS["linear pair, resultant 1999"]
         primes = arith.primes_in_range(lo, hi)
         got = bhc._omega(fam, np.array(primes, dtype=np.uint64)).tolist()
-        assert got == [bhc.omega_roots(fam, p, brute_threshold=3) for p in primes]
+        assert got == [_brute_omega(fam, p) for p in primes]
 
-    @pytest.mark.parametrize("name", ["case a", "twin", "t^2 + 1", "t^2 + t + 41, disc -163",
-                                      "linear + quadratic, resultant 2 * 37 * 149",
-                                      "quadratic pair, resultant 1601"])
+    @pytest.mark.parametrize("name", ["case a", "twin", "linear pair, resultant 1999"])
     def test_constant_matches_per_prime_product(self, name):
         fam = CLOSED_FORM_FAMS[name]
         for truncation in (10**4, 10**5):
@@ -193,16 +211,15 @@ class TestClosedForm:
         seen = []
         real = bhc.omega_roots
         monkeypatch.setattr(bhc, "omega_roots", lambda fam, p: seen.append(p) or real(fam, p))
-        small = arith.primes_in_range(2, 99)
         bhc.hl_constant(FAMS["a"], 10**5)
-        assert seen == small  # case a's exceptional primes are 2 and 3
+        assert seen == [2, 3]  # the primes dividing case a's leading coefficients and resultants
         seen.clear()
         # a repeated member must not give a zero resultant
         bhc.hl_constant(bhc.family((0, 1), (2, 1), (0, 1)), 10**5)
-        assert seen == small
+        assert seen == [2]
         seen.clear()
-        bhc.hl_constant(CLOSED_FORM_FAMS["linear + quadratic, resultant 2 * 37 * 149"], 10**5)
-        assert seen == small + [149]
+        bhc.hl_constant(CLOSED_FORM_FAMS["linear pair, resultant 1999"], 10**5)
+        assert seen == [2, 1999]
 
     def test_mod_primes_of_large_and_negative_integers(self):
         primes = arith.primes_in_range(2, 2000) + [4294967291]  # the largest prime below 2**32

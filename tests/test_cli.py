@@ -1,9 +1,12 @@
 """End-to-end command-line behaviour: formats, schemas, exit codes, env knobs."""
 
+import ast
 import contextlib
+import importlib
 import io
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -228,22 +231,43 @@ class TestBhcCommand:
     def test_q_file_case_mismatch(self, tmp_path):
         qf = tmp_path / "scan.json"
         qf.write_text(json.dumps({"case": "b", "t_max": 10, "q_count": 1}))
-        code, _, err = run(["bhc", "a", "--x", "1e6", "--trunc", "1e4", "--q-file", str(qf)])
+        code, out, err = run(["bhc", "a", "--x", "1e6", "--trunc", "1e4", "--q-file", str(qf)])
         assert code == 2
+        assert out == ""
         assert "case" in err
 
     def test_unreadable_q_file_is_a_usage_error(self, tmp_path):
         missing = tmp_path / "missing.json"
-        no_count = tmp_path / "no_count.json"
-        no_count.write_text(json.dumps({"case": "a", "t_max": 10}))
-        for qf in (missing, no_count):
-            code, _, err = run(["bhc", "a", "--x", "1e6", "--trunc", "1e4", "--q-file", str(qf)])
-            assert code == 2
-            assert "scan file" in err and "Traceback" not in err
+        bad = [missing]
+        for i, content in enumerate([
+            {"case": "a", "t_max": 10},       # no q_count
+            {"case": "a", "q_count": "2064"},
+            {"case": "a", "q_count": 2064.5},
+            {"case": "a", "q_count": True},
+            {"case": "a", "q_count": 0},
+            [1, 2],
+            "q_count",
+        ]):
+            bad.append(tmp_path / f"bad{i}.json")
+            bad[-1].write_text(json.dumps(content))
+        bad.append(tmp_path / "not_json.json")
+        bad[-1].write_text("{q_count: 2064")
+        for qf in bad:
+            for fmt in ("table", "json", "csv"):
+                code, out, err = run(["bhc", "a", "--x", "1e6", "--trunc", "1e4", "--q-file", str(qf),
+                                      "--format", fmt])
+                assert (code, out) == (2, ""), (qf.name, fmt)
+                assert "scan file" in err and "Traceback" not in err
 
     def test_usage_errors(self):
         assert run(["bhc", "a", "--x", "0.5", "--trunc", "1e4"])[0] == 2
         assert run(["bhc", "a", "--x", "1e6", "--trunc", "10"])[0] == 2
+        for x in ("inf", "nan", "1e400"):
+            start = time.perf_counter()
+            code, out, err = run(["bhc", "a", "--x", x, "--trunc", "1e4"])
+            assert time.perf_counter() - start < 5.0, x
+            assert (code, out) == (2, ""), x
+            assert "Traceback" not in err
 
     def test_oversized_truncation_is_a_resource_abort(self):
         code, out, err = run(["bhc", "a", "--x", "1e9", "--trunc", "1e12"])
@@ -271,6 +295,13 @@ class TestHbCommand:
 
     def test_limit_floor(self):
         assert run(["hb", "--limit", "10"])[0] == 2
+
+    def test_limit_past_the_prime_cap_is_a_resource_abort(self):
+        start = time.perf_counter()
+        code, out, err = run(["hb", "--limit", "1e17", "--format", "json"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err.startswith("psl2count: resource cap hit: ResourceLimitError")
 
     @staticmethod
     def _reference(limit, fmt, show=10):
@@ -333,12 +364,34 @@ class TestPlumbing:
         _, out, _ = run(["invariants", "53", "--format", "json"], env={"PSL2_FORMAT": "csv"})
         assert json.loads(out)["p"] == 53
 
+    def test_non_finite_integer_flags_are_usage_errors(self):
+        for argv in (["search", "a", "--t-max", "1e400"], ["hb", "--limit", "inf"],
+                     ["bhc", "a", "--x", "1e9", "--trunc", "nan"]):
+            code, out, err = run(argv)
+            assert (code, out) == (2, ""), argv
+            assert "Traceback" not in err
+
     def test_bad_env_value_is_usage_error(self):
         code, _, _ = run(["invariants", "53"], env={"PSL2_FORMAT": "yaml"})
         assert code == 2
 
     def test_entry_point_exists(self):
         assert callable(cli.entry)
+
+    def test_traced_layers_resolve(self):
+        # the benchmark's traced run wraps each (module, attribute) of
+        # perfbench/tracer.py's LAYERS; the file is parsed, not imported
+        source = (pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text()
+        layers = next(
+            ast.literal_eval(node.value) for node in ast.parse(source).body
+            if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]
+        )
+        assert layers
+        for module, attr in layers:
+            obj = importlib.import_module(f"psl2count.{module}")
+            for part in attr.split("."):
+                obj = getattr(obj, part)
+            assert callable(obj), (module, attr)
 
     def test_module_run_prints_the_census(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

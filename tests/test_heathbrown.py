@@ -124,6 +124,14 @@ class TestScan:
         assert heathbrown.scan_hb(148).p.tolist() == [5]
         assert heathbrown.scan_hb(149).p.tolist() == [5, 149]
 
+    def test_limit_past_the_prime_cap_is_refused_before_sieving(self, monkeypatch):
+        def no_sieve(*args):
+            raise AssertionError("sieved before the cap check")
+
+        monkeypatch.setattr(arith, "factor_counts", no_sieve)
+        with pytest.raises(arith.ResourceLimitError):
+            heathbrown.scan_hb(10**17)
+
 
 class TestBounds:
     def test_values(self):
