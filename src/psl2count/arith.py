@@ -19,8 +19,9 @@ _SEGMENT_BYTES = 64 * 1024 * 1024
 
 # The largest prime any prime list or array here reaches: check_prime_cap
 # refuses a sieve window whose base primes would pass it, and
-# bhc.hl_constant a truncation above it.  The primes up to 10**8 fill a
-# 46 MB uint64 array.
+# bhc.hl_constant a truncation above it (it walks the primes in segments,
+# so the cap bounds its time, not its memory).  prime_array(PRIME_CAP)
+# would be a 46 MB uint64 array.
 PRIME_CAP = 10**8
 
 # Strong-pseudoprime witnesses covering every n < 2**64 (the seven-base set

@@ -200,6 +200,56 @@ def _omega(fam: PolynomialFamily, primes: np.ndarray) -> np.ndarray:
     return omega
 
 
+# t per segment of the odd sieve (p = 2t + 1) in hl_constant.  Measured on
+# case a, 2 cores, at 2**16, 2**17 and 2**18: the traced peak at a truncation
+# of 10**7 is 0.8, 1.6 and 3.0 MiB (ru_maxrss of the whole bhc command 31.9,
+# 32.1 and 34.4 MiB), and 10**8 takes 0.61, 0.59 and 0.54 s (best of 3), as
+# each segment strikes with every base prime again.
+_PRIME_SEGMENT = 2**17
+
+# Every finite float64 is an integer multiple of 2**-_SUM_SCALE: frexp
+# gives it as M * 2**(e - 53) with an integer |M| < 2**53 and e >= -1073.
+_SUM_SCALE = 1126
+
+
+def _exact_sum(terms: np.ndarray) -> int:
+    """The exact sum of a float64 array, as a Python int in units of 2**-_SUM_SCALE.
+
+    Each term is M * 2**(e - 53) (see _SUM_SCALE), and M splits into
+    hi * 2**26 + lo with 0 <= lo < 2**26 and |hi| <= 2**27.  bincount sums
+    the halves per exponent in float64, exactly, since with at most 2**26
+    terms every partial sum is an integer within 2**53.  Sums of the
+    returned ints are exact too, and int true division by 2**_SUM_SCALE
+    rounds the total correctly, as math.fsum does (a zero total is +0.0).
+
+    >>> _exact_sum(np.array([1e100, 1.0, -1e100])) == 2**_SUM_SCALE
+    True
+    """
+    if len(terms) > 2**26:
+        raise ValueError(f"_exact_sum takes at most 2**26 terms per call, got {len(terms)}")
+    if not np.isfinite(terms).all():
+        raise ValueError("cannot sum a non-finite term exactly")
+    if not len(terms):
+        return 0
+    mant, exp = np.frexp(terms)
+    whole = (mant * 2.0**53).astype(np.int64)
+    shift = exp + (_SUM_SCALE - 53)
+    base = int(shift.min())
+    shift -= base
+    hi = np.bincount(shift, weights=whole >> 26).tolist()
+    lo = np.bincount(shift, weights=whole & (2**26 - 1)).tolist()
+    return sum(((int(h) << 26) + int(l)) << s for s, (h, l) in enumerate(zip(hi, lo))) << base
+
+
+def _prime_segments(n: int):
+    """The primes up to n, ascending, as uint64 arrays: [2], then the odd
+    primes 2t + 1 of _PRIME_SEGMENT values of t at a time."""
+    yield arith.prime_array(2)
+    top = (n - 1) // 2
+    for lo in range(1, top + 1, _PRIME_SEGMENT):
+        yield arith.primes_of_form(2, 1, lo, min(lo + _PRIME_SEGMENT - 1, top))
+
+
 @dataclass(frozen=True)
 class HlConstant:
     """Truncated Hardy-Littlewood product with its truncation point and a
@@ -214,9 +264,11 @@ def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
     """Product over primes p <= truncation of (1-1/p)^(-m) * (1-omega(p)/p).
 
     omega(p) is closed-form at all but finitely many primes (see _omega),
-    which counts only the exceptional primes one at a time.  The log
-    factors form one array, summed with exact compensated summation, so the
-    result does not depend on how the primes were sieved.  A truncation
+    which counts only the exceptional primes one at a time.  The primes
+    come in segments (_prime_segments), so memory stays flat in the
+    truncation; each segment's log factors go into one exact sum
+    (_exact_sum), rounded once at the end, so the result depends neither
+    on the segment size nor on how the primes were sieved.  A truncation
     above arith.PRIME_CAP raises ResourceLimitError before any sieving;
     that cap, below 2**32, also keeps every product in _mod_primes inside
     uint64.
@@ -231,15 +283,16 @@ def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
         raise ValueError("truncation below 1000 gives meaningless constants")
     if truncation > arith.PRIME_CAP:
         raise arith.ResourceLimitError(
-            f"truncation {truncation} exceeds the cap {arith.PRIME_CAP} on the Euler product's prime array"
+            f"truncation {truncation} exceeds the cap {arith.PRIME_CAP} on the Euler product's primes"
         )
     report = check_sh(fam)
     if not report.ok:
         raise ValueError(f"family fails admissibility checks: {report}")
-    primes = arith.prime_array(truncation)
-    p = primes.astype(float)
-    terms = -fam.m * np.log1p(-1.0 / p) + np.log1p(-_omega(fam, primes) / p)
-    value = math.exp(math.fsum(terms))
+    total = 0
+    for primes in _prime_segments(truncation):
+        p = primes.astype(float)
+        total += _exact_sum(-fam.m * np.log1p(-1.0 / p) + np.log1p(-_omega(fam, primes) / p))
+    value = math.exp(total / 2**_SUM_SCALE)
     tail = value * fam.m * (fam.m - 1) / (truncation * math.log(truncation))
     return HlConstant(value=value, truncation=truncation, tail_bound=tail)
 
@@ -331,13 +384,22 @@ def integration_lower_limit(fam: PolynomialFamily) -> int:
             raise ValueError("no integration lower limit below 10**6")
 
 
-def estimate_E(fam: PolynomialFamily, x: float, constant: HlConstant, *, rel_tol: float = 1e-8) -> BhcEstimate:
-    """Evaluate E(x) = C * integral from a to x of dt / prod ln f_i(t)."""
+def check_x(fam: PolynomialFamily, x: float) -> int:
+    """The integration lower limit a of the family, after checking that x is finite and above it.
+
+    Cheap, so a caller can refuse a bad x before building the constant.
+    """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     a = integration_lower_limit(fam)
     if x <= a:
         raise ValueError(f"x must exceed the integration lower limit {a}")
+    return a
+
+
+def estimate_E(fam: PolynomialFamily, x: float, constant: HlConstant, *, rel_tol: float = 1e-8) -> BhcEstimate:
+    """Evaluate E(x) = C * integral from a to x of dt / prod ln f_i(t)."""
+    a = check_x(fam, x)
 
     coeff_arrays = [np.array(c, dtype=float) for c in fam.polys]
 

@@ -322,6 +322,7 @@ def cmd_bhc(args) -> int:
     # the scan file is checked before anything is computed or printed
     q_scan = None if args.q_file is None else _read_q_file(args.q_file, args.case)
     fam = search.case_spec(args.case).polys
+    bhc.check_x(fam, args.x)  # refuse a bad x before sieving for the Euler product
     constant = bhc.hl_constant(fam, args.trunc)
     est = bhc.estimate_E(fam, float(args.x), constant)
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +233,109 @@ class TestClosedForm:
         with pytest.raises(arith.ResourceLimitError):
             bhc.hl_constant(FAMS["a"], arith.PRIME_CAP + 1)
         assert arith.PRIME_CAP < 2**32
+
+
+def _exact_sum_parts(arr, cuts):
+    """_exact_sum over arr split at the sorted offsets cuts, added and rounded once."""
+    bounds = [0, *cuts, len(arr)]
+    total = sum(bhc._exact_sum(arr[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    return total / 2**bhc._SUM_SCALE
+
+
+class TestExactSum:
+    """_exact_sum, rounded once, against math.fsum: both give the correctly rounded exact sum."""
+
+    @staticmethod
+    def _check(arr, rng, splits=5):
+        want = math.fsum(arr.tolist())
+        assert _exact_sum_parts(arr, []) == want
+        for _ in range(splits):
+            cuts = sorted(rng.integers(0, len(arr) + 1, size=rng.integers(1, 8)).tolist())
+            assert _exact_sum_parts(arr, cuts) == want, cuts
+
+    def test_heavy_cancellation(self):
+        rng = np.random.default_rng(14)
+        for scale in (1e-300, 1e-20, 1.0, 1e20, 1e290):
+            x = rng.uniform(0.5, 1.0, size=500) * scale
+            arr = np.concatenate((x, -x * (1 + 2**-52), rng.uniform(-1, 1, size=7) * scale * 2**-60))
+            rng.shuffle(arr)
+            assert abs(math.fsum(arr.tolist())) < scale * 2**-40  # the cancellation is real
+            self._check(arr, rng)
+
+    def test_magnitudes_subnormals_and_zeros(self):
+        rng = np.random.default_rng(1126)
+        wide = rng.choice((-1.0, 1.0), size=2000) * 10.0 ** rng.uniform(-300, 300, size=2000)
+        tiny = rng.integers(-(2**52), 2**52, size=300) * 5e-324  # subnormal multiples of 2**-1074
+        arr = np.concatenate((wide, tiny, [0.0, -0.0] * 50))
+        rng.shuffle(arr)
+        self._check(arr, rng)
+        self._check(tiny, rng)
+        self._check(np.array([5e-324, 5e-324, -2.2250738585072014e-308]), rng)
+        self._check(np.array([1e308, -1e308, 1e-308]), rng)
+
+    def test_zeros_and_empty(self):
+        assert bhc._exact_sum(np.empty(0)) == 0
+        assert bhc._exact_sum(np.array([0.0, -0.0, 0.0])) == 0
+        assert _exact_sum_parts(np.array([2.5, -0.0]), [1]) == 2.5
+
+    def test_single_terms_are_exact(self):
+        for x in (1.0, -3.75, 0.1, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308):
+            num, den = x.as_integer_ratio()
+            assert bhc._exact_sum(np.array([x])) * den == num * 2**bhc._SUM_SCALE, x
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            bhc._exact_sum(np.array([1.0, bad, 2.0]))
+
+
+def _one_array_constant(fam, truncation):
+    """The Euler product with every log factor in one array over prime_array, summed by math.fsum."""
+    primes = arith.prime_array(truncation)
+    p = primes.astype(float)
+    return math.exp(math.fsum(-fam.m * np.log1p(-1.0 / p) + np.log1p(-bhc._omega(fam, primes) / p)))
+
+
+SEGMENT_FAMS = {**{f"case {c}": fam for c, fam in FAMS.items()}, "twin": CLOSED_FORM_FAMS["twin"]}
+
+
+class TestSegmentedConstant:
+    @pytest.mark.parametrize("name", SEGMENT_FAMS)
+    def test_segment_size_cannot_change_the_constant(self, name, monkeypatch):
+        fam = SEGMENT_FAMS[name]
+        for truncation in (10**4, 10**6):
+            want = _one_array_constant(fam, truncation)
+            got = {}
+            for size in (2**10, bhc._PRIME_SEGMENT, 10**9):
+                monkeypatch.setattr(bhc, "_PRIME_SEGMENT", size)
+                hc = bhc.hl_constant(fam, truncation)
+                got[size] = (hc.value.hex(), hc.tail_bound.hex())
+            assert len(set(got.values())) == 1, got
+            assert got[10**9][0] == want.hex(), truncation
+
+    def test_segments_cover_the_primes_in_order(self, monkeypatch):
+        monkeypatch.setattr(bhc, "_PRIME_SEGMENT", 2**10)
+        for n in (1000, 2047, 2048, 2049, 4099, 10**5):  # 4099 = 2t + 1, t = 2 * 2**10 + 1: a last segment of one t, holding a prime
+            segments = list(bhc._prime_segments(n))
+            assert all(s.dtype == np.uint64 for s in segments)
+            assert np.concatenate(segments).tolist() == arith.primes_in_range(2, n), n
+
+    def test_frozen_at_the_cap(self):
+        # the one-array form's value at PRIME_CAP, before the product was streamed
+        assert bhc.hl_constant(FAMS["a"], 10**8).value == 5.716497200290299
+
+    def test_memory_stays_flat(self):
+        # tracemalloc, not the process's ru_maxrss: a child started by vfork or
+        # posix_spawn inherits its parent's high-water mark, and in-process the
+        # mark only ever rises, so neither isolates hl_constant.  The one-array
+        # form peaked at 25.4 MiB here.
+        tracemalloc.start()
+        try:
+            bhc.hl_constant(FAMS["a"], 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
 
 class TestQuadrature:

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from psl2count import cli, heathbrown, invariants, oracle, search
+from psl2count import bhc, cli, heathbrown, invariants, oracle, search
 
 
 def run(argv, env=None):
@@ -268,6 +268,16 @@ class TestBhcCommand:
             assert time.perf_counter() - start < 5.0, x
             assert (code, out) == (2, ""), x
             assert "Traceback" not in err
+
+    def test_bad_x_is_refused_before_the_constant(self, monkeypatch):
+        def unreachable(fam, truncation):
+            raise AssertionError("hl_constant reached")
+
+        monkeypatch.setattr(bhc, "hl_constant", unreachable)
+        for x in ("inf", "nan", "0.5"):
+            code, out, err = run(["bhc", "a", "--x", x, "--trunc", "1e8"])
+            assert (code, out) == (2, ""), x
+            assert "x must" in err, err
 
     def test_oversized_truncation_is_a_resource_abort(self):
         code, out, err = run(["bhc", "a", "--x", "1e9", "--trunc", "1e12"])
