@@ -1,5 +1,6 @@
-"""Integer arithmetic helpers: primality, factorization, divisor counts, and
-two sieves of linear forms: one for primes, one for factor counts.
+"""Integer arithmetic helpers: primality, factorization, divisor counts, two
+sieves of linear forms (one for primes, one for factor counts), and the one
+source of ranges of primes, prime_segments.
 
 Everything here is exact and deterministic.  Primality testing uses a fixed
 witness set that is proven correct for all inputs below 2**64, so no function
@@ -15,14 +16,19 @@ import numpy as np
 
 U64_MAX = 2**64 - 1
 
-_SEGMENT_BYTES = 64 * 1024 * 1024
-
 # The largest prime any prime list or array here reaches: check_prime_cap
 # refuses a sieve window whose base primes would pass it, and
 # bhc.hl_constant a truncation above it (it walks the primes in segments,
 # so the cap bounds its time, not its memory).  prime_array(PRIME_CAP)
 # would be a 46 MB uint64 array.
 PRIME_CAP = 10**8
+
+# t per window of prime_segments (p = 2t + 1).  Measured through
+# bhc.hl_constant on case a, 2 cores, at 2**16, 2**17 and 2**18: the traced
+# peak at a truncation of 10**7 is 0.8, 1.6 and 3.0 MiB (ru_maxrss of the
+# whole bhc command 31.9, 32.1 and 34.4 MiB), and 10**8 takes 0.61, 0.59
+# and 0.54 s (best of 3), as each window strikes with every base prime again.
+_PRIME_SEGMENT = 2**17
 
 # Strong-pseudoprime witnesses covering every n < 2**64 (the seven-base set
 # found by Sinclair; verified minimal for this range).
@@ -105,13 +111,13 @@ def check_prime_cap(top: int) -> None:
 def prime_array(n: int) -> np.ndarray:
     """The primes up to n, ascending, as a uint64 array.
 
-    Up to _TABLE_TOP a slice of a fixed table; above it 2 and then the odd
-    primes from primes_of_form, whose own base primes come from the table
+    Up to _TABLE_TOP a slice of a fixed table; above it the windows of
+    prime_segments(2, n) joined, whose own base primes come from the table
     for n below 2**32.
     """
     if n <= _TABLE_TOP:
         return _TABLE[: np.searchsorted(_TABLE, n, side="right")]
-    return np.concatenate((_TABLE[:1], primes_of_form(2, 1, 1, (n - 1) // 2)))
+    return np.concatenate(list(prime_segments(2, n)))
 
 
 def inverse_mod(a: int, primes: np.ndarray) -> np.ndarray:
@@ -281,40 +287,39 @@ def factor_counts(a: int, b: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndar
     return omega, tau
 
 
-def primes_of_form(a: int, b: int, lo: int, hi: int, *, segment_bytes: int = _SEGMENT_BYTES) -> np.ndarray:
-    """The prime values a*t + b for lo <= t <= hi, ascending, as a uint64 array.
+def prime_segments(lo: int, hi: int):
+    """The primes p with lo <= p <= hi, ascending, as uint64 arrays.
 
-    t is sieved by sieve_forms in segments whose masks hold at most
-    segment_bytes bytes; each segment fetches its own base primes.  An
-    empty range (lo > hi) gives an empty array.
-    """
-    if segment_bytes < 1:
-        raise ValueError("segment_bytes must be at least 1")
-    segments = [np.empty(0, dtype=np.uint64)]
-    for seg_lo in range(lo, hi + 1, segment_bytes):
-        seg_hi = min(seg_lo + segment_bytes - 1, hi)
-        values = np.flatnonzero(sieve_forms([(a, b)], seg_lo, seg_hi)).astype(np.uint64)
-        # uint64 arithmetic wraps mod 2**64; every prime value lies in
-        # [2, 2**64), so the wrapped value is the exact one.
-        values *= np.uint64(a)
-        values += np.uint64((a * seg_lo + b) % 2**64)
-        segments.append(values)
-    return np.concatenate(segments)
-
-
-def primes_in_range(lo: int, hi: int, *, segment_bytes: int = _SEGMENT_BYTES) -> list[int]:
-    """All primes p with lo <= p <= hi, ascending.
-
-    2 if it is in range, then the odd primes 2t + 1 from primes_of_form.
-    Each segment's mask stays below segment_bytes, but the base primes every
-    segment needs form a uint64 array that grows as pi(isqrt(hi)).
+    2 first when it is in range, then the odd primes 2t + 1 of one window of
+    _PRIME_SEGMENT values of t per array, each window sieved by sieve_forms
+    with its own base primes, so memory stays flat in the length of the
+    range.  This is the one walk over a range of primes; prime_array and
+    primes_in_range are views of it.  The checks run on the first next():
+    lo > hi or hi past 2**64 raise ValueError, and a window whose base
+    primes would pass PRIME_CAP raises ResourceLimitError before it is
+    sieved.
     """
     if lo > hi:
-        raise ValueError("primes_in_range requires lo <= hi")
+        raise ValueError("prime_segments requires lo <= hi")
     if hi > U64_MAX:
-        raise ValueError("primes_in_range requires hi < 2**64")
-    two = [2] if lo <= 2 <= hi else []
-    return two + primes_of_form(2, 1, max(lo, 2) // 2, (hi - 1) // 2, segment_bytes=segment_bytes).tolist()
+        raise ValueError("prime_segments requires hi < 2**64")
+    if lo <= 2 <= hi:
+        yield np.array([2], dtype=np.uint64)
+    top = (hi - 1) // 2
+    for t_lo in range(max(lo, 2) // 2, top + 1, _PRIME_SEGMENT):
+        # in place: a suspended generator keeps its locals alive
+        primes = np.flatnonzero(sieve_forms([(2, 1)], t_lo, min(t_lo + _PRIME_SEGMENT - 1, top))).astype(np.uint64)
+        primes *= np.uint64(2)
+        primes += np.uint64(2 * t_lo + 1)
+        yield primes
+
+
+def primes_in_range(lo: int, hi: int) -> list[int]:
+    """All primes p with lo <= p <= hi, ascending: prime_segments as one list."""
+    out: list[int] = []
+    for primes in prime_segments(lo, hi):
+        out += primes.tolist()
+    return out
 
 
 # The primes prime_array slices: seeded with those up to 40, then

@@ -11,8 +11,8 @@ Hardy-Littlewood product over primes of
 (1 - 1/p)^(-m) * (1 - omega(p)/p), with omega(p) the number of roots of
 the product modulo p.
 
-Polynomials are dense coefficient tuples in ascending order, so (5, 12)
-is 5 + 12*t.  Degrees above 1 are not supported.
+Each member is a coefficient pair (b, a), the polynomial b + a*t, so
+(5, 12) is 5 + 12*t; a = 0 gives a constant member.
 """
 
 from __future__ import annotations
@@ -28,111 +28,81 @@ from . import arith
 
 @dataclass(frozen=True)
 class PolynomialFamily:
-    """A finite family of constant or linear integer polynomials, coefficients ascending."""
+    """A finite family of constant or linear integer polynomials, each a pair (b, a) for b + a*t."""
 
-    polys: tuple[tuple[int, ...], ...]
+    polys: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if not self.polys:
             raise ValueError("family must contain at least one polynomial")
         for coeffs in self.polys:
-            if not coeffs or not any(coeffs):
+            if len(coeffs) != 2:
+                raise ValueError(f"members are coefficient pairs (b, a) for b + a*t, got {coeffs}")
+            if not any(coeffs):
                 raise ValueError("zero polynomial in family")
             if any(abs(c) > arith.U64_MAX for c in coeffs):
                 raise ValueError("coefficients must fit in 64 bits")
-            if _degree(coeffs) > 1:
-                raise ValueError(f"degree {_degree(coeffs)} polynomials are not supported, only linear ones")
 
     @property
     def m(self) -> int:
         return len(self.polys)
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(_degree(c) for c in self.polys)
-
     def value(self, index: int, t: int) -> int:
-        acc = 0
-        for c in reversed(self.polys[index]):
-            acc = acc * t + c
-        return acc
+        b, a = self.polys[index]
+        return a * t + b
 
     def values(self, t: int) -> tuple[int, ...]:
         return tuple(self.value(i, t) for i in range(self.m))
 
 
-def family(*polys: tuple[int, ...]) -> PolynomialFamily:
+def family(*polys: tuple[int, int]) -> PolynomialFamily:
     return PolynomialFamily(tuple(tuple(c) for c in polys))
-
-
-def _degree(coeffs: tuple[int, ...]) -> int:
-    for i in range(len(coeffs) - 1, -1, -1):
-        if coeffs[i]:
-            return i
-    return 0
-
-
-def _leading(coeffs: tuple[int, ...]) -> int:
-    return coeffs[_degree(coeffs)]
 
 
 @dataclass(frozen=True)
 class ShReport:
     """Outcome of the three admissibility checks for a polynomial family."""
 
-    positive_leading: bool
+    leading_positive: bool
     all_irreducible: bool
     no_fixed_prime_divisor: bool
     failing_prime: int | None
 
     @property
     def ok(self) -> bool:
-        return self.positive_leading and self.all_irreducible and self.no_fixed_prime_divisor
+        return self.leading_positive and self.all_irreducible and self.no_fixed_prime_divisor
 
 
 def check_sh(fam: PolynomialFamily) -> ShReport:
     """Admissibility checks: leading signs, irreducibility, fixed divisors.
 
     Members are constant or linear: linear polynomials are irreducible, and
-    constants fail (they take a single value).
+    constants fail (they take a single value).  A constant member's leading
+    coefficient is its value b.
 
-    A fixed prime divisor q of the product can only arise from q at most
-    the product's degree (a nonzero polynomial mod q of smaller degree
-    cannot vanish at all residues) or from q dividing every coefficient of
-    one polynomial (the product's content is the product of the contents),
-    so those two finite checks decide the matter.  The smallest offender
-    is reported.
+    A prime q is a fixed divisor of the product when the product vanishes
+    at every residue, omega_roots(fam, q) == q.  That can only arise from
+    q at most m (the m members have at most m roots mod q between them
+    unless one vanishes identically) or from q dividing both coefficients
+    of one member, so those two finite sets of candidates decide the
+    matter.  The smallest offender is reported.
     """
-    positive = all(_leading(c) > 0 for c in fam.polys)
-    irreducible = all(_degree(c) == 1 for c in fam.polys)
+    positive = all((a or b) > 0 for b, a in fam.polys)
+    irreducible = all(a != 0 for _, a in fam.polys)
 
-    total_degree = sum(fam.degrees())
-    candidates = set(arith.primes_in_range(2, max(2, total_degree)))
+    candidates = set(arith.prime_array(fam.m).tolist())
     for coeffs in fam.polys:
         content = math.gcd(*coeffs)
         if content > 1:
             candidates.update(q for q, _ in arith.factorize(content).factors)
-
-    failing = None
-    for q in sorted(candidates):
-        if all(_product_mod(fam, t, q) == 0 for t in range(q)):
-            failing = q
-            break
+    failing = next((q for q in sorted(candidates) if omega_roots(fam, q) == q), None)
 
     return ShReport(
-        positive_leading=positive,
+        leading_positive=positive,
         all_irreducible=irreducible,
         no_fixed_prime_divisor=failing is None,
         failing_prime=failing,
     )
-
-
-def _product_mod(fam: PolynomialFamily, t: int, q: int) -> int:
-    prod = 1
-    for i in range(fam.m):
-        prod = prod * (fam.value(i, t) % q) % q
-        if prod == 0:
-            return 0
-    return prod
 
 
 def omega_roots(fam: PolynomialFamily, p: int) -> int:
@@ -145,8 +115,7 @@ def omega_roots(fam: PolynomialFamily, p: int) -> int:
     if p < 2 or not arith.is_prime(p):
         raise ValueError("omega_roots requires a prime modulus")
     roots: set[int] = set()
-    for coeffs in fam.polys:
-        b, a, *_ = (*coeffs, 0)
+    for b, a in fam.polys:
         if a % p:
             roots.add(-b * pow(a, -1, p) % p)
         elif b % p == 0:
@@ -154,11 +123,10 @@ def omega_roots(fam: PolynomialFamily, p: int) -> int:
     return len(roots)
 
 
-def _primitive(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    """The polynomial divided by its content, degree-trimmed, with a positive leading coefficient."""
-    trimmed = coeffs[: _degree(coeffs) + 1]
-    content = math.gcd(*trimmed) if trimmed[-1] > 0 else -math.gcd(*trimmed)
-    return tuple(c // content for c in trimmed)
+def _primitive(b: int, a: int) -> tuple[int, int]:
+    """The linear member b + a*t divided by its content, with a positive leading coefficient."""
+    content = math.gcd(b, a) if a > 0 else -math.gcd(b, a)
+    return b // content, a // content
 
 
 def _mod_primes(n: int, primes: np.ndarray) -> np.ndarray:
@@ -186,8 +154,8 @@ def _omega(fam: PolynomialFamily, primes: np.ndarray) -> np.ndarray:
     Only those finitely many exceptional primes are counted by omega_roots.
     Distinct g_i are not proportional, so every resultant is nonzero.
     """
-    linear = sorted({_primitive(c) for c in fam.polys if _degree(c) == 1})
-    exceptional = [_leading(c) for c in fam.polys]
+    linear = sorted({_primitive(b, a) for b, a in fam.polys if a})
+    exceptional = [a or b for b, a in fam.polys]  # a constant member's leading coefficient is b
     exceptional += [a_i * b_j - a_j * b_i for i, (b_i, a_i) in enumerate(linear) for b_j, a_j in linear[:i]]
     exact = np.zeros(len(primes), dtype=bool)
     for n in exceptional:
@@ -199,13 +167,6 @@ def _omega(fam: PolynomialFamily, primes: np.ndarray) -> np.ndarray:
         omega[i] = omega_roots(fam, int(primes[i]))
     return omega
 
-
-# t per segment of the odd sieve (p = 2t + 1) in hl_constant.  Measured on
-# case a, 2 cores, at 2**16, 2**17 and 2**18: the traced peak at a truncation
-# of 10**7 is 0.8, 1.6 and 3.0 MiB (ru_maxrss of the whole bhc command 31.9,
-# 32.1 and 34.4 MiB), and 10**8 takes 0.61, 0.59 and 0.54 s (best of 3), as
-# each segment strikes with every base prime again.
-_PRIME_SEGMENT = 2**17
 
 # Every finite float64 is an integer multiple of 2**-_SUM_SCALE: frexp
 # gives it as M * 2**(e - 53) with an integer |M| < 2**53 and e >= -1073.
@@ -241,15 +202,6 @@ def _exact_sum(terms: np.ndarray) -> int:
     return sum(((int(h) << 26) + int(l)) << s for s, (h, l) in enumerate(zip(hi, lo))) << base
 
 
-def _prime_segments(n: int):
-    """The primes up to n, ascending, as uint64 arrays: [2], then the odd
-    primes 2t + 1 of _PRIME_SEGMENT values of t at a time."""
-    yield arith.prime_array(2)
-    top = (n - 1) // 2
-    for lo in range(1, top + 1, _PRIME_SEGMENT):
-        yield arith.primes_of_form(2, 1, lo, min(lo + _PRIME_SEGMENT - 1, top))
-
-
 @dataclass(frozen=True)
 class HlConstant:
     """Truncated Hardy-Littlewood product with its truncation point and a
@@ -265,7 +217,7 @@ def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
 
     omega(p) is closed-form at all but finitely many primes (see _omega),
     which counts only the exceptional primes one at a time.  The primes
-    come in segments (_prime_segments), so memory stays flat in the
+    come in segments (arith.prime_segments), so memory stays flat in the
     truncation; each segment's log factors go into one exact sum
     (_exact_sum), rounded once at the end, so the result depends neither
     on the segment size nor on how the primes were sieved.  A truncation
@@ -289,7 +241,7 @@ def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
     if not report.ok:
         raise ValueError(f"family fails admissibility checks: {report}")
     total = 0
-    for primes in _prime_segments(truncation):
+    for primes in arith.prime_segments(2, truncation):
         p = primes.astype(float)
         total += _exact_sum(-fam.m * np.log1p(-1.0 / p) + np.log1p(-_omega(fam, primes) / p))
     value = math.exp(total / 2**_SUM_SCALE)
@@ -401,15 +353,12 @@ def estimate_E(fam: PolynomialFamily, x: float, constant: HlConstant, *, rel_tol
     """Evaluate E(x) = C * integral from a to x of dt / prod ln f_i(t)."""
     a = check_x(fam, x)
 
-    coeff_arrays = [np.array(c, dtype=float) for c in fam.polys]
+    pairs = [(float(a), float(b)) for b, a in fam.polys]
 
     def integrand(ts):
         acc = np.ones_like(ts)
-        for coeffs in coeff_arrays:
-            vals = np.zeros_like(ts)
-            for c in coeffs[::-1]:
-                vals = vals * ts + c
-            acc = acc * np.log(vals)
+        for a, b in pairs:
+            acc = acc * np.log(a * ts + b)
         return 1.0 / acc
 
     integral, err = integrate_adaptive(integrand, float(a), float(x), rel_tol=rel_tol)

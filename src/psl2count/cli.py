@@ -60,17 +60,25 @@ def _env_name(flag: str) -> str:
     return "PSL2_" + flag.lstrip("-").replace("-", "_").upper()
 
 
+# what a store_true flag's environment preset may say, case-insensitively
+_PRESET_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+                 **dict.fromkeys(("0", "false", "no", "off", ""), False)}
+
+
 def _add(parser: argparse.ArgumentParser, flag: str, **kw) -> None:
     """add_argument with an environment-variable default override.
 
     String defaults are run through the argument's type and choices by
     argparse itself, so a bad environment value fails the same way a bad
-    flag does.
+    flag does.  A store_true flag's preset must be one of _PRESET_BOOLS.
     """
     env = os.environ.get(_env_name(flag))
     if env is not None:
         if kw.get("action") == "store_true":
-            kw["default"] = env.strip().lower() in ("1", "true", "yes", "on")
+            word = env.strip().lower()
+            if word not in _PRESET_BOOLS:
+                raise ValueError(f"{_env_name(flag)}={env!r} is not one of 1/true/yes/on or 0/false/no/off")
+            kw["default"] = _PRESET_BOOLS[word]
         else:
             # argparse runs string defaults through type, but not choices
             if "choices" in kw and env not in kw["choices"]:

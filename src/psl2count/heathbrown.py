@@ -64,17 +64,15 @@ def qualifies(p: int) -> HbCandidate:
 class HbScan:
     """The qualifying primes up to a limit, ascending, as int64 columns.
 
-    Row j is the prime p[j] with Omega(p - 1), Omega(p + 1) and the divisor
-    counts delta, epsilon of (p + 1)/2 and (p - 1)/2; qualifies(p[j]) gives
-    the same numbers one prime at a time.  profile is the column profile of
-    p, delta and epsilon that the scan checked.
+    Row j is the prime p[j] with Omega(p - 1) and Omega(p + 1); profile is
+    the column profile the scan checked, whose delta and epsilon are the
+    divisor counts of (p + 1)/2 and (p - 1)/2.  qualifies(p[j]) gives the
+    same numbers one prime at a time.
     """
 
     p: np.ndarray
     omega_minus: np.ndarray  # Omega(p - 1)
     omega_plus: np.ndarray   # Omega(p + 1)
-    delta: np.ndarray
-    epsilon: np.ndarray
     profile: invariants.InvariantProfile
 
     def __len__(self) -> int:
@@ -119,13 +117,13 @@ def scan_hb(limit: int) -> HbScan:
         idx = np.flatnonzero(keep)
         segments.append((idx + lo, om[idx], op[idx], tau_plus[idx], tau_minus[idx]))
     t, om, op, tau_plus, tau_minus = (np.concatenate(col).astype(np.int64) for col in zip(*segments))
-    p, delta, epsilon = HB_MODULUS * t + HB_RESIDUE, 2 * tau_plus, 2 * tau_minus
-    prof = invariants.assemble_profile(p, delta, epsilon)
+    p = HB_MODULUS * t + HB_RESIDUE
+    prof = invariants.assemble_profile(p, 2 * tau_plus, 2 * tau_minus)
     bad = (prof.k != 0) | (prof.l != 1) | (prof.sigma != 0)
     if np.count_nonzero(bad):
         raise AssertionError(
             f"residue 5 mod 72 must force (k, l, sigma) = (0, 1, 0); p={p[bad][:3].tolist()}")
-    return HbScan(p=p, omega_minus=om, omega_plus=op, delta=delta, epsilon=epsilon, profile=prof)
+    return HbScan(p=p, omega_minus=om, omega_plus=op, profile=prof)
 
 
 def derive_upper_bounds() -> tuple[int, int, int, int]:

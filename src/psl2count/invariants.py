@@ -170,7 +170,7 @@ def counts(prof: InvariantProfile) -> tuple:
 # Explicit class catalogue
 
 
-def _label_order(label: str, p: int) -> int:
+def _label_order(label: str) -> int:
     """Group order encoded by a class label."""
     if label == "A4":
         return 12
@@ -218,7 +218,7 @@ class ClassCensus:
         if len(labels) != len(set(labels)):
             raise ValueError("census labels must be pairwise distinct")
         for e in self.entries:
-            if _label_order(e.label, self.p) != e.order:
+            if _label_order(e.label) != e.order:
                 raise ValueError(f"label {e.label!r} does not encode order {e.order}")
 
     @property

@@ -32,6 +32,7 @@ from .arith import ResourceLimitError
 from .invariants import ClassCensus, ClassEntry
 
 MAX_P = 19  # the largest p build_psl2 accepts: 3420 elements, a 47 MB Cayley table
+_MAX_SUBGROUPS = 10**6  # enumerate_subgroups refuses a working set past this many subgroups
 
 
 @dataclass(frozen=True)
@@ -242,7 +243,7 @@ def _conjugacy_orbit(table: np.ndarray, inverses: np.ndarray, mask: np.ndarray,
     return orbit
 
 
-def enumerate_subgroups(group: PermGroup, *, max_subgroups: int = 10**6) -> list[Subgroup]:
+def enumerate_subgroups(group: PermGroup) -> list[Subgroup]:
     """Every subgroup of the group, each exactly once (trivial and G included),
     in order of (order, members), each tagged with its conjugacy class and
     the order of its normaliser.
@@ -276,10 +277,8 @@ def enumerate_subgroups(group: PermGroup, *, max_subgroups: int = 10**6) -> list
         found.update(dict.fromkeys(_conjugacy_orbit(table, inverses, mask, normaliser),
                                    len(normaliser_orders)))
         normaliser_orders.append(int(np.count_nonzero(normaliser)))
-        if len(found) > max_subgroups:
-            raise ResourceLimitError(
-                f"subgroup working set exceeded {max_subgroups}; raise max_subgroups"
-            )
+        if len(found) > _MAX_SUBGROUPS:
+            raise ResourceLimitError(f"subgroup working set exceeded {_MAX_SUBGROUPS}")
         worklist.append((mask, gens, normaliser))
 
     admit(np.arange(n) == group.identity, ())
@@ -414,10 +413,10 @@ def classify(group: PermGroup, subs: list[Subgroup]) -> list[OracleClass]:
     return classes
 
 
-def oracle_census(p: int, *, max_subgroups: int = 10**6) -> ClassCensus:
+def oracle_census(p: int) -> ClassCensus:
     """Brute-force ClassCensus of PSL(2, p), built without the count formulas."""
     group = build_psl2(p)
-    subs = enumerate_subgroups(group, max_subgroups=max_subgroups)
+    subs = enumerate_subgroups(group)
     classes = classify(group, subs)
 
     by_label: dict[str, list[OracleClass]] = {}

@@ -124,10 +124,14 @@ class SearchSummary:
 
 
 def _make_hit(spec: CaseSpec, t: int) -> TripleHit:
-    p = spec.value("p", t)
-    s = spec.value("s", t)
-    r = spec.value("r", t)
-    prof = invariants.profile(p)
+    """The hit at t, its profile in closed form: (p + 1)/2 = mult_plus * s and
+    (p - 1)/2 = mult_minus * r with s and r primes of at least 5, prime to
+    the multipliers (which divide 6), so delta = 2 tau(mult_plus) and
+    epsilon = 2 tau(mult_minus).  verify_attainment factors p -+ 1 instead.
+    """
+    _, _, (mult_plus, _), (mult_minus, _) = _CASE_DEFS[spec.case_id]
+    p, s, r = (spec.value(role, t) for role in "psr")
+    prof = invariants.assemble_profile(p, 2 * arith.tau(mult_plus), 2 * arith.tau(mult_minus))
     attains = tuple(got == want for got, want in zip(invariants.counts(prof), TARGET_COUNTS))
     return TripleHit(spec.case_id, t, p, s, r, prof, attains)
 
@@ -151,6 +155,7 @@ def _sigma_alpha_zero(p: int) -> bool:
 
 
 _WHEEL = 2 * 3 * 5 * 7
+_BLOCK = _WHEEL * 2**20  # t per block of scan
 
 
 def _wheel(polys) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -258,7 +263,6 @@ def scan(
     *,
     hit_cap: int = 10000,
     jobs: int = 1,
-    block_size: int = _WHEEL * 2**20,
     progress: bool = False,
 ) -> SearchSummary:
     """Count prime triples for t in [1, t_max] and record hits.
@@ -278,14 +282,12 @@ def scan(
         raise ValueError("jobs must be at least 1")
     if hit_cap < 0:
         raise ValueError("hit_cap must be at least 0")
-    if block_size < 1:
-        raise ValueError("block_size must be at least 1")
     arith.check_prime_cap(max(a * t_max + b for a, b in _forms(spec.case_id)))
 
-    n_blocks = -(-t_max // block_size)
+    n_blocks = -(-t_max // _BLOCK)
     block_args = (
-        (spec.case_id, lo, min(lo + block_size - 1, t_max), hit_cap)
-        for lo in range(1, t_max + 1, block_size)
+        (spec.case_id, lo, min(lo + _BLOCK - 1, t_max), hit_cap)
+        for lo in range(1, t_max + 1, _BLOCK)
     )
     q_count = 0
     sz_count = 0
@@ -302,7 +304,7 @@ def scan(
             sz_count += sz
             hit_ts.extend(ts[: hit_cap - len(hit_ts)])
             if progress:
-                print(_progress_line(spec.case_id, min(i * block_size, t_max), t_max, started), file=sys.stderr)
+                print(_progress_line(spec.case_id, min(i * _BLOCK, t_max), t_max, started), file=sys.stderr)
     hits = tuple(_make_hit(spec, t) for t in hit_ts)
     return SearchSummary(
         case_id=spec.case_id,

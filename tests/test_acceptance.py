@@ -185,7 +185,7 @@ def test_08_bounded_factor_primes():
     if bounds != (390, 454, 132, 384):
         problems.append(f"bounds={bounds}")
     found = heathbrown.scan_hb(10**6)
-    prof = invariants.assemble_profile(found.p, found.delta, found.epsilon)
+    prof = found.profile
     for p in found.p[(prof.k != 0) | (prof.l != 1) | (prof.sigma != 0)].tolist():
         problems.append(f"flags wrong at p={p}")
     over = (np.column_stack(invariants.counts(prof)) > bounds).any(axis=1)
@@ -199,7 +199,7 @@ def test_08_bounded_factor_primes():
     )
 
 
-def test_09_property_suites():
+def test_09_property_suites(monkeypatch):
     t0 = time.monotonic()
     problems = []
 
@@ -248,8 +248,9 @@ def test_09_property_suites():
 
     # scans independent of worker count
     base = search.scan(search.case_spec("b"), 2 * 10**5, jobs=1)
+    monkeypatch.setattr(search, "_BLOCK", 30_000)
     for jobs in (2, 4):
-        other = search.scan(search.case_spec("b"), 2 * 10**5, jobs=jobs, block_size=30_000)
+        other = search.scan(search.case_spec("b"), 2 * 10**5, jobs=jobs)
         if other != base:
             problems.append(f"scan differs at jobs={jobs}")
 

@@ -162,9 +162,10 @@ class TestPrimesInRange:
     def test_interior_window(self):
         assert arith.primes_in_range(90, 130) == [97, 101, 103, 107, 109, 113, 127]
 
-    def test_segment_boundaries(self):
-        # force several segments with a tiny segment size
-        got = arith.primes_in_range(2, 10**4, segment_bytes=128)
+    def test_segment_boundaries(self, monkeypatch):
+        # force several windows of prime_segments with a tiny window
+        monkeypatch.setattr(arith, "_PRIME_SEGMENT", 64)
+        got = arith.primes_in_range(2, 10**4)
         assert got == [n for n in range(2, 10**4 + 1) if SPF[n] == n]
 
     def test_empty_and_edge(self):
@@ -249,13 +250,66 @@ class TestSieveForms:
             arith.primes_in_range(2**62, 2**62 + 200)
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("segment_bytes", (1, 7, 10**6))
-    def test_primes_of_form_segments(self, segment_bytes):
-        for a, b in ((72, 5), (2, -1)):
-            expect = [a * t + b for t in range(0, 2001) if a * t + b >= 2 and arith.is_prime(a * t + b)]
-            got = arith.primes_of_form(a, b, 0, 2000, segment_bytes=segment_bytes)
-            assert got.dtype == np.uint64
-            assert got.tolist() == expect, (a, b)
+
+def _checked_windows(lo, hi):
+    """The arrays of prime_segments(lo, hi), each checked to be a uint64 array ascending past the last."""
+    windows = list(arith.prime_segments(lo, hi))
+    flat = np.concatenate([np.empty(0, dtype=np.uint64), *windows])
+    assert all(w.dtype == np.uint64 for w in windows)
+    assert (np.diff(flat.astype(np.int64)) > 0).all(), (lo, hi)
+    return windows, flat.tolist()
+
+
+# every size of window, from one t to one window for the whole range
+WINDOW_SIZES = (1, 7, 2**10, 10**9)
+
+
+class TestPrimeSegments:
+    # the references are is_prime and SPF, never primes_in_range, which is a view of prime_segments
+
+    @pytest.mark.parametrize("size", WINDOW_SIZES)
+    def test_random_windows_match_is_prime(self, size, monkeypatch):
+        monkeypatch.setattr(arith, "_PRIME_SEGMENT", size)
+        rng = random.Random("prime-segments")
+        for _ in range(20):
+            lo = rng.randint(0, 10**9 - 2000)
+            hi = lo + rng.randint(0, 2000)
+            _, got = _checked_windows(lo, hi)
+            assert got == [n for n in range(lo, hi + 1) if arith.is_prime(n)], (lo, hi)
+
+    @pytest.mark.parametrize("size", WINDOW_SIZES)
+    def test_every_small_window(self, size, monkeypatch):
+        monkeypatch.setattr(arith, "_PRIME_SEGMENT", size)
+        for lo in range(70):
+            for hi in range(lo, 70):
+                _, got = _checked_windows(lo, hi)
+                assert got == [n for n in range(max(lo, 2), hi + 1) if SPF[n] == n], (lo, hi)
+
+    @pytest.mark.parametrize("size,lo,hi", [
+        (1, 2, 5), (7, 2, 17), (2**10, 2, 4099), (10**9, 10**9 + 7, 10**9 + 7),
+    ])
+    def test_last_window_of_one_t_holding_a_prime(self, size, lo, hi, monkeypatch):
+        # hi = 2t + 1 with t the first of its window
+        monkeypatch.setattr(arith, "_PRIME_SEGMENT", size)
+        assert (hi // 2 - max(lo, 2) // 2) % size == 0
+        windows, got = _checked_windows(lo, hi)
+        assert windows[-1].tolist() == [hi]
+        assert got == [n for n in range(lo, hi + 1) if arith.is_prime(n)]
+
+    def test_two_leads_in_its_own_array(self):
+        assert [w.tolist() for w in arith.prime_segments(0, 2)] == [[2]]
+        assert [w.tolist() for w in arith.prime_segments(0, 1)] == []
+        assert [w.tolist() for w in arith.prime_segments(2, 11)] == [[2], [3, 5, 7, 11]]
+
+    def test_validation(self):
+        for lo, hi in ((5, 4), (0, 2**64)):
+            with pytest.raises(ValueError):
+                next(arith.prime_segments(lo, hi))
+
+    def test_prime_array_above_the_table(self):
+        # prime_array joins the windows past the 2**16 table
+        for n in (2**16 + 1, LIMIT):
+            assert arith.prime_array(n).tolist() == [m for m in range(2, n + 1) if SPF[m] == m]
 
 
 FACTOR_FORMS = ((18, 1), (12, 1), (2, 1), (1, 0))

@@ -23,7 +23,6 @@ class TestFamily:
         assert fam.value(0, 2) == 29
         assert fam.values(2) == (29, 7, 5)
         assert fam.m == 3
-        assert fam.degrees() == (1, 1, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -32,10 +31,13 @@ class TestFamily:
             bhc.family((0, 0))  # zero polynomial
         with pytest.raises(ValueError):
             bhc.family((0, 2**70))  # coefficient overflow
+        with pytest.raises(ValueError):
+            bhc.family((7,))  # a member is a pair (b, a), constants included
 
     def test_cubics_refused_by_admissibility_check(self):
+        # refused on construction, before any check can run
         with pytest.raises(ValueError):
-            bhc.check_sh(bhc.family((1, 1, 1, 1)))
+            bhc.family((1, 1, 1, 1))
 
 
 class TestAdmissibility:
@@ -54,11 +56,12 @@ class TestAdmissibility:
             assert rep.ok, (case_id, rep)
 
     def test_quadratic_handling(self):
-        # members are constant or linear; a quadratic is refused on construction
+        # members are constant or linear pairs; a quadratic is refused on construction
         for coeffs in ((1, 0, 1), (2, 1, 1), (-1, 0, 1)):
             with pytest.raises(ValueError):
                 bhc.family((0, 1), coeffs)
-        assert bhc.family((5, 12, 0)).degrees() == (1,)  # trailing zeros are not degree
+        with pytest.raises(ValueError):
+            bhc.family((5, 12, 0))  # three coefficients, even with a zero on top
 
     def test_fixed_divisor_of_one_member(self):
         # 3 divides every value of 3t + 3, though not every coefficient of the family
@@ -68,8 +71,17 @@ class TestAdmissibility:
             bhc.hl_constant(bhc.family((1, 1), (3, 3)), 10**4)
 
     def test_constant_polynomial_rejected(self):
-        rep = bhc.check_sh(bhc.family((7,)))
-        assert not rep.ok
+        rep = bhc.check_sh(bhc.family((7, 0)))
+        assert not rep.ok and not rep.all_irreducible
+        # a constant's leading coefficient is its value
+        assert rep.leading_positive and not bhc.check_sh(bhc.family((-7, 0))).leading_positive
+
+    def test_fixed_divisor_from_a_large_content(self):
+        # 2**61 - 1 divides both coefficients of the second member; omega_roots
+        # decides it at once, where trying every residue would not finish
+        q = 2**61 - 1
+        rep = bhc.check_sh(bhc.family((1, 2), (q, q)))
+        assert rep.failing_prime == q and not rep.ok
 
 
 class TestRootCounting:
@@ -81,7 +93,7 @@ class TestRootCounting:
 
     def test_brute_matches_formula_all_small_primes(self):
         # 3t + 3 vanishes identically mod 3, and the constant 5 mod 5
-        fams = {**FAMS, "vanishing and constant members": bhc.family((1, 1), (3, 3), (5,))}
+        fams = {**FAMS, "vanishing and constant members": bhc.family((1, 1), (3, 3), (5, 0))}
         for name, fam in fams.items():
             for p in arith.primes_in_range(2, 97):
                 assert bhc.omega_roots(fam, p) == _brute_omega(fam, p), (name, p)
@@ -139,6 +151,7 @@ CLOSED_FORM_FAMS = {
     "twin": bhc.family((0, 1), (2, 1)),
     "linear pair, resultant 1999": bhc.family((1, 2), (1000, 1)),
     "repeated and rescaled": bhc.family((0, 1), (2, 1), (0, 1), (6, 3)),
+    "constant member": bhc.family((0, 1), (2, 1), (15, 0)),  # vanishes identically mod 3 and 5
 }
 
 
@@ -212,15 +225,16 @@ class TestClosedForm:
         seen = []
         real = bhc.omega_roots
         monkeypatch.setattr(bhc, "omega_roots", lambda fam, p: seen.append(p) or real(fam, p))
+        # check_sh asks first, at the primes up to the number of members m
         bhc.hl_constant(FAMS["a"], 10**5)
-        assert seen == [2, 3]  # the primes dividing case a's leading coefficients and resultants
+        assert seen == [2, 3] + [2, 3]  # then the primes dividing case a's leading coefficients and resultants
         seen.clear()
         # a repeated member must not give a zero resultant
         bhc.hl_constant(bhc.family((0, 1), (2, 1), (0, 1)), 10**5)
-        assert seen == [2]
+        assert seen == [2, 3] + [2]
         seen.clear()
         bhc.hl_constant(CLOSED_FORM_FAMS["linear pair, resultant 1999"], 10**5)
-        assert seen == [2, 1999]
+        assert seen == [2] + [2, 1999]
 
     def test_mod_primes_of_large_and_negative_integers(self):
         primes = arith.primes_in_range(2, 2000) + [4294967291]  # the largest prime below 2**32
@@ -306,17 +320,18 @@ class TestSegmentedConstant:
         for truncation in (10**4, 10**6):
             want = _one_array_constant(fam, truncation)
             got = {}
-            for size in (2**10, bhc._PRIME_SEGMENT, 10**9):
-                monkeypatch.setattr(bhc, "_PRIME_SEGMENT", size)
+            for size in (2**10, arith._PRIME_SEGMENT, 10**9):
+                monkeypatch.setattr(arith, "_PRIME_SEGMENT", size)
                 hc = bhc.hl_constant(fam, truncation)
                 got[size] = (hc.value.hex(), hc.tail_bound.hex())
             assert len(set(got.values())) == 1, got
             assert got[10**9][0] == want.hex(), truncation
 
     def test_segments_cover_the_primes_in_order(self, monkeypatch):
-        monkeypatch.setattr(bhc, "_PRIME_SEGMENT", 2**10)
+        # the windows hl_constant reads
+        monkeypatch.setattr(arith, "_PRIME_SEGMENT", 2**10)
         for n in (1000, 2047, 2048, 2049, 4099, 10**5):  # 4099 = 2t + 1, t = 2 * 2**10 + 1: a last segment of one t, holding a prime
-            segments = list(bhc._prime_segments(n))
+            segments = list(arith.prime_segments(2, n))
             assert all(s.dtype == np.uint64 for s in segments)
             assert np.concatenate(segments).tolist() == arith.primes_in_range(2, n), n
 

@@ -318,7 +318,7 @@ class TestHbCommand:
         """hb's stdout built from per-candidate rows: one dict per row and json.dumps over all."""
         found = heathbrown.scan_hb(limit)
         bounds = heathbrown.derive_upper_bounds()
-        quad = invariants.counts(invariants.assemble_profile(found.p, found.delta, found.epsilon))
+        quad = invariants.counts(found.profile)
         cols = ("p", "omega_minus", "omega_plus", "i", "c", "s", "n")
         rows = list(zip(*(c.tolist() for c in (found.p, found.omega_minus, found.omega_plus, *quad))))
         if fmt == "json":
@@ -384,6 +384,17 @@ class TestPlumbing:
     def test_bad_env_value_is_usage_error(self):
         code, _, _ = run(["invariants", "53"], env={"PSL2_FORMAT": "yaml"})
         assert code == 2
+
+    def test_boolean_env_presets(self):
+        # the known issue at p = 7 fails verify-table only under --strict
+        for word in ("1", "true", "YES", " On "):
+            assert run(["verify-table"], env={"PSL2_STRICT": word})[0] == 1, word
+        for word in ("0", "false", "No", "OFF", ""):
+            assert run(["verify-table"], env={"PSL2_STRICT": word})[0] == 0, word
+        for word in ("ture", "2", "y"):
+            code, out, err = run(["verify-table"], env={"PSL2_STRICT": word})
+            assert (code, out) == (2, ""), word
+            assert err.startswith(f"psl2count: PSL2_STRICT={word!r} is not one of"), err
 
     def test_entry_point_exists(self):
         assert callable(cli.entry)

@@ -10,7 +10,7 @@ from psl2count import arith, cli, heathbrown, invariants
 
 
 def _column_counts(found):
-    return invariants.counts(invariants.assemble_profile(found.p, found.delta, found.epsilon))
+    return invariants.counts(found.profile)
 
 
 class TestQualifies:
@@ -54,11 +54,11 @@ class TestScan:
         # the sieve's factor counts and profiles against per-prime factorisation
         limit = 10**6
         expect = [
-            c for c in map(heathbrown.qualifies, arith.primes_of_form(72, 5, 0, (limit - 5) // 72).tolist())
+            c for c in map(heathbrown.qualifies, [p for p in arith.primes_in_range(2, limit) if p % 72 == 5])
             if c.qualifies
         ]
         found = heathbrown.scan_hb(limit)
-        prof = invariants.assemble_profile(found.p, found.delta, found.epsilon)
+        prof = found.profile
         assert found.p.tolist() == [c.p for c in expect]
         assert found.omega_minus.tolist() == [c.omega_minus for c in expect]
         assert found.omega_plus.tolist() == [c.omega_plus for c in expect]
@@ -82,7 +82,7 @@ class TestScan:
     def test_columns_are_int64(self):
         # int64 columns and int64 counts: no narrow dtype can wrap in the formulas
         found = heathbrown.scan_hb(10**5)
-        columns = (found.p, found.omega_minus, found.omega_plus, found.delta, found.epsilon)
+        columns = (found.p, found.omega_minus, found.omega_plus, found.profile.delta, found.profile.epsilon)
         assert all(c.dtype == np.int64 and len(c) == len(found) for c in columns)
         assert all(v.dtype == np.int64 for v in _column_counts(found))
 
@@ -113,8 +113,10 @@ class TestScan:
         expect = heathbrown.scan_hb(10**6)
         monkeypatch.setattr(heathbrown, "_SEGMENT", segment)
         found = heathbrown.scan_hb(10**6)
-        for field in ("p", "omega_minus", "omega_plus", "delta", "epsilon"):
+        for field in ("p", "omega_minus", "omega_plus"):
             assert getattr(found, field).tolist() == getattr(expect, field).tolist(), field
+        for field in ("delta", "epsilon"):
+            assert getattr(found.profile, field).tolist() == getattr(expect.profile, field).tolist(), field
 
     def test_limit_floor(self):
         with pytest.raises(ValueError):

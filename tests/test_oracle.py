@@ -256,9 +256,10 @@ class TestEnumeration:
         for sub in oracle.enumerate_subgroups(g):
             assert g.order % sub.order == 0
 
-    def test_resource_cap(self):
+    def test_resource_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_SUBGROUPS", 20)
         with pytest.raises(oracle.ResourceLimitError):
-            oracle.enumerate_subgroups(_group(7), max_subgroups=20)
+            oracle.enumerate_subgroups(_group(7))
 
 
 class TestClassify:

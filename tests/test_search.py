@@ -130,11 +130,12 @@ class TestWheel:
             assert got == _plain_block(SPECS[case_id], lo, hi), (case_id, lo, hi)
 
     @pytest.mark.parametrize("case_id", search.CASE_IDS)
-    def test_block_sizes_around_the_wheel(self, case_id):
+    def test_block_sizes_around_the_wheel(self, case_id, monkeypatch):
         # blocks shorter than, equal to and just past 210 t
         base = search.scan(SPECS[case_id], 2000)
-        for block_size in (1, 209, 210, 211):
-            assert search.scan(SPECS[case_id], 2000, block_size=block_size) == base, (case_id, block_size)
+        for block in (1, 209, 210, 211):
+            monkeypatch.setattr(search, "_BLOCK", block)
+            assert search.scan(SPECS[case_id], 2000) == base, (case_id, block)
 
 
 class TestHits:
@@ -182,6 +183,14 @@ class TestHits:
         assert capped.hits == full.hits[:3]
         assert capped.q_count == full.q_count
 
+    @pytest.mark.parametrize("case_id", search.CASE_IDS)
+    def test_closed_form_profiles_match_factoring(self, case_id):
+        # every hit up to t = 10**5, against profile(p) by factoring p -+ 1
+        hits = search.scan(SPECS[case_id], 10**5, hit_cap=10**6).hits
+        assert hits
+        for h in hits:
+            assert h.profile == invariants.profile(h.p), (case_id, h.t)
+
     def test_hit_consistency_guard(self):
         prof = invariants.profile(29)
         with pytest.raises(AssertionError):
@@ -189,17 +198,19 @@ class TestHits:
 
 
 class TestDeterminism:
-    def test_jobs_invariance(self):
+    def test_jobs_invariance(self, monkeypatch):
         base = search.scan(SPECS["c"], 10**5, jobs=1)
         for jobs, block in ((2, 7000), (3, 12345)):
-            other = search.scan(SPECS["c"], 10**5, jobs=jobs, block_size=block)
+            monkeypatch.setattr(search, "_BLOCK", block)
+            other = search.scan(SPECS["c"], 10**5, jobs=jobs)
             assert other.q_count == base.q_count
             assert other.sigma_alpha_zero_count == base.sigma_alpha_zero_count
             assert [h.t for h in other.hits] == [h.t for h in base.hits]
 
-    def test_block_size_invariance_serial(self):
+    def test_block_size_invariance_serial(self, monkeypatch):
         base = search.scan(SPECS["a"], 10**4)
-        other = search.scan(SPECS["a"], 10**4, block_size=997)
+        monkeypatch.setattr(search, "_BLOCK", 997)
+        other = search.scan(SPECS["a"], 10**4)
         assert other == base
 
 
