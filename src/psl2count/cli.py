@@ -434,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen = sub.add_parser("census", help="subgroup-class catalogue for one prime")
     p_cen.add_argument("p", type=_int_arg)
     _add(p_cen, "--oracle", action="store_true", default=False,
-         help="also run the brute-force census and diff it (p <= 19)")
+         help=f"also run the brute-force census and diff it (p <= {ORACLE_CAP})")
     _add_format(p_cen)
     p_cen.set_defaults(func=cmd_census)
 

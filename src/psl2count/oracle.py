@@ -9,20 +9,26 @@ without reference to any counting formula.  That makes it an independent
 check of the closed-form catalogue.
 
 Exact enumeration is only feasible for small p; the supported range is
-p <= 19 (at most 3420 elements).  Subgroups are found by cyclic extension
-(Neubuser 1960): each class representative is joined only with cyclic
-subgroups of prime-power order, one per orbit of its normaliser, and all
-of its joins are closed in one batched search.  Each class keeps the
-orbit and normaliser found on admission, so classify only reads them.
-`census p --oracle` took about 0.4 s at p = 13, 0.75 s at p = 17 and
-0.95 s at p = 19, start-up included, on a 2-core Xeon with Python 3.11
-and numpy 2.4 (medians of 6 runs).
+p <= 31 (at most 14880 elements).  No Cayley table is kept: products are
+formed on demand from the images of 0, 1 and infinity, in bounded blocks
+(PermGroup.mul), so memory grows with the group order n, not n**2.
+Subgroups are found by cyclic extension (Neubuser 1960; Holt, Eick and
+O'Brien, Handbook of Computational Group Theory, on subgroup lattices):
+each class representative is joined only with cyclic subgroups of
+prime-power order, one per orbit of its normaliser, and its joins are
+closed in batched searches.  Each class keeps the orbit and normaliser
+found on admission, so classify only reads them.  `census p --oracle`
+took about 0.25 s at p = 13, 0.5 s at p = 19 (38 MiB peak), 0.9 s at
+p = 23, 2.0 s at p = 29 and 5.5 s at p = 31 (68 MiB peak), start-up
+included, on a 2-core Xeon with Python 3.11 and numpy 2.4 (medians of 3
+to 7 runs).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
 
 import numpy as np
@@ -31,8 +37,9 @@ from . import arith
 from .arith import ResourceLimitError
 from .invariants import ClassCensus, ClassEntry
 
-MAX_P = 19  # the largest p build_psl2 accepts: 3420 elements, a 47 MB Cayley table
+MAX_P = 31  # the largest p build_psl2 accepts: 14880 elements, `census 31 --oracle` 5.5 s at 68 MiB
 _MAX_SUBGROUPS = 10**6  # enumerate_subgroups refuses a working set past this many subgroups
+_PRODUCT_BLOCK = 2**14  # products formed at once; a larger batch goes in blocks of whole rows
 
 
 @dataclass(frozen=True)
@@ -67,8 +74,9 @@ class PermGroup:
     under element i, with index p standing for infinity.  PGL(2, p) acts
     sharply 3-transitively on the line, so an element is fixed by its images
     of 0, 1 and infinity; with d = p + 1 the key (img0 * d + img1) * d + imginf
-    indexes a dense lookup array of d**3 entries.  The Cayley table, inverse
-    list and element orders are computed on first use and cached.
+    indexes a dense lookup array of d**3 entries.  No Cayley table is kept:
+    mul and right_products form products on demand.  The inverse list and
+    element orders are computed on first use and cached.
     """
 
     def __init__(self, p: int, elements: np.ndarray, generators: tuple[int, ...]):
@@ -77,66 +85,90 @@ class PermGroup:
         self.elements = elements
         self.generators = generators
         self.order = elements.shape[0]
+        self._images = elements.astype(np.int32).ravel()  # image of x under i at i * degree + x
+        self._columns = elements[:, [0, 1, p]].T.astype(np.intp)  # images of 0, 1 and infinity
+        self._by_point = elements.T.astype(np.int32)  # row x: the image of x under each element
         self._lookup = np.full(self.degree**3, -1, dtype=np.int32)
-        self._lookup[self._element_keys(elements[:, [0, 1, p]])] = np.arange(self.order)
+        self._lookup[self._key(*self._columns)] = np.arange(self.order)
         if np.count_nonzero(self._lookup >= 0) != self.order:
             raise AssertionError("two elements share the images of 0, 1 and infinity")
-        self.identity = int(self._locate(np.array([0, 1, p])))
-        self._table: np.ndarray | None = None
+        self.identity = int(self._locate(0, 1, p))
         self._inverses: np.ndarray | None = None
         self._element_orders: np.ndarray | None = None
 
-    def _element_keys(self, points: np.ndarray) -> np.ndarray:
-        d = self.degree
-        return (points[..., 0].astype(np.intp) * d + points[..., 1]) * d + points[..., 2]
+    def _key(self, img0, img1, img_inf):
+        return (img0 * self.degree + img1) * self.degree + img_inf
 
-    def _locate(self, points: np.ndarray) -> np.ndarray:
-        """Element indices from images of (0, 1, infinity) along the last axis."""
-        found = self._lookup[self._element_keys(points)]
-        if (found < 0).any():
+    def _locate(self, img0, img1, img_inf) -> np.ndarray:
+        """Element indices from broadcast arrays of images of 0, 1 and infinity."""
+        found = self._lookup[self._key(img0, img1, img_inf)]
+        if found.size and found.min() < 0:
             raise AssertionError("images of 0, 1 and infinity match no element")
         return found
 
-    def table(self) -> np.ndarray:
-        """Cayley table: table[i, j] is the index of element i composed after j."""
-        if self._table is None:
-            n = self.order
-            points = self.elements[:, [0, 1, self.p]]
-            table = np.empty((n, n), dtype=np.int32)
-            rows = max(1, 2**16 // n)  # rows per block, so each block's temporaries stay small
-            for lo in range(0, n, rows):
-                table[lo : lo + rows] = self._locate(self.elements[lo : lo + rows, points])
-            self._table = table
-        return self._table
+    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # a after b sends 0, 1 and infinity to a's images of b's images of them
+        start = a * self.degree
+        return self._locate(*(self._images[start + column[b]] for column in self._columns))
+
+    def mul(self, a, b) -> np.ndarray:
+        """Index of element a composed after element b, elementwise over the
+        broadcast of two index arrays.  A batch of more than _PRODUCT_BLOCK
+        products is formed in blocks of whole leading rows."""
+        a, b = np.asarray(a), np.asarray(b)
+        batch = np.broadcast(a, b)
+        if batch.size <= _PRODUCT_BLOCK:
+            return self._product(a, b)
+        a, b = np.broadcast_arrays(a, b)
+        out = np.empty(batch.shape, dtype=np.int32)
+        for rows in _row_blocks(len(out), out.size // len(out)):
+            out[rows] = self._product(a[rows], b[rows])
+        return out
+
+    def right_products(self, m: np.ndarray) -> np.ndarray:
+        """Row k holds x composed after m[k] for every element x, in element
+        order.  It needs only m[k]'s images of 0, 1 and infinity, so each
+        row gathers three whole rows of images; callers bound len(m)."""
+        return self._locate(*(self._by_point[column[m]] for column in self._columns))
+
+    table = mul  # perfbench/tracer.py times the product layer under this name
 
     def inverses(self) -> np.ndarray:
         if self._inverses is None:
-            rows, cols = np.nonzero(self.table() == self.identity)
-            if rows.size != self.order:
-                raise AssertionError("every element needs exactly one inverse")
-            self._inverses = cols.astype(np.int64)
+            # the inverse permutation of a row is its argsort
+            inverses = self._locate(*np.argsort(self.elements, axis=1)[:, [0, 1, self.p]].T)
+            if (self.mul(np.arange(self.order), inverses) != self.identity).any():
+                raise AssertionError("an element times its inverse must be the identity")
+            self._inverses = inverses.astype(np.intp)
         return self._inverses
 
     def element_orders(self) -> np.ndarray:
+        """Order of each element: the least k with x^k the identity, from one
+        power loop over all elements at once (no order exceeds p)."""
         if self._element_orders is None:
-            self._element_orders = _cyclic_masks(self.table()).sum(axis=1)
+            x = np.arange(self.order)
+            orders = np.zeros(self.order, dtype=np.int64)
+            power = x
+            for k in range(1, self.p + 1):
+                orders[(power == self.identity) & (orders == 0)] = k
+                if orders.all():
+                    break
+                power = self.mul(power, x)
+            else:
+                raise AssertionError("an element order exceeds p")
+            self._element_orders = orders
         return self._element_orders
 
 
-def _cyclic_masks(table: np.ndarray) -> np.ndarray:
-    """Row x is the member mask of <x>: the powers x, x^2, ... until they repeat."""
-    n = table.shape[0]
-    x = np.arange(n)
-    masks = np.zeros((n, n), dtype=bool)
-    power = x
-    while not masks[x, power].all():
-        masks[x, power] = True
-        power = table[power, x]
-    return masks
+def _row_blocks(rows: int, width: int):
+    """Slices of whole rows, each of at most _PRODUCT_BLOCK entries when a
+    row of this width fits, else of one row, covering range(rows)."""
+    step = max(1, _PRODUCT_BLOCK // max(width, 1))
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
 def build_psl2(p: int) -> PermGroup:
-    """Construct PSL(2, p) for an odd prime 3 <= p <= MAX_P (at most 3420 elements)."""
+    """Construct PSL(2, p) for an odd prime 3 <= p <= MAX_P (at most 14880 elements)."""
     if p < 3 or p > MAX_P or not arith.is_prime(p):
         raise ValueError(f"build_psl2 supports primes 3 <= p <= {MAX_P}, got {p}")
 
@@ -161,21 +193,16 @@ def build_psl2(p: int) -> PermGroup:
 
     group = PermGroup(p, elements, ())
     # x -> x + 1 and x -> -1/x, by their images of 0, 1 and infinity
-    group.generators = tuple(group._locate(np.array([[1, 2 % p, p], [p, p - 1, 0]])).tolist())
+    group.generators = tuple(group._locate(*np.array([[1, 2 % p, p], [p, p - 1, 0]]).T).tolist())
     return group
 
 
-def _mask_key(mask: np.ndarray) -> bytes:
-    """Dictionary key of a member set given as a boolean mask over the group."""
-    return np.packbits(mask).tobytes()
+def _member_key(members: np.ndarray) -> bytes:
+    """Dictionary key of a member set given as sorted element indices."""
+    return members.astype(np.int32).tobytes()
 
 
-def _mask_keys(masks: np.ndarray) -> list[bytes]:
-    """_mask_key of each row of a 2-D mask array."""
-    return [row.tobytes() for row in np.packbits(masks, axis=1)]
-
-
-def _joins(table: np.ndarray, mask: np.ndarray, gens: tuple[int, ...],
+def _joins(group: PermGroup, mask: np.ndarray, gens: tuple[int, ...],
            seeds: np.ndarray) -> np.ndarray:
     """Row j is the member mask of <H, seeds[j]>, H the subgroup with this
     mask and generators.
@@ -184,13 +211,16 @@ def _joins(table: np.ndarray, mask: np.ndarray, gens: tuple[int, ...],
     H's members and grows by right multiplication with H's generators and
     its own seed (positive words suffice in a finite group).  A subgroup
     holding more than n/2 elements is all of G (Lagrange), so a row that
-    passes n/2 is filled in and leaves the frontier.
+    passes n/2 is filled in and leaves the frontier.  The products by each
+    generator and seed are formed once, so a round only gathers them.
     """
-    n = table.shape[0]
+    n = group.order
     rows = seeds.size
     members = np.flatnonzero(mask)
-    # row j multiplies by H's generators, then by seeds[j]
-    row_gens = np.column_stack([np.tile(np.asarray(gens, dtype=np.intp), (rows, 1)), seeds])
+    # right[k, x] is x times the k-th multiplier: H's generators, then the seeds
+    right = group.right_products(np.concatenate([np.asarray(gens, dtype=np.intp), seeds]))
+    # row j multiplies by H's generators, then by seeds[j]: these rows of right
+    by = np.column_stack([np.tile(np.arange(len(gens)), (rows, 1)), len(gens) + np.arange(rows)])
     seen = np.tile(mask, (rows, 1))
     flat_seen = seen.reshape(-1)
     size = np.full(rows, members.size)
@@ -198,7 +228,7 @@ def _joins(table: np.ndarray, mask: np.ndarray, gens: tuple[int, ...],
     elem = np.tile(members, rows)
     while row.size:
         reached = np.zeros(rows * n, dtype=bool)
-        reached[row[:, None] * n + table[elem[:, None], row_gens[row]]] = True
+        reached[row[:, None] * n + right[by[row], elem[:, None]]] = True
         reached &= ~flat_seen
         flat_seen |= reached
         row, elem = np.divmod(np.flatnonzero(reached), n)
@@ -211,33 +241,36 @@ def _joins(table: np.ndarray, mask: np.ndarray, gens: tuple[int, ...],
     return seen
 
 
-def _normaliser(table: np.ndarray, inverses: np.ndarray, mask: np.ndarray,
-                gens: tuple[int, ...]) -> np.ndarray:
+def _conjugates(group: PermGroup, by: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """by[i] x[j] by[i]^-1 at [i, j], for a 1-D by and x."""
+    return group.mul(group.mul(by[:, None], x), group.inverses()[by, None])
+
+
+def _normaliser(group: PermGroup, mask: np.ndarray, gens: tuple[int, ...]) -> np.ndarray:
     """Member mask of N(H), H = <gens> with this mask: the g that conjugate
     every generator into H."""
-    conj = table[table[:, np.asarray(gens, dtype=np.intp)], inverses[:, None]]
+    conj = _conjugates(group, np.arange(group.order), np.asarray(gens, dtype=np.intp))
     return mask[conj].all(axis=1)
 
 
-def _conjugacy_orbit(table: np.ndarray, inverses: np.ndarray, mask: np.ndarray,
-                     normaliser: np.ndarray) -> list[bytes]:
+def _conjugacy_orbit(group: PermGroup, mask: np.ndarray, normaliser: np.ndarray) -> list[bytes]:
     """Keys of the distinct conjugates of a subgroup, given its normaliser.
 
     g H g^-1 depends only on the left coset g N(H), so one conjugate is built
     per coset, by its least element.  The conjugates must be pairwise
     distinct and their number times |N(H)| must be |G|; a normaliser that
     misses an element or is not a subgroup fails one of the two and raises.
-    A normal subgroup is its own orbit and skips the coset table.
+    A normal subgroup is its own orbit and skips the coset minima.
     """
-    n = table.shape[0]
+    n = group.order
+    members = np.flatnonzero(mask)
     norm = np.flatnonzero(normaliser)
     if norm.size == n:
-        return [_mask_key(mask)]
-    reps = np.flatnonzero(table[:, norm].min(axis=1) == np.arange(n))
-    conj = table[table[reps[:, None], np.flatnonzero(mask)], inverses[reps, None]]
-    masks = np.zeros((reps.size, n), dtype=bool)
-    masks[np.arange(reps.size)[:, None], conj] = True
-    orbit = _mask_keys(masks)
+        return [_member_key(members)]
+    least = reduce(np.minimum, (group.right_products(norm[rows]).min(axis=0)
+                                for rows in _row_blocks(norm.size, n)))
+    conj = np.sort(_conjugates(group, np.flatnonzero(least == np.arange(n)), members), axis=1)
+    orbit = [_member_key(row) for row in conj]
     if len(set(orbit)) != len(orbit) or len(orbit) * norm.size != n:
         raise AssertionError("conjugates must be distinct, and their number times |N(H)| must be |G|")
     return orbit
@@ -257,64 +290,66 @@ def enumerate_subgroups(group: PermGroup) -> list[Subgroup]:
     join <H, n g n^-1> is the conjugate n <H, g> n^-1, which the orbit of
     <H, g> already holds.
     """
-    table = group.table()
-    inverses = group.inverses()
     n = group.order
     orders = group.element_orders()
 
-    # seed_id[x] is the least generator of <x> when |x| is a prime power, else -1
+    # seed_id[x] is the least generator of <x> when |x| is a prime power,
+    # else -1; the generators of <x> are its powers x^k with k prime to |x|
     prime_power = [o for o in sorted(set(orders.tolist())) if len(arith.factorize(o).factors) == 1]
-    least = (_cyclic_masks(table) & (orders == orders[:, None])).argmax(axis=1)
-    seed_id = np.where(np.isin(orders, prime_power), least, -1)
-    seeds = np.flatnonzero(seed_id == np.arange(n))
+    x = np.arange(n)
+    seed_id = x
+    power = x
+    for k in range(2, int(orders.max())):
+        power = group.mul(power, x)
+        seed_id = np.where((k < orders) & (np.gcd(k, orders) == 1), np.minimum(seed_id, power), seed_id)
+    seed_id = np.where(np.isin(orders, prime_power), seed_id, -1)
+    seeds = np.flatnonzero(seed_id == x)
 
     found: dict[bytes, int] = {}  # member key -> class id
     normaliser_orders: list[int] = []  # by class id
     worklist: list[tuple[np.ndarray, tuple[int, ...], np.ndarray]] = []
 
     def admit(mask: np.ndarray, gens: tuple[int, ...]) -> None:
-        normaliser = _normaliser(table, inverses, mask, gens)
-        found.update(dict.fromkeys(_conjugacy_orbit(table, inverses, mask, normaliser),
+        normaliser = _normaliser(group, mask, gens)
+        found.update(dict.fromkeys(_conjugacy_orbit(group, mask, normaliser),
                                    len(normaliser_orders)))
         normaliser_orders.append(int(np.count_nonzero(normaliser)))
         if len(found) > _MAX_SUBGROUPS:
             raise ResourceLimitError(f"subgroup working set exceeded {_MAX_SUBGROUPS}")
         worklist.append((mask, gens, normaliser))
 
-    admit(np.arange(n) == group.identity, ())
+    admit(x == group.identity, ())
     while worklist:
         mask, gens, normaliser = worklist.pop()
         outside = seeds[~mask[seeds]]
-        # N(H) permutes the seeds outside H by conjugation.  Pick the least
-        # seed of each orbit by carrying minima along the conjugations by a
-        # generating set of N(H) to a fixpoint: G's two generators when
-        # N(H) = G, else all of N(H), which settles in one round.
-        by = np.asarray(group.generators) if normaliser.all() else np.flatnonzero(normaliser)
+        # N(H) permutes the seeds outside H by conjugation; keep the least
+        # seed of each orbit.  Conjugation by all of N(H) reaches each
+        # orbit's minimum in one pass.  When N(H) = G the minima are carried
+        # along the conjugations by G's two generators to a fixpoint instead.
+        whole = normaliser.all()
+        by = np.asarray(group.generators) if whole else np.flatnonzero(normaliser)
         slot = np.empty(n, dtype=np.intp)
         slot[outside] = np.arange(outside.size)
-        # row i, column j: the slot in outside of the conjugate of seed j by by[i]
-        images = slot[seed_id[table[table[by[:, None], outside], inverses[by, None]]]]
-        least = outside
+        least = np.arange(outside.size)  # slot in outside of each seed's least known conjugate
         while True:
-            lower = np.minimum(least, least[images].min(axis=0))
-            if np.array_equal(lower, least):
+            lower = least
+            for rows in _row_blocks(by.size, outside.size):
+                images = slot[seed_id[_conjugates(group, by[rows], outside)]]
+                lower = np.minimum(lower, least[images].min(axis=0))
+            if not whole or np.array_equal(lower, least):
                 break
             least = lower
-        picked = outside[least == outside]
-        joins = _joins(table, mask, gens, picked)
-        for g, join, key in zip(picked.tolist(), joins, _mask_keys(joins)):
-            if key not in found:
-                admit(join, gens + (g,))
+        picked = outside[lower == np.arange(outside.size)]
+        # joins close in batches of at most 16 * _PRODUCT_BLOCK member flags
+        for part in _row_blocks(picked.size, n // 16):
+            for g, join in zip(picked[part].tolist(), _joins(group, mask, gens, picked[part])):
+                if _member_key(np.flatnonzero(join)) not in found:
+                    admit(join, gens + (g,))
 
-    keys = list(found)
-    member_masks = np.unpackbits(
-        np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1), axis=1, count=n)
-    _, cols = np.nonzero(member_masks)
-    ends = np.cumsum(np.count_nonzero(member_masks, axis=1)).tolist()
-    cols = cols.tolist()
     subs = [
-        Subgroup(tuple(cols[start:end]), found[key], normaliser_orders[found[key]])
-        for key, start, end in zip(keys, [0] + ends[:-1], ends)
+        Subgroup(tuple(np.frombuffer(key, dtype=np.int32).tolist()), class_id,
+                 normaliser_orders[class_id])
+        for key, class_id in found.items()
     ]
     return sorted(subs, key=lambda sub: (sub.order, sub.members))
 

@@ -78,11 +78,11 @@ class TestCensusCommand:
         assert "(empty)" in out
 
     def test_oracle_cap(self):
-        code, _, err = run(["census", "23", "--oracle"])
+        code, _, err = run(["census", "37", "--oracle"])
         assert code == 2
-        assert "capped at p <= 19" in err
+        assert "capped at p <= 31" in err
         code, _, err = run(["census", "17", "--oracle", "--allow-slow-oracle"])
-        assert code == 2  # the opt-in flag is gone: p <= 19 needs none
+        assert code == 2  # the opt-in flag is gone: p <= 31 needs none
         assert "--allow-slow-oracle" in err
 
     def test_oracle_label_failure_is_internal(self, monkeypatch):

@@ -18,10 +18,27 @@ def _group(p):
 _group.cache = {}
 
 
+def _table(p):
+    if p not in _table.cache:
+        _table.cache[p] = _reference_table(_group(p))
+    return _table.cache[p]
+
+
+_table.cache = {}
+
+
+def _subgroups(p):
+    if p not in _subgroups.cache:
+        _subgroups.cache[p] = oracle.enumerate_subgroups(_group(p))
+    return _subgroups.cache[p]
+
+
+_subgroups.cache = {}
+
+
 def _classes(p):
     if p not in _classes.cache:
-        g = _group(p)
-        _classes.cache[p] = oracle.classify(g, oracle.enumerate_subgroups(g))
+        _classes.cache[p] = oracle.classify(_group(p), _subgroups(p))
     return _classes.cache[p]
 
 
@@ -64,11 +81,12 @@ class TestBuild:
             [1, 2, 3, 4, 5, 6, 0, 7],  # x -> x + 1
             [7, 6, 3, 2, 5, 4, 1, 0],  # x -> -1/x
         ]
-        mask = _reference_join(g.table(), g.generators, g.identity)
+        table = _table(7)
+        mask = _reference_join(table, g.generators, g.identity)
         assert np.count_nonzero(mask) == g.order
-        translations = _reference_join(g.table(), g.generators[:1], g.identity)
+        translations = _reference_join(table, g.generators[:1], g.identity)
         assert np.count_nonzero(translations) == 7
-        joins = oracle._joins(g.table(), translations, g.generators[:1], np.array(g.generators[1:]))
+        joins = oracle._joins(g, translations, g.generators[:1], np.array(g.generators[1:]))
         assert joins.tolist() == [mask.tolist()]
 
     def test_shared_key_raises(self):
@@ -86,20 +104,99 @@ class TestBuild:
     def test_arrays_match_permutation_arithmetic(self, p):
         g = _group(p)
         perms = g.elements
-        table = g.table()
-        for i in range(g.order):
-            assert np.array_equal(perms[table[i]], perms[i][perms]), i
         assert np.array_equal(perms[g.inverses()], np.argsort(perms, axis=1))
         assert g.element_orders().tolist() == [_cycle_order(row) for row in perms.tolist()]
 
     def test_cap_and_overrides(self):
-        assert _group(19).order == 3420  # the largest group built, with no opt-in
+        assert oracle.build_psl2(oracle.MAX_P).order == 14880  # the largest group built: p = 31
         with pytest.raises(ValueError):
-            oracle.build_psl2(23)
+            oracle.build_psl2(37)
         with pytest.raises(ValueError):
             oracle.build_psl2(4)
         with pytest.raises(TypeError):
             oracle.build_psl2(17, allow_large=True)  # the opt-in is gone
+
+
+class TestProducts:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_mul_matches_composition_all_pairs(self, p):
+        x = np.arange(_group(p).order)
+        assert np.array_equal(_group(p).mul(x[:, None], x), _table(p))
+        assert np.array_equal(_group(p).right_products(x), _table(p).T)
+
+    @pytest.mark.parametrize("p", [17, 19, 23])
+    def test_mul_matches_composition_random_pairs(self, p):
+        g = _group(p)
+        perms = g.elements
+        rng = np.random.default_rng(p)
+        a, b = rng.integers(g.order, size=(2, 3 * oracle._PRODUCT_BLOCK + 5))
+        composed = np.take_along_axis(perms[a], perms[b].astype(np.intp), axis=1)  # a(b(x))
+        assert np.array_equal(perms[g.mul(a, b)], composed)
+        # a broadcast past the block, formed in blocks of rows
+        a, b = a[:150], b[:200]
+        product = g.mul(a[:, None], b)
+        assert product.shape == (150, 200) and 150 * 200 > oracle._PRODUCT_BLOCK
+        assert np.array_equal(perms[product], perms[a[:, None, None], perms[b][None]])
+        assert g.mul(int(a[0]), int(b[0])) == product[0, 0]
+        # every element times each of a few
+        everyone = np.arange(g.order)[None, :, None]
+        assert np.array_equal(perms[g.right_products(b[:3])], perms[everyone, perms[b[:3], None]])
+
+    @pytest.mark.parametrize("p,block", [(7, 1), (11, 97), (13, 97),
+                                         (7, 2**62), (11, 2**62), (13, 2**62)])
+    def test_product_block_edges(self, monkeypatch, p, block):
+        """Blocks of one product, blocks narrower than a row (97 < n for
+        p >= 11), and every batch in one block give the same subgroups and
+        classes as the default block.  A block of 1 at p = 11 and 13 takes
+        5-20 s, so those use 97."""
+        monkeypatch.setattr(oracle, "_PRODUCT_BLOCK", block)
+        g = oracle.build_psl2(p)
+        subs = oracle.enumerate_subgroups(g)
+        assert subs == _subgroups(p)
+        assert oracle.classify(g, subs) == _classes(p)
+
+    def test_unmatched_images_raise(self):
+        with pytest.raises(AssertionError):
+            _group(5)._locate(0, 0, 0)  # 0, 1 and infinity all sent to 0: no permutation
+
+
+def _reference_table(group):
+    """Cayley table by permutation composition: [i, j] is the index of the
+    element whose image list is perms[i][perms[j]].  Each image list is
+    named by its digits in base p + 1, exact in int64 for p <= 13."""
+    perms = group.elements.astype(np.int64)
+    d = group.degree
+    assert d**d < 2**63
+    codes = perms @ d ** np.arange(d)
+    order = np.argsort(codes)
+    table = np.empty((group.order, group.order), dtype=np.int64)
+    for i in range(group.order):
+        composed = perms[i][perms] @ d ** np.arange(d)
+        table[i] = order[np.searchsorted(codes[order], composed)]
+        assert np.array_equal(codes[table[i]], composed)  # every composite is an element
+    return table
+
+
+def _reference_cyclic_masks(table):
+    """Row x is the member mask of <x>: the powers x, x^2, ... until they repeat."""
+    n = table.shape[0]
+    x = np.arange(n)
+    masks = np.zeros((n, n), dtype=bool)
+    power = x
+    while not masks[x, power].all():
+        masks[x, power] = True
+        power = table[power, x]
+    return masks
+
+
+def _reference_inverses(table, identity):
+    rows, cols = np.nonzero(table == identity)
+    assert np.array_equal(rows, np.arange(table.shape[0]))  # exactly one inverse each
+    return cols
+
+
+def _mask_key(mask):
+    return oracle._member_key(np.flatnonzero(mask))
 
 
 def _reference_join(table, gens, identity):
@@ -126,22 +223,23 @@ def _reference_orbit(table, inverses, mask):
     conj = table[table[:, mask], inverses[:, None]]  # row g: g h g^-1 for each member h
     masks = np.zeros((n, n), dtype=bool)
     masks[np.arange(n)[:, None], conj] = True
-    return list(dict.fromkeys(oracle._mask_keys(masks))), mask[conj].all(axis=1)
+    return list(dict.fromkeys(_mask_key(row) for row in masks)), mask[conj].all(axis=1)
 
 
 def _reference_subgroups(group):
     """The slow enumeration: every cyclic subgroup is a seed, and every
     class representative is joined with every seed outside it."""
-    table, inverses = group.table(), group.inverses()
-    cyclic = oracle._cyclic_masks(table)
+    table = _table(group.p)
+    inverses = _reference_inverses(table, group.identity)
+    cyclic = _reference_cyclic_masks(table)
     seeds = {}
-    for g, key in enumerate(oracle._mask_keys(cyclic)):
-        seeds.setdefault(key, g)
+    for g, row in enumerate(cyclic):
+        seeds.setdefault(_mask_key(row), g)
     found = {}
     worklist = []
 
     def admit(mask, gens):
-        if oracle._mask_key(mask) not in found:
+        if _mask_key(mask) not in found:
             orbit, _ = _reference_orbit(table, inverses, mask)
             found.update(dict.fromkeys(orbit))
             worklist.append((mask, gens))
@@ -153,10 +251,7 @@ def _reference_subgroups(group):
         for g in seeds.values():
             if not mask[g]:
                 admit(_reference_join(table, gens + (g,), group.identity), gens + (g,))
-    members = [
-        tuple(np.flatnonzero(np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=group.order)).tolist())
-        for key in found
-    ]
+    members = [tuple(np.frombuffer(key, dtype=np.int32).tolist()) for key in found]
     return sorted(members, key=lambda m: (len(m), m))
 
 
@@ -183,14 +278,14 @@ class TestEnumeration:
     @pytest.mark.parametrize("p", [7, 11, 13])
     def test_random_joins_match_reference(self, p):
         g = _group(p)
-        table = g.table()
+        table = _table(p)
         rng = np.random.default_rng(p)
         cut = proper = 0
         for size in (0, 1, 1, 2, 2):
             gens = tuple(rng.integers(g.order, size=size).tolist())
             mask = _reference_join(table, gens, g.identity)
             seeds = rng.integers(g.order, size=12)
-            joins = oracle._joins(table, mask, gens, seeds)
+            joins = oracle._joins(g, mask, gens, seeds)
             for row, seed in zip(joins, seeds.tolist()):
                 expected = _reference_join(table, gens + (seed,), g.identity)
                 assert np.array_equal(row, expected), (gens, seed)
@@ -200,29 +295,28 @@ class TestEnumeration:
 
     def test_normal_subgroups_skip_conjugation(self):
         g = _group(7)
-        table, inverses = g.table(), g.inverses()
         for mask, gens in ((np.arange(g.order) == g.identity, ()),
                            (np.ones(g.order, dtype=bool), g.generators)):
-            normaliser = oracle._normaliser(table, inverses, mask, gens)
+            normaliser = oracle._normaliser(g, mask, gens)
             assert normaliser.all()
-            assert oracle._conjugacy_orbit(table, inverses, mask, normaliser) == [oracle._mask_key(mask)]
+            assert oracle._conjugacy_orbit(g, mask, normaliser) == [_mask_key(mask)]
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_coset_orbit_matches_full_orbit(self, p):
         g = _group(p)
-        table, inverses = g.table(), g.inverses()
+        table = _table(p)
+        inverses = _reference_inverses(table, g.identity)
         for mask, members in _class_masks(p):
             full, full_normaliser = _reference_orbit(table, inverses, mask)
-            normaliser = oracle._normaliser(table, inverses, mask, members)
+            normaliser = oracle._normaliser(g, mask, members)
             assert np.array_equal(normaliser, full_normaliser)
-            orbit = oracle._conjugacy_orbit(table, inverses, mask, normaliser)
+            orbit = oracle._conjugacy_orbit(g, mask, normaliser)
             assert len(orbit) == len(full) and set(orbit) == set(full)
 
     def test_tampered_normaliser_raises(self):
         g = _group(11)
-        table, inverses = g.table(), g.inverses()
         for mask, members in _class_masks(11):
-            normaliser = oracle._normaliser(table, inverses, mask, members)
+            normaliser = oracle._normaliser(g, mask, members)
             if normaliser.all():
                 continue
             short = normaliser.copy()
@@ -233,7 +327,7 @@ class TestEnumeration:
             inner = [mask] if np.count_nonzero(normaliser) > len(members) else []
             for tampered in [short, extra, *inner]:
                 with pytest.raises(AssertionError):
-                    oracle._conjugacy_orbit(table, inverses, mask, tampered)
+                    oracle._conjugacy_orbit(g, mask, tampered)
 
     def test_subgroup_count_p5(self):
         subs = oracle.enumerate_subgroups(_group(5))
@@ -245,7 +339,7 @@ class TestEnumeration:
 
     def test_all_closed_under_multiplication(self):
         g = _group(5)
-        table = g.table()
+        table = _table(5)
         for sub in oracle.enumerate_subgroups(g):
             members = np.array(sub.members)
             prods = table[np.ix_(members, members)]
@@ -315,10 +409,19 @@ class TestCensusAgreement:
         cen = oracle.oracle_census(p)
         assert (cen.i, cen.c, cen.s, cen.n) == quad
 
-    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 23])
     def test_label_by_label(self, p):
-        formula = invariants.census(p)
-        brute = oracle.oracle_census(p)
-        fm = {(e.label, e.order, e.num_classes, e.self_normalising) for e in formula.entries}
-        bm = {(e.label, e.order, e.num_classes, e.self_normalising) for e in brute.entries}
-        assert fm == bm
+        _assert_label_by_label(p)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("p", [29, 31])
+    def test_label_by_label_opt_in(self, p):
+        _assert_label_by_label(p)
+
+
+def _assert_label_by_label(p):
+    formula = invariants.census(p)
+    brute = oracle.oracle_census(p)
+    fm = {(e.label, e.order, e.num_classes, e.self_normalising) for e in formula.entries}
+    bm = {(e.label, e.order, e.num_classes, e.self_normalising) for e in brute.entries}
+    assert fm == bm
