@@ -288,7 +288,7 @@ def cmd_search(args) -> int:
         progress=args.t_max >= PROGRESS_THRESHOLD,
     )
     if args.format == "json":
-        print(json.dumps(summary.to_json_dict(max_hits=args.show_hits)))
+        print(json.dumps(summary.to_json_dict()))
     elif args.format == "csv":
         print("case,t_max,q_count,sigma_alpha_zero")
         print(f"{summary.case_id},{summary.t_max},{summary.q_count},{summary.sigma_alpha_zero_count}")
@@ -296,9 +296,8 @@ def cmd_search(args) -> int:
         print(f"case ({summary.case_id}): t in [1, {summary.t_max}]")
         print(f"prime triples: {summary.q_count}")
         print(f"with sigma = alpha = 0: {summary.sigma_alpha_zero_count}")
-        shown = summary.hits[: args.show_hits]
-        print(f"first {len(shown)} hits (s, r both at least 5):")
-        for h in shown:
+        print(f"first {len(summary.hits)} hits (s, r both at least 5):")
+        for h in summary.hits:
             flags = "".join("icsn"[j] if h.attains[j] else "-" for j in range(4))
             print(f"  t={h.t:<8} p={h.p:<12} s={h.s:<12} r={h.r:<12} attains {flags}")
     return EXIT_OK
@@ -384,6 +383,8 @@ def _write_rows(columns, template: str, sep: str) -> None:
 
 
 def cmd_hb(args) -> int:
+    if args.show < 0:
+        raise ValueError("--show must be at least 0")
     found = heathbrown.scan_hb(args.limit)
     bounds = heathbrown.derive_upper_bounds()
     quad = invariants.counts(found.profile)

@@ -1,27 +1,24 @@
 """Brute-force subgroup census for small PSL(2, p).
 
-The group is realised concretely as the Moebius action on the projective
-line over F_p (p + 1 points, with infinity as the last index), one
-permutation per matrix pair {M, -M}.  From the full element list the module
-enumerates every subgroup, partitions them into conjugacy classes, names
-each class by isomorphism type, and emits a ClassCensus that is computed
-without reference to any counting formula.  That makes it an independent
-check of the closed-form catalogue.
+The group is realised concretely as permutations of the projective line
+over F_p (p + 1 points, with infinity as the last index): build_psl2 closes
+the image rows of x -> x + 1 and x -> -1/x, which generate it, so no matrix
+is enumerated.  From the full element list the module enumerates every
+subgroup, partitions them into conjugacy classes, names each class by
+isomorphism type, and emits a ClassCensus that is computed without
+reference to any counting formula.  That makes it an independent check of
+the closed-form catalogue.
 
 Exact enumeration is only feasible for small p; the supported range is
-p <= 31 (at most 14880 elements).  No Cayley table is kept: products are
-formed on demand from the images of 0, 1 and infinity, in bounded blocks
+p <= MAX_P = 31 (at most 14880 elements).  No Cayley table is kept: products
+are formed on demand from the images of 0, 1 and infinity, in bounded blocks
 (PermGroup.mul), so memory grows with the group order n, not n**2.
 Subgroups are found by cyclic extension (Neubuser 1960; Holt, Eick and
 O'Brien, Handbook of Computational Group Theory, on subgroup lattices):
 each class representative is joined only with cyclic subgroups of
 prime-power order, one per orbit of its normaliser, and its joins are
 closed in batched searches.  Each class keeps the orbit and normaliser
-found on admission, so classify only reads them.  `census p --oracle`
-took about 0.25 s at p = 13, 0.5 s at p = 19 (38 MiB peak), 0.9 s at
-p = 23, 2.0 s at p = 29 and 5.5 s at p = 31 (68 MiB peak), start-up
-included, on a 2-core Xeon with Python 3.11 and numpy 2.4 (medians of 3
-to 7 runs).
+found on admission, so classify only reads them.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from . import arith
 from .arith import ResourceLimitError
 from .invariants import ClassCensus, ClassEntry
 
-MAX_P = 31  # the largest p build_psl2 accepts: 14880 elements, `census 31 --oracle` 5.5 s at 68 MiB
+MAX_P = 31  # the largest p build_psl2 accepts: 14880 elements, `census 31 --oracle` 5.5-6.5 s at 57 MiB
 _MAX_SUBGROUPS = 10**6  # enumerate_subgroups refuses a working set past this many subgroups
 _PRODUCT_BLOCK = 2**14  # products formed at once; a larger batch goes in blocks of whole rows
 
@@ -67,6 +64,11 @@ class OracleClass:
     excluded_from_census: bool  # true for the trivial subgroup and G itself
 
 
+def _key(degree: int, img0, img1, img_inf):
+    """An element's index in a dense array of degree**3, from its images of 0, 1 and infinity."""
+    return (img0 * degree + img1) * degree + img_inf
+
+
 class PermGroup:
     """PSL(2, p) as explicit permutations of the projective line.
 
@@ -89,19 +91,16 @@ class PermGroup:
         self._columns = elements[:, [0, 1, p]].T.astype(np.intp)  # images of 0, 1 and infinity
         self._by_point = elements.T.astype(np.int32)  # row x: the image of x under each element
         self._lookup = np.full(self.degree**3, -1, dtype=np.int32)
-        self._lookup[self._key(*self._columns)] = np.arange(self.order)
+        self._lookup[_key(self.degree, *self._columns)] = np.arange(self.order)
         if np.count_nonzero(self._lookup >= 0) != self.order:
             raise AssertionError("two elements share the images of 0, 1 and infinity")
         self.identity = int(self._locate(0, 1, p))
         self._inverses: np.ndarray | None = None
         self._element_orders: np.ndarray | None = None
 
-    def _key(self, img0, img1, img_inf):
-        return (img0 * self.degree + img1) * self.degree + img_inf
-
     def _locate(self, img0, img1, img_inf) -> np.ndarray:
         """Element indices from broadcast arrays of images of 0, 1 and infinity."""
-        found = self._lookup[self._key(img0, img1, img_inf)]
+        found = self._lookup[_key(self.degree, img0, img1, img_inf)]
         if found.size and found.min() < 0:
             raise AssertionError("images of 0, 1 and infinity match no element")
         return found
@@ -168,32 +167,36 @@ def _row_blocks(rows: int, width: int):
 
 
 def build_psl2(p: int) -> PermGroup:
-    """Construct PSL(2, p) for an odd prime 3 <= p <= MAX_P (at most 14880 elements)."""
+    """Construct PSL(2, p) for an odd prime 3 <= p <= MAX_P (at most 14880 elements).
+
+    x -> x + 1 and x -> -1/x generate it, as their matrices T and S generate
+    SL(2, Z), which maps onto SL(2, p) (Serre, A Course in Arithmetic, VII).
+    Their closure grows from the identity in rounds: both generators are
+    applied to the last round's rows, and the rows with a new key are kept.
+    """
     if p < 3 or p > MAX_P or not arith.is_prime(p):
         raise ValueError(f"build_psl2 supports primes 3 <= p <= {MAX_P}, got {p}")
 
-    inv_mod = np.array([0] + [pow(x, -1, p) for x in range(1, p)])
-    # Unimodular matrices (a, b, c, d): either a != 0 with d forced, or a = 0
-    # with c = -1/b.  Each matrix pair {M, -M} collapses to one permutation,
-    # so the first matrix of each image list is kept.
-    x = np.arange(p)
-    a, b, c = (v.ravel() for v in np.meshgrid(x[1:], x, x, indexing="ij"))
-    b0, d0 = (v.ravel() for v in np.meshgrid(x[1:], x, indexing="ij"))
-    matrices = [[a, b, c, inv_mod[a] * (1 + b * c) % p], [0 * b0, b0, -inv_mod[b0] % p, d0]]
-    a, b, c, d = np.concatenate(matrices, axis=1)
-    den = (c[:, None] * x + d[:, None]) % p
-    finite = np.where(den == 0, p, (a[:, None] * x + b[:, None]) * inv_mod[den] % p)
-    at_inf = np.where(c != 0, a * inv_mod[c] % p, p)
-    images = np.column_stack([finite, at_inf]).astype(np.uint8)
-    _, first = np.unique(images, axis=0, return_index=True)
-    elements = images[np.sort(first)]
+    d = p + 1
+    # x -> x + 1 and x -> -1/x as image rows, infinity at index p
+    gens = np.array([[*range(1, p), 0, p], [p, *(-pow(x, -1, p) % p for x in range(1, p)), 0]],
+                    dtype=np.uint8)
+    rounds = [np.arange(d, dtype=np.uint8)[None]]
+    seen = np.zeros(d**3, dtype=bool)
+    seen[_key(d, 0, 1, p)] = True
+    while rounds[-1].size:
+        images = gens[:, rounds[-1]].reshape(-1, d)
+        keys, first = np.unique(_key(d, *images[:, [0, 1, p]].T.astype(np.intp)), return_index=True)
+        new = ~seen[keys]
+        seen[keys[new]] = True
+        rounds.append(images[first[new]])
+    elements = np.concatenate(rounds)
     expected = p * (p * p - 1) // 2
     if elements.shape[0] != expected:
         raise AssertionError(f"built {elements.shape[0]} elements, expected {expected}")
 
     group = PermGroup(p, elements, ())
-    # x -> x + 1 and x -> -1/x, by their images of 0, 1 and infinity
-    group.generators = tuple(group._locate(*np.array([[1, 2 % p, p], [p, p - 1, 0]]).T).tolist())
+    group.generators = tuple(group._locate(*gens[:, [0, 1, p]].T.astype(np.intp)).tolist())
     return group
 
 
@@ -364,11 +367,8 @@ _A5_ORDERS = {1: 1, 2: 15, 3: 20, 5: 24}
 
 
 def _dihedral_orders(n: int) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for d in arith.divisors(n):
-        # phi(d) rotations of each order d dividing n
-        phi = sum(1 for r in range(1, d + 1) if gcd(r, d) == 1)
-        counts[d] = counts.get(d, 0) + phi
+    # phi(d) rotations of each order d dividing n
+    counts = {d: sum(gcd(r, d) == 1 for r in range(1, d + 1)) for d in arith.divisors(n)}
     counts[2] = counts.get(2, 0) + n  # the reflections
     return counts
 
@@ -456,9 +456,8 @@ def oracle_census(p: int) -> ClassCensus:
 
     by_label: dict[str, list[OracleClass]] = {}
     for cls in classes:
-        if cls.excluded_from_census:
-            continue
-        by_label.setdefault(cls.label, []).append(cls)
+        if not cls.excluded_from_census:
+            by_label.setdefault(cls.label, []).append(cls)
 
     entries = []
     for label, group_classes in by_label.items():

@@ -109,8 +109,7 @@ class SearchSummary:
     sigma_alpha_zero_count: int
     hits: tuple[TripleHit, ...]  # truncated at the hit cap; q_count stays exact
 
-    def to_json_dict(self, *, max_hits: int | None = None) -> dict:
-        shown = self.hits if max_hits is None else self.hits[:max_hits]
+    def to_json_dict(self) -> dict:
         return {
             "case": self.case_id,
             "t_max": self.t_max,
@@ -118,7 +117,7 @@ class SearchSummary:
             "sigma_alpha_zero": self.sigma_alpha_zero_count,
             "first_hits": [
                 {"t": h.t, "p": h.p, "s": h.s, "r": h.r, "attains": list(h.attains)}
-                for h in shown
+                for h in self.hits
             ],
         }
 

@@ -352,8 +352,12 @@ class TestHbCommand:
 
     @pytest.mark.parametrize("show", [0, 3, -1, 10**6])
     def test_table_show(self, show):
-        out = run(["hb", "--limit", "100000", "--show", str(show)])[1]
-        assert out == self._reference(10**5, "table", show)
+        code, out, err = run(["hb", "--limit", "100000", "--show", str(show)])
+        if show < 0:
+            assert (code, out) == (2, "")
+            assert "--show must be at least 0" in err
+        else:
+            assert out == self._reference(10**5, "table", show)
 
     def test_single_candidate(self):
         code, out, _ = run(["hb", "--limit", "77", "--format", "json"])

@@ -216,7 +216,7 @@ class TestDeterminism:
 
 class TestJsonShape:
     def test_schema(self):
-        d = search.scan(SPECS["a"], 10**3).to_json_dict(max_hits=2)
+        d = search.scan(SPECS["a"], 10**3, hit_cap=2).to_json_dict()
         assert set(d) == {"case", "t_max", "q_count", "sigma_alpha_zero", "first_hits"}
         assert len(d["first_hits"]) == 2
         assert set(d["first_hits"][0]) == {"t", "p", "s", "r", "attains"}
