@@ -15,14 +15,10 @@ from .invariants import (
     ClassEntry,
     GoldenRow,
     InvariantProfile,
-    c_count,
     census,
     counts,
     golden_table,
-    i_count,
-    n_count,
     profile,
-    s_count,
     verify_golden,
 )
 from .oracle import OracleClass, PermGroup, ResourceLimitError, Subgroup, build_psl2, classify, enumerate_subgroups, oracle_census
@@ -41,10 +37,6 @@ __all__ = [
     "primes_in_range",
     "InvariantProfile",
     "profile",
-    "i_count",
-    "c_count",
-    "s_count",
-    "n_count",
     "counts",
     "census",
     "ClassCensus",

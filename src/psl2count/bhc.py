@@ -319,7 +319,6 @@ class BhcEstimate:
 
     x: float
     a: int
-    constant: HlConstant
     integral: float
     e_value: float
     quadrature_error: float
@@ -365,7 +364,6 @@ def estimate_E(fam: PolynomialFamily, x: float, constant: HlConstant, *, rel_tol
     return BhcEstimate(
         x=float(x),
         a=a,
-        constant=constant,
         integral=integral,
         e_value=constant.value * integral,
         quadrature_error=constant.value * err,

@@ -181,7 +181,9 @@ def _print_census(cen: invariants.ClassCensus, fmt: str) -> None:
 
 def cmd_census(args) -> int:
     p = args.p
-    if args.oracle and not 3 <= p <= ORACLE_CAP:
+    if args.oracle and p < 3:
+        raise ValueError(f"brute-force census needs 3 <= p <= {ORACLE_CAP}, got {p}")
+    if args.oracle and p > ORACLE_CAP:
         raise ValueError(f"brute-force census is capped at p <= {ORACLE_CAP}")
     if p == 3 and not args.oracle:
         raise ValueError("census formulas require p >= 5; use --oracle for p = 3")

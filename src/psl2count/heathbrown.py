@@ -6,7 +6,7 @@ prime factors (with multiplicity), at most 8 on either side.  For every
 such prime the divisor-split profile is pinned down far enough (k = 0,
 l = 1, sigma = 0) that the four subgroup-class counts admit absolute upper
 bounds.  Those bounds are derived here by pushing the extremal admissible
-profiles through the count formulas rather than by quoting numbers.
+profiles through invariants.counts rather than by quoting numbers.
 
 The scan runs along t with p = 72t + 5, where p - 1 = 4(18t + 1) and
 p + 1 = 6(12t + 1) with both linear forms prime to 6: one factor-count
@@ -138,16 +138,13 @@ def derive_upper_bounds() -> tuple[int, int, int, int]:
     split delta <= 128, epsilon <= 4).  The counts i, c and n weight
     epsilon more heavily than delta, so their extremes load the minus
     side; s weights the sides the other way round.  The numbers come out
-    of the formulas, not a table.
+    of invariants.counts, not a table.
     """
     shared = dict(k=0, l=1, sigma=0, alpha=1)
     # p is a placeholder: these extremal profiles do not belong to a
     # specific prime, they bound every admissible one.
     wide_minus = invariants.InvariantProfile(p=0, delta=2**2, epsilon=2**7, **shared)
     wide_plus = invariants.InvariantProfile(p=0, delta=2**7, epsilon=2**2, **shared)
-    return (
-        invariants.i_count(wide_minus),
-        invariants.c_count(wide_minus),
-        invariants.s_count(wide_plus),
-        invariants.n_count(wide_minus),
-    )
+    i, c, _, n = invariants.counts(wide_minus)
+    s = invariants.counts(wide_plus)[2]
+    return i, c, s, n

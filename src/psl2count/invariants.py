@@ -8,10 +8,11 @@ Four quantities are computed for G = PSL(2, p):
   n  number of those classes whose members are not (so c = s + n).
 
 All four are determined by a small parameter tuple extracted from the
-divisor structure of (p + 1)/2 and (p - 1)/2.  The formulas are evaluated
-in exact integer arithmetic on delta / (k+1) and epsilon / (l+1); those
-divisions are exact for every genuine profile, so a remainder means the
-profile itself is corrupt, and it raises.  The formulas and their checks run
+divisor structure of (p + 1)/2 and (p - 1)/2.  counts() is the one place
+the formulas live; it evaluates them in exact integer arithmetic on
+delta / (k+1) and epsilon / (l+1), and takes n as c - s.  Those divisions
+are exact for every genuine profile, so a remainder means the profile
+itself is corrupt, and it raises.  The formulas and their checks run
 elementwise: a profile of int64 columns, one row per prime, gives int64
 columns of counts and raises if any row fails a check; a profile of ints
 gives ints.
@@ -70,23 +71,29 @@ def assemble_profile(p, delta, epsilon) -> InvariantProfile:
     >>> assemble_profile(np.array([37, 41]), np.array([2, 4]), np.array([6, 6])).l.tolist()
     [1, 2]
     """
+    sigma, alpha = sigma_alpha(p)
     prof = InvariantProfile(
         p=p,
         delta=delta,
         epsilon=epsilon,
         k=arith.two_adic_valuation((p + 1) // 2),
         l=arith.two_adic_valuation((p - 1) // 2),
-        sigma=_flag((p % 8 == 1) | (p % 8 == 7)),
-        alpha=_flag((p % 5 == 1) | (p % 5 == 4)),
+        sigma=sigma,
+        alpha=alpha,
     )
     _raise_where((prof.k == 0) == (prof.l == 0), AssertionError,
                  "exactly one of (p+1)/2, (p-1)/2 must be even", prof)
     return prof
 
 
-def _flag(cond):
-    """A condition as 0 or 1: an int for a bool, an int64 array for a bool array."""
-    return cond.astype(np.int64) if isinstance(cond, np.ndarray) else int(cond)
+def sigma_alpha(p) -> tuple:
+    """(sigma, alpha) of p: sigma is 1 when p = +-1 mod 8 and alpha when p = +-1 mod 5.
+
+    Ints for an int p and int64 arrays for an array.  p need not be prime: a
+    scan asks it of the class representatives that fix p mod 40.
+    """
+    flags = ((p % 8 == 1) | (p % 8 == 7), (p % 5 == 1) | (p % 5 == 4))
+    return tuple(f.astype(np.int64) if isinstance(f, np.ndarray) else int(f) for f in flags)
 
 
 def _raise_where(bad, exc: type[Exception], what: str, prof: InvariantProfile) -> None:
@@ -112,58 +119,21 @@ def _reduced(prof: InvariantProfile):
     return prof.delta // (prof.k + 1), prof.epsilon // (prof.l + 1)
 
 
-def i_count(prof: InvariantProfile):
-    """Number of isomorphism types of proper nontrivial subgroups."""
-    val = 2 * prof.delta + 3 * prof.epsilon - 3 + prof.sigma + prof.alpha
-    return val
-
-
-def _c(prof: InvariantProfile, d, e):
-    # (2 + k/(k+1)) delta + (3 + l/(l+1)) epsilon - 4 + 3 sigma + 2 alpha
-    return (
-        2 * prof.delta + prof.k * d
-        + 3 * prof.epsilon + prof.l * e
-        - 4
-        + 3 * prof.sigma
-        + 2 * prof.alpha
-    )
-
-
-def _s(prof: InvariantProfile, d, e):
-    return d + e + 2 * (prof.sigma + prof.alpha)
-
-
-def c_count(prof: InvariantProfile):
-    """Number of conjugacy classes of proper nontrivial subgroups."""
-    return _c(prof, *_reduced(prof))
-
-
-def s_count(prof: InvariantProfile):
-    """Number of self-normalising conjugacy classes of proper nontrivial subgroups."""
-    return _s(prof, *_reduced(prof))
-
-
-def n_count(prof: InvariantProfile):
-    """Number of non-self-normalising classes; checked against c - s."""
-    return counts(prof)[3]
-
-
 def counts(prof: InvariantProfile) -> tuple:
-    """The quadruple (i, c, s, n), with n checked against c - s.
+    """The quadruple (i, c, s, n) of a profile, the only code for the four counts.
 
-    (d, e) = _reduced(prof) is taken once, for all of c, s and n.
+      i = 2 delta + 3 epsilon - 3 + sigma + alpha
+      c = (2 + k/(k+1)) delta + (3 + l/(l+1)) epsilon - 4 + 3 sigma + 2 alpha
+      s = delta/(k+1) + epsilon/(l+1) + 2 (sigma + alpha)
+      n = c - s
+
+    (d, e) = _reduced(prof) is taken once, for both c and s.
     """
     d, e = _reduced(prof)
-    c, s = _c(prof, d, e), _s(prof, d, e)
-    # (2 + (k-1)/(k+1)) delta + (3 + (l-1)/(l+1)) epsilon - 4 + sigma
-    n = (
-        2 * prof.delta + (prof.k - 1) * d
-        + 3 * prof.epsilon + (prof.l - 1) * e
-        - 4
-        + prof.sigma
-    )
-    _raise_where(n != c - s, ArithmeticError, "n formula disagrees with c - s", prof)
-    return i_count(prof), c, s, n
+    i = 2 * prof.delta + 3 * prof.epsilon - 3 + prof.sigma + prof.alpha
+    c = 2 * prof.delta + prof.k * d + 3 * prof.epsilon + prof.l * e - 4 + 3 * prof.sigma + 2 * prof.alpha
+    s = d + e + 2 * (prof.sigma + prof.alpha)
+    return i, c, s, c - s
 
 
 # ---------------------------------------------------------------------------
@@ -330,24 +300,6 @@ class GoldenRow:
     c: int
     s: int
     n: int
-
-    def csv(self) -> str:
-        return ",".join(
-            str(v)
-            for v in (
-                self.p,
-                self.delta,
-                self.epsilon,
-                self.k,
-                self.l,
-                self.sigma,
-                self.alpha,
-                self.i,
-                self.c,
-                self.s,
-                self.n,
-            )
-        )
 
 
 # Regression data for primes 3..61, kept exactly as published.  Three cells

@@ -69,18 +69,20 @@ class CaseSpec:
 
 
 def case_spec(case_id: str) -> CaseSpec:
-    """Build a CaseSpec and self-check its split identities on t = 0..1000."""
+    """Build a CaseSpec and check its split identities for every t.
+
+    With p = a_p*t + b_p and m = a_m*t + b_m, (p -+ 1)/2 = mult * m holds for
+    every t exactly when a_p = 2*mult*a_m and b_p -+ 1 = 2*mult*b_m.
+    """
     if case_id not in CASE_IDS:
         raise ValueError(f"case must be one of {CASE_IDS}, got {case_id!r}")
     coeffs, roles, plus, minus = _CASE_DEFS[case_id]
-    spec = CaseSpec(case_id, PolynomialFamily(coeffs), dict(roles))
-    for t in range(1001):
-        p = spec.value("p", t)
-        if (p + 1) // 2 != plus[0] * spec.value(plus[1], t):
-            raise AssertionError(f"case {case_id}: (p+1)/2 split fails at t={t}")
-        if (p - 1) // 2 != minus[0] * spec.value(minus[1], t):
-            raise AssertionError(f"case {case_id}: (p-1)/2 split fails at t={t}")
-    return spec
+    b_p, a_p = coeffs[roles["p"]]
+    for sign, (mult, role) in ((1, plus), (-1, minus)):
+        b_m, a_m = coeffs[roles[role]]
+        if (a_p, b_p + sign) != (2 * mult * a_m, 2 * mult * b_m):
+            raise AssertionError(f"case {case_id}: (p{sign:+d})/2 = {mult}*{role} fails")
+    return CaseSpec(case_id, PolynomialFamily(coeffs), dict(roles))
 
 
 @dataclass(frozen=True)
@@ -149,10 +151,6 @@ def verify_attainment(hit: TripleHit) -> tuple[bool, bool, bool, bool]:
     return tuple(got == want for got, want in zip(invariants.counts(prof), TARGET_COUNTS))
 
 
-def _sigma_alpha_zero(p: int) -> bool:
-    return p % 8 in (3, 5) and p % 5 in (2, 3, 0)
-
-
 _WHEEL = 2 * 3 * 5 * 7
 _BLOCK = _WHEEL * 2**20  # t per block of scan
 
@@ -215,7 +213,7 @@ def _scan_block(args) -> tuple[int, int, list[int]]:
             arith.strike_form(mask, u_lo, _WHEEL * a, a * r + b, q, u_roots)
         count = int(np.count_nonzero(mask))
         q_count += count
-        if _sigma_alpha_zero(a_p * r + b_p):  # 2520 = 40 * 63, so p = a_p*r + b_p mod 40
+        if invariants.sigma_alpha(a_p * r + b_p) == (0, 0):  # 2520 = 40 * 63, so p = a_p*r + b_p mod 40
             sz_count += count
         if hit_cap and count:
             hit_ts.extend((_WHEEL * (u_lo + np.flatnonzero(mask)[:hit_cap]) + r).tolist())
@@ -227,7 +225,7 @@ def _scan_block(args) -> tuple[int, int, list[int]]:
         p, s, r = (polys[i][0] * t + polys[i][1] for i in (p_idx, s_idx, r_idx))
         if s in (2, 3) or r in (2, 3):
             continue
-        if _sigma_alpha_zero(p):
+        if invariants.sigma_alpha(p) == (0, 0):
             sz_count += 1
         hit_ts.append(t)
     hit_ts.sort()

@@ -84,6 +84,10 @@ class TestCensusCommand:
         code, _, err = run(["census", "17", "--oracle", "--allow-slow-oracle"])
         assert code == 2  # the opt-in flag is gone: p <= 31 needs none
         assert "--allow-slow-oracle" in err
+        for p in (2, 0, -7):
+            code, out, err = run(["census", str(p), "--oracle"])
+            assert (code, out) == (2, ""), p
+            assert f"needs 3 <= p <= 31, got {p}" in err
 
     def test_oracle_label_failure_is_internal(self, monkeypatch):
         # a subgroup the catalogue cannot name is a defect of the oracle, not a usage error

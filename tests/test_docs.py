@@ -1,5 +1,6 @@
-"""The documented examples run: the package docstrings and the README's worked example."""
+"""The documented examples run, and the package's public names are the ones it imports."""
 
+import ast
 import doctest
 import importlib
 import pathlib
@@ -23,3 +24,13 @@ def test_readme_example():
     result = doctest.testfile(str(README), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def test_all_matches_imports():
+    tree = ast.parse(pathlib.Path(psl2count.__file__).read_text())
+    imported = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    assert len(psl2count.__all__) == len(set(psl2count.__all__))
+    assert set(psl2count.__all__) == set(imported)
+    for name in psl2count.__all__:
+        assert getattr(psl2count, name) is not None, name

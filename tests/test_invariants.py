@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psl2count import arith, invariants
+
+
+def _reference_counts(prof):
+    """The paper's four formulas, written out apart from invariants.counts.
+
+    They run in exact rationals, and n has its own closed form rather than
+    c - s; every value must come out an integer.
+    """
+    delta, epsilon, k, l, sigma, alpha = (prof.delta, prof.epsilon, prof.k, prof.l, prof.sigma, prof.alpha)
+    i = Fraction(2 * delta + 3 * epsilon - 3 + sigma + alpha)
+    c = (2 + Fraction(k, k + 1)) * delta + (3 + Fraction(l, l + 1)) * epsilon - 4 + 3 * sigma + 2 * alpha
+    s = Fraction(delta, k + 1) + Fraction(epsilon, l + 1) + 2 * (sigma + alpha)
+    n = (2 + Fraction(k - 1, k + 1)) * delta + (3 + Fraction(l - 1, l + 1)) * epsilon - 4 + sigma
+    assert all(v.denominator == 1 for v in (i, c, s, n)), prof
+    return tuple(int(v) for v in (i, c, s, n))
 
 
 class TestColumnProfile:
@@ -64,21 +80,6 @@ class TestColumnProfile:
         monkeypatch.setattr(arith, "two_adic_valuation", off_by_one_in_row_7)
         with pytest.raises(AssertionError, match="exactly one of"):
             invariants.assemble_profile(column.p, column.delta, column.epsilon)
-
-    def test_n_against_c_minus_s_raises(self, rows, monkeypatch):
-        _, column = rows
-        s_formula = invariants._s
-
-        def off_by_one_in_row_7(prof, d, e):
-            s = s_formula(prof, d, e).copy()
-            s[7] += 1
-            return s
-
-        monkeypatch.setattr(invariants, "_s", off_by_one_in_row_7)
-        with pytest.raises(ArithmeticError, match="disagrees with c - s"):
-            invariants.n_count(column)
-        with pytest.raises(ArithmeticError, match="disagrees with c - s"):
-            invariants.counts(column)
 
     def test_counts_reduces_once(self, rows, monkeypatch):
         _, column = rows
@@ -140,6 +141,15 @@ class TestProfile:
             assert prof.sigma == (1 if p % 8 in (1, 7) else 0)
             assert prof.alpha == (1 if p % 5 in (1, 4) else 0)
 
+    def test_sigma_alpha_matches_profile(self):
+        primes = arith.primes_in_range(5, 10**4)
+        expect = [(prof.sigma, prof.alpha) for prof in map(invariants.profile, primes)]
+        assert [invariants.sigma_alpha(p) for p in primes] == expect
+        sigma, alpha = invariants.sigma_alpha(np.array(primes, dtype=np.int64))
+        assert list(zip(sigma.tolist(), alpha.tolist())) == expect
+        for n in range(1, 2520, 2):  # odd non-primes too, as the scan's class representatives are
+            assert (invariants.sigma_alpha(n) == (0, 0)) == (n % 8 in (3, 5) and n % 5 in (0, 2, 3)), n
+
 
 class TestCountFormulas:
     def test_example_quadruples(self):
@@ -148,16 +158,28 @@ class TestCountFormulas:
         assert invariants.counts(invariants.profile(61)) == (26, 30, 8, 22)
 
     def test_n_is_c_minus_s(self):
+        # the paper's own n formula agrees with c - s
         for p in arith.primes_in_range(5, 10**4):
-            prof = invariants.profile(p)
-            assert invariants.c_count(prof) == invariants.s_count(prof) + invariants.n_count(prof), p
+            _, c, s, n = _reference_counts(invariants.profile(p))
+            assert n == c - s, p
 
-    @pytest.mark.parametrize("fn", [invariants.c_count, invariants.s_count, invariants.n_count])
-    def test_corrupt_profile_raises(self, fn):
+    def test_counts_match_reference(self):
+        primes = arith.primes_in_range(5, 10**4)
+        scalar = [invariants.profile(p) for p in primes]
+        expect = [_reference_counts(prof) for prof in scalar]
+        assert [invariants.counts(prof) for prof in scalar] == expect
+        column = invariants.assemble_profile(
+            np.array(primes, dtype=np.int64),
+            np.array([prof.delta for prof in scalar], dtype=np.int64),
+            np.array([prof.epsilon for prof in scalar], dtype=np.int64),
+        )
+        assert list(zip(*(v.tolist() for v in invariants.counts(column)))) == expect
+
+    def test_corrupt_profile_raises(self):
         # (k+1) = 2 does not divide delta = 3, so no genuine prime has this profile
         prof = invariants.InvariantProfile(p=37, delta=3, epsilon=6, k=1, l=0, sigma=0, alpha=0)
         with pytest.raises(ArithmeticError):
-            fn(prof)
+            invariants.counts(prof)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=2, max_value=2000))
@@ -225,7 +247,7 @@ class TestReferenceTable:
 
     def test_csv_row(self):
         row = next(r for r in invariants.golden_table() if r.p == 53)
-        assert row.csv() == "53,4,4,0,1,0,0,17,18,6,12"
+        assert dataclasses.astuple(row) == (53, 4, 4, 0, 1, 0, 0, 17, 18, 6, 12)
 
     def test_verify_reports_single_known_issue(self):
         report = invariants.verify_golden()

@@ -37,6 +37,15 @@ class TestCaseSpec:
         with pytest.raises(ValueError):
             search.case_spec("e")
 
+    def test_wrong_multiplier_raises(self, monkeypatch):
+        coeffs, roles, plus, minus = search._CASE_DEFS["a"]
+        monkeypatch.setitem(search._CASE_DEFS, "a", (coeffs, roles, (2, "s"), minus))
+        with pytest.raises(AssertionError, match=r"\(p\+1\)/2 = 2\*s"):
+            search.case_spec("a")
+        monkeypatch.setitem(search._CASE_DEFS, "a", (coeffs, roles, plus, (3, "r")))
+        with pytest.raises(AssertionError, match=r"\(p-1\)/2 = 3\*r"):
+            search.case_spec("a")
+
 
 class TestScanCounts:
     @pytest.mark.parametrize("case_id,count", sorted(FROZEN_Q_1E3.items()))
