@@ -1,6 +1,7 @@
 """Integer arithmetic helpers: primality, factorization, divisor counts, two
-sieves of linear forms (one for primes, one for factor counts), and the one
-source of ranges of primes, prime_segments.
+sieves of linear forms (sieve_forms for primes, with a wheel mod 210 on
+long windows, and factor_counts), and the one source of ranges of primes,
+prime_segments.
 
 Everything here is exact and deterministic.  Primality testing uses a fixed
 witness set that is proven correct for all inputs below 2**64, so no function
@@ -29,6 +30,11 @@ PRIME_CAP = 10**8
 # whole bhc command 31.9, 32.1 and 34.4 MiB), and 10**8 takes 0.61, 0.59
 # and 0.54 s (best of 3), as each window strikes with every base prime again.
 _PRIME_SEGMENT = 2**17
+
+# sieve_forms sieves a window of at least _WHEEL_MIN t by classes mod
+# _WHEEL = 2*3*5*7.  prime_segments and heathbrown windows (2**17 t) stay
+# below it; a scan block (210 * 2**20 t) would need a 220 MB mask.
+_WHEEL, _WHEEL_MIN = 210, 2**20
 
 # Strong-pseudoprime witnesses covering every n < 2**64 (the seven-base set
 # found by Sinclair; verified minimal for this range).
@@ -190,7 +196,7 @@ def strike_form(mask: np.ndarray, lo: int, a: int, b: int, primes: np.ndarray, r
 
 
 def sieve_forms(forms, lo: int, hi: int) -> np.ndarray:
-    """Bool mask over t in [lo, hi], True where every a*t + b in forms is prime.
+    """The offsets t - lo, ascending, of the t in [lo, hi] where every a*t + b in forms is prime.
 
     forms holds (a, b) pairs with 1 <= a < 2**32 and gcd(a, b) = 1.  Exact
     sieve: strike_form has each prime q <= isqrt(largest value) strike, per
@@ -199,8 +205,14 @@ def sieve_forms(forms, lo: int, hi: int) -> np.ndarray:
     struck; a prime value q is below q*q, so it never is, and values below 2
     are masked.  The survivors are exactly the t where every value is prime.
     A prime q dividing a never divides a*t + b, because gcd(a, b) = 1.  The
-    base primes are one uint64 array, and each form's roots mod all of them
-    come from one vectorised inverse.  Values past PRIME_CAP**2 raise
+    base primes are one uint64 array, each form's roots mod all of them
+    come from one vectorised inverse, and primes with no root in the window
+    are dropped.  A window of at least _WHEEL_MIN t is sieved only in the
+    classes r mod 210 where no value has a factor 2, 3, 5 or 7 (the wheel:
+    Pritchard, Acta Informatica 17, 1982), each as the forms (210*a, a*r + b)
+    in u with t = 210*u + r, whose roots come from those in t through
+    1/210 mod q; a t in any other class survives only if a value is 2, 3, 5
+    or 7, and is tested by is_prime.  Values past PRIME_CAP**2 raise
     ResourceLimitError before any base prime is fetched.
     """
     if lo > hi:
@@ -213,10 +225,32 @@ def sieve_forms(forms, lo: int, hi: int) -> np.ndarray:
     top = max(a * hi + b for a, b in forms)
     check_prime_cap(top)
     primes = prime_array(math.isqrt(max(top, 0)))  # max(top, 0) admits all-negative values
-    mask = np.ones(hi - lo + 1, dtype=bool)
-    for a, b in forms:
-        strike_form(mask, lo, a, b, primes, root_offsets(a * lo + b, inverse_mod(a, primes), primes))
-    return mask
+    n = hi - lo + 1
+    # per form: the primes with a root in the window, and those roots less lo
+    roots = [root_offsets(a * lo + b, inverse_mod(a, primes), primes) for a, b in forms]
+    roots = [(primes[rho < n], rho[rho < n]) for rho in roots]
+    if n < _WHEEL_MIN:
+        mask = np.ones(n, dtype=bool)
+        for (a, b), (q, rho) in zip(forms, roots):
+            strike_form(mask, lo, a, b, q, rho)
+        return np.flatnonzero(mask)
+    dtype = np.int32 if n <= 2**31 else np.int64  # only the survivors are kept
+    special = {(w - b) // a for a, b in forms for w in (2, 3, 5, 7) if (w - b) % a == 0}
+    parts = [np.array([t - lo for t in special if lo <= t <= hi and all(
+        a * t + b >= 2 and is_prime(a * t + b) for a, b in forms)], dtype=dtype)]
+    roots = [(q, rho, inverse_mod(_WHEEL, q)) for q, rho in roots]
+    for r in range(_WHEEL):
+        u_lo, u_hi = -((r - lo) // _WHEEL), (hi - r) // _WHEEL
+        if u_lo > u_hi or any(math.gcd(a * r + b, _WHEEL) != 1 for a, b in forms):
+            continue
+        mask = np.ones(u_hi - u_lo + 1, dtype=bool)
+        shift = _WHEEL * u_lo + r - lo  # t at u_lo, less lo
+        for (a, b), (q, rho, inv) in zip(forms, roots):
+            strike_form(mask, u_lo, _WHEEL * a, a * r + b, q, (rho + q - np.uint64(shift) % q) % q * inv % q)
+        parts.append(np.flatnonzero(mask).astype(dtype) * _WHEEL + shift)
+    out = np.concatenate(parts)
+    out.sort()
+    return out
 
 
 def factor_counts(a: int, b: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +342,7 @@ def prime_segments(lo: int, hi: int):
     top = (hi - 1) // 2
     for t_lo in range(max(lo, 2) // 2, top + 1, _PRIME_SEGMENT):
         # in place: a suspended generator keeps its locals alive
-        primes = np.flatnonzero(sieve_forms([(2, 1)], t_lo, min(t_lo + _PRIME_SEGMENT - 1, top))).astype(np.uint64)
+        primes = sieve_forms([(2, 1)], t_lo, min(t_lo + _PRIME_SEGMENT - 1, top)).astype(np.uint64)
         primes *= np.uint64(2)
         primes += np.uint64(2 * t_lo + 1)
         yield primes

@@ -106,16 +106,12 @@ def scan_hb(limit: int) -> HbScan:
         # to both forms.  int16 keeps the sums below clear of int8 overflow.
         odd_minus, tau_minus = arith.factor_counts(18, 1, lo, hi)
         odd_plus, tau_plus = arith.factor_counts(12, 1, lo, hi)
-        om = odd_minus.astype(np.int16) + 2
-        op = odd_plus.astype(np.int16) + 2
-        keep = (
-            arith.sieve_forms([(HB_MODULUS, HB_RESIDUE)], lo, hi)
-            & (om + op <= HB_TOTAL_LIMIT)
-            & (om <= HB_SIDE_LIMIT)
-            & (op <= HB_SIDE_LIMIT)
-        )
-        idx = np.flatnonzero(keep)
-        segments.append((idx + lo, om[idx], op[idx], tau_plus[idx], tau_minus[idx]))
+        idx = arith.sieve_forms([(HB_MODULUS, HB_RESIDUE)], lo, hi)  # offsets of the t with p prime
+        om = odd_minus[idx].astype(np.int16) + 2
+        op = odd_plus[idx].astype(np.int16) + 2
+        keep = (om + op <= HB_TOTAL_LIMIT) & (om <= HB_SIDE_LIMIT) & (op <= HB_SIDE_LIMIT)
+        idx = idx[keep]
+        segments.append((idx + lo, om[keep], op[keep], tau_plus[idx], tau_minus[idx]))
     t, om, op, tau_plus, tau_minus = (np.concatenate(col).astype(np.int64) for col in zip(*segments))
     p = HB_MODULUS * t + HB_RESIDUE
     prof = invariants.assemble_profile(p, 2 * tau_plus, 2 * tau_minus)

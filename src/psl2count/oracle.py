@@ -87,7 +87,6 @@ class PermGroup:
         self.elements = elements
         self.generators = generators
         self.order = elements.shape[0]
-        self._images = elements.astype(np.int32).ravel()  # image of x under i at i * degree + x
         self._columns = elements[:, [0, 1, p]].T.astype(np.intp)  # images of 0, 1 and infinity
         self._by_point = elements.T.astype(np.int32)  # row x: the image of x under each element
         self._lookup = np.full(self.degree**3, -1, dtype=np.int32)
@@ -107,8 +106,7 @@ class PermGroup:
 
     def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # a after b sends 0, 1 and infinity to a's images of b's images of them
-        start = a * self.degree
-        return self._locate(*(self._images[start + column[b]] for column in self._columns))
+        return self._locate(*(self._by_point[column[b], a] for column in self._columns))
 
     def mul(self, a, b) -> np.ndarray:
         """Index of element a composed after element b, elementwise over the

@@ -15,22 +15,15 @@ product of six primes with the split parameters at their minima.  In cases
 (i, c, s, n) = (17, 18, 6, 12); smaller p and the other two cases can
 miss one or more of them, which the attainment flags record.
 
-Scanning runs the exact sieve of linear forms of arith over t for the
-three polynomials at once, so the survivors are exactly the prime triples.
-Only 16 of the 210 classes of t mod 2*3*5*7 leave all three values prime
-to 2, 3, 5 and 7; every other class holds at most a few t with a value
-equal to one of them, which are checked one at a time.  Each of the 16 is
-the progression t = 210*u + r, sieved in u as three linear forms, and base
-primes longer than the window strike their one hit per form together.
-The sieve runs in blocks of t so the work can spread over processes while
-staying bit-for-bit independent of the process count.
+Scanning sieves the three polynomials at once with arith.sieve_forms, in
+blocks of t so the work can spread over processes while staying
+bit-for-bit independent of the process count.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
-import math
 import os
 import sys
 import time
@@ -151,85 +144,30 @@ def verify_attainment(hit: TripleHit) -> tuple[bool, bool, bool, bool]:
     return tuple(got == want for got, want in zip(invariants.counts(prof), TARGET_COUNTS))
 
 
-_WHEEL = 2 * 3 * 5 * 7
-_BLOCK = _WHEEL * 2**20  # t per block of scan
-
-
-def _wheel(polys) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The classes mod _WHEEL that can hold a triple above 7, and the special t.
-
-    A class r qualifies when no a*r + b has a factor 2, 3, 5 or 7; the
-    special t are those where some a*t + b is 2, 3, 5 or 7.
-    """
-    classes = tuple(r for r in range(_WHEEL) if all(math.gcd(a * r + b, _WHEEL) == 1 for a, b in polys))
-    special = sorted({(q - b) // a for a, b in polys for q in (2, 3, 5, 7) if (q - b) % a == 0})
-    return classes, tuple(special)
+_BLOCK = 210 * 2**20  # t per block of scan: 2**20 t per class of the wheel in arith.sieve_forms
 
 
 def _forms(case_id: str) -> list[tuple[int, int]]:
     return [(c[1], c[0]) for c in _CASE_DEFS[case_id][0]]  # (a, b) with value a*t + b
 
 
-_WHEELS = {case_id: _wheel(_forms(case_id)) for case_id in CASE_IDS}
-
-
 def _scan_block(args) -> tuple[int, int, list[int]]:
     """Scan [lo, hi] for one case; returns (q_count, sz_count, hit ts).
 
-    Only the classes r mod 210 where no value has a factor 2, 3, 5 or 7 can
-    hold a triple with every value above 7.  In each, t = 210*u + r and
-    the three forms become (210*a, a*r + b) in u, which arith.strike_form
-    sieves exactly over the u with t in [lo, hi]; their roots mod each base
-    prime come from the roots in t, so the block inverts once per form.
-    Primes 2, 3, 5 and 7 divide 210*a and never strike.  Every survivor is
-    counted and, since s and r are at least 11, is a hit; p mod 40 is fixed
-    by r, so sigma = alpha = 0 holds for all of a class or none.  The first
-    hit_cap u of each class become hit ts.  A triple in any other class has
-    a value equal to 2, 3, 5 or 7: those special t are checked one at a
-    time by arith.sieve_forms.
+    One arith.sieve_forms call gives the offsets of the prime triples.  The
+    values grow with t, so the hits (s and r above 3) are the triples from
+    the first t where both pass 3, and the first hit_cap become hit ts.
+    p mod 40 follows from t mod 40, and so does sigma = alpha = 0.
     """
     case_id, lo, hi, hit_cap = args
-    roles = _CASE_DEFS[case_id][1]
-    polys = _forms(case_id)
-    classes, special = _WHEELS[case_id]
-    primes = arith.prime_array(math.isqrt(max(a * hi + b for a, b in polys)))
-    inv_wheel = arith.inverse_mod(_WHEEL, primes)
-    t_roots = []  # per form: the primes with a root in [lo, hi], those roots less lo, 1/210 mod each
-    for a, b in polys:
-        rho = arith.root_offsets(a * lo + b, arith.inverse_mod(a, primes), primes)
-        near = rho <= hi - lo
-        t_roots.append((primes[near], rho[near], inv_wheel[near]))
+    polys, roles = _forms(case_id), _CASE_DEFS[case_id][1]
+    offsets = arith.sieve_forms(polys, lo, hi)
+    t_hit = max((3 - b) // a + 1 for a, b in (polys[roles["s"]], polys[roles["r"]]))
+    hits = offsets[np.searchsorted(offsets, t_hit - lo) :]
     a_p, b_p = polys[roles["p"]]
-    q_count = sz_count = 0
-    hit_ts: list[int] = []
-    for r in classes:
-        u_lo, u_hi = -((r - lo) // _WHEEL), (hi - r) // _WHEEL
-        if u_lo > u_hi:
-            continue
-        mask = np.ones(u_hi - u_lo + 1, dtype=bool)
-        shift = np.uint64(_WHEEL * u_lo + r - lo)  # t at u_lo, less lo
-        for (a, b), (q, rho, inv) in zip(polys, t_roots):
-            u_roots = (rho + q - shift % q) % q * inv % q
-            arith.strike_form(mask, u_lo, _WHEEL * a, a * r + b, q, u_roots)
-        count = int(np.count_nonzero(mask))
-        q_count += count
-        if invariants.sigma_alpha(a_p * r + b_p) == (0, 0):  # 2520 = 40 * 63, so p = a_p*r + b_p mod 40
-            sz_count += count
-        if hit_cap and count:
-            hit_ts.extend((_WHEEL * (u_lo + np.flatnonzero(mask)[:hit_cap]) + r).tolist())
-    p_idx, s_idx, r_idx = roles["p"], roles["s"], roles["r"]
-    for t in special:
-        if not (lo <= t <= hi and arith.sieve_forms(polys, t, t)[0]):
-            continue
-        q_count += 1
-        p, s, r = (polys[i][0] * t + polys[i][1] for i in (p_idx, s_idx, r_idx))
-        if s in (2, 3) or r in (2, 3):
-            continue
-        if invariants.sigma_alpha(p) == (0, 0):
-            sz_count += 1
-        hit_ts.append(t)
-    hit_ts.sort()
-    return q_count, sz_count, hit_ts[:hit_cap]
+    zero = np.array([invariants.sigma_alpha(a_p * (lo + c) + b_p) == (0, 0) for c in range(40)])  # t = lo + c mod 40
+    sz_count = int(np.count_nonzero(zero[hits % 40]))
+    return offsets.size, sz_count, (hits[:hit_cap].astype(np.int64) + lo).tolist()
 
 
 def _in_order(pool, block_args, depth: int):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psl2count import arith
+from psl2count import arith, heathbrown, search
 
 LIMIT = 10**5
 
@@ -180,41 +180,56 @@ class TestPrimesInRange:
 
 
 # (2, 1) gives the odd primes, (1, 0) every prime, (72, 5) the primes 5 mod 72,
-# and the last is the triple family of search case a: p = 12t + 5, r = 3t + 1, s = 2t + 1.
-SIEVE_FORMS = ([(2, 1)], [(1, 0)], [(72, 5)], [(12, 5), (3, 1), (2, 1)])
+# the fourth is the triple family of search case a: p = 12t + 5, r = 3t + 1,
+# s = 2t + 1, and the last has negative b, so its value at t = 0 is below 2
+# and its class 0 mod 210 holds the value -1.
+SIEVE_FORMS = ([(2, 1)], [(1, 0)], [(72, 5)], [(12, 5), (3, 1), (2, 1)], [(6, -1), (4, -1)])
 
 
-def _plain_mask(forms, lo, hi):
+def _plain_offsets(forms, lo, hi):
     """Reference for arith.sieve_forms: a plain primality loop over t."""
-    return [all(a * t + b >= 2 and arith.is_prime(a * t + b) for a, b in forms) for t in range(lo, hi + 1)]
+    return [t - lo for t in range(lo, hi + 1) if all(a * t + b >= 2 and arith.is_prime(a * t + b) for a, b in forms)]
 
 
 class TestSieveForms:
+    """Against the plain loop at the default wheel threshold; the subclasses
+    below rerun every case with the wheel on every window and on none."""
+
+    wheel_min = None  # None keeps arith._WHEEL_MIN
+
+    @pytest.fixture(autouse=True)
+    def _wheel_min(self, monkeypatch):
+        if self.wheel_min is not None:
+            monkeypatch.setattr(arith, "_WHEEL_MIN", self.wheel_min)
+
     @pytest.mark.parametrize("forms", SIEVE_FORMS)
     def test_random_windows_match_plain_loop(self, forms):
         rng = random.Random(f"forms-{forms}")
         for _ in range(10):
             lo = rng.randint(0, 10**9)
             hi = lo + rng.randint(0, 3000)
-            assert arith.sieve_forms(forms, lo, hi).tolist() == _plain_mask(forms, lo, hi), (lo, hi)
+            assert arith.sieve_forms(forms, lo, hi).tolist() == _plain_offsets(forms, lo, hi), (lo, hi)
 
     @pytest.mark.parametrize("forms", SIEVE_FORMS)
     def test_low_windows_match_plain_loop(self, forms):
-        # values equal to a sieving prime must survive, values below 2 must not
+        # values equal to a sieving prime (the wheel's 2, 3, 5 and 7 among
+        # them) must survive, values below 2 must not; windows from one t
+        # to past 210 t
         for lo in range(61):
-            assert arith.sieve_forms(forms, lo, 300).tolist() == _plain_mask(forms, lo, 300), lo
+            for hi in (lo, lo + 9, 300):
+                assert arith.sieve_forms(forms, lo, hi).tolist() == _plain_offsets(forms, lo, hi), (lo, hi)
 
     @pytest.mark.parametrize("forms", [[(12, 5), (2, 1)], [(12, 1), (1, 0)]])
     def test_forms_of_mismatched_size(self, forms):
         # the base primes reach isqrt of the larger form, so most of them
         # cannot strike the smaller one anywhere in the window
         for lo in range(61):
-            assert arith.sieve_forms(forms, lo, 400).tolist() == _plain_mask(forms, lo, 400), lo
+            assert arith.sieve_forms(forms, lo, 400).tolist() == _plain_offsets(forms, lo, 400), lo
         rng = random.Random(f"forms-mismatched-{forms}")
         for _ in range(10):
             lo = rng.randint(0, 10**6)
             hi = lo + rng.randint(0, 3000)
-            assert arith.sieve_forms(forms, lo, hi).tolist() == _plain_mask(forms, lo, hi), (lo, hi)
+            assert arith.sieve_forms(forms, lo, hi).tolist() == _plain_offsets(forms, lo, hi), (lo, hi)
 
     @pytest.mark.parametrize("forms", SIEVE_FORMS)
     def test_windows_near_2_44_and_2_50(self, forms):
@@ -223,7 +238,7 @@ class TestSieveForms:
         for k in (44, 50):
             lo = 2**k // max(a for a, _ in forms) - rng.randint(0, 10**6)
             hi = lo + rng.randint(0, 3000)
-            assert arith.sieve_forms(forms, lo, hi).tolist() == _plain_mask(forms, lo, hi), (lo, hi)
+            assert arith.sieve_forms(forms, lo, hi).tolist() == _plain_offsets(forms, lo, hi), (lo, hi)
 
     def test_inverse_mod(self):
         primes = arith.prime_array(10**4)
@@ -249,6 +264,32 @@ class TestSieveForms:
         with pytest.raises(arith.ResourceLimitError):
             arith.primes_in_range(2**62, 2**62 + 200)
         assert time.perf_counter() - start < 1.0
+
+
+class TestSieveFormsWheelEverywhere(TestSieveForms):
+    wheel_min = 1
+
+
+class TestSieveFormsWheelNowhere(TestSieveForms):
+    wheel_min = 2**62
+
+
+class TestWheelThreshold:
+    def test_traffic_split(self):
+        # prime windows and hb segments stay in t; a full scan block takes the wheel
+        assert arith._PRIME_SEGMENT < arith._WHEEL_MIN
+        assert heathbrown._SEGMENT < arith._WHEEL_MIN
+        assert search._BLOCK >= arith._WHEEL_MIN
+
+    def test_offsets_across_the_threshold(self, monkeypatch):
+        # the same window in t, in 210 classes, and in both with the
+        # threshold at its length; int32 offsets on the wheel side
+        lo, hi = 10**9, 10**9 + 5000
+        expect = _plain_offsets(SIEVE_FORMS[3], lo, hi)
+        for wheel_min, dtype in ((hi - lo + 2, np.int64), (hi - lo + 1, np.int32)):
+            monkeypatch.setattr(arith, "_WHEEL_MIN", wheel_min)
+            got = arith.sieve_forms(SIEVE_FORMS[3], lo, hi)
+            assert got.dtype == dtype and got.tolist() == expect, wheel_min
 
 
 def _checked_windows(lo, hi):

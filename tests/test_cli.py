@@ -407,6 +407,15 @@ class TestPlumbing:
     def test_entry_point_exists(self):
         assert callable(cli.entry)
 
+    def test_entry_exits_with_the_status_of_main(self):
+        # entry() freezes the collector before it exits; output and status stay main's
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for argv, code, out in ((["invariants", "53", "--format", "csv"], 0, "53,4,4,0,1,0,0,17,18,6,12\n"),
+                                (["census", "37", "--oracle"], 2, "")):
+            proc = subprocess.run([sys.executable, "-c", "from psl2count.cli import entry; entry()", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert (proc.returncode, proc.stdout) == (code, out), (argv, proc.stderr)
+
     def test_traced_layers_resolve(self):
         # the benchmark's traced run wraps each (module, attribute) of
         # perfbench/tracer.py's LAYERS; the file is parsed, not imported

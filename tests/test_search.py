@@ -1,6 +1,7 @@
 """Prime-triple scans: frozen counts, hit semantics and determinism."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -98,7 +99,18 @@ def _plain_block(spec, lo, hi):
     return q_count, sz_count, hit_ts
 
 
-class TestExactSieve:
+class WheelMin:
+    """Runs a class's cases with arith._WHEEL_MIN set to wheel_min (None keeps the default)."""
+
+    wheel_min = None
+
+    @pytest.fixture(autouse=True)
+    def _wheel_min(self, monkeypatch):
+        if self.wheel_min is not None:
+            monkeypatch.setattr(arith, "_WHEEL_MIN", self.wheel_min)
+
+
+class TestExactSieve(WheelMin):
     @pytest.mark.parametrize("case_id", search.CASE_IDS)
     def test_random_windows_match_plain_loop(self, case_id):
         rng = random.Random(f"sieve-{case_id}")
@@ -117,8 +129,8 @@ class TestExactSieve:
             assert got == _plain_block(SPECS[case_id], lo, 300), (case_id, lo)
 
 
-class TestWheel:
-    """The 16 classes mod 210 and the special t, against the plain loop."""
+class TestWheel(WheelMin):
+    """The special t and the blocks around 210 t, against the plain loop."""
 
     @pytest.mark.parametrize("case_id", search.CASE_IDS)
     def test_special_ts_match_plain_loop(self, case_id):
@@ -145,6 +157,34 @@ class TestWheel:
         for block in (1, 209, 210, 211):
             monkeypatch.setattr(search, "_BLOCK", block)
             assert search.scan(SPECS[case_id], 2000) == base, (case_id, block)
+
+
+class TestExactSieveWheelEverywhere(TestExactSieve):
+    wheel_min = 1
+
+
+class TestExactSieveWheelNowhere(TestExactSieve):
+    wheel_min = 2**62
+
+
+class TestWheelEverywhere(TestWheel):
+    wheel_min = 1
+
+
+class TestWheelNowhere(TestWheel):
+    wheel_min = 2**62
+
+
+def test_scan_block_memory():
+    # a block keeps only the survivors' int32 offsets, never a mask of its
+    # 10**8 t or value arrays over the survivors
+    tracemalloc.start()
+    try:
+        search._scan_block(("a", 1, 10**8, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20, peak
 
 
 class TestHits:
