@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import traceback
 
@@ -45,15 +46,25 @@ def _jreal(x: float) -> float:
     return float(f"{x:.10g}")
 
 
+# sign, digits, fraction and exponent of a decimal such as 1e9 or 2.5E3
+_DECIMAL = re.compile(r"\s*([+-]?)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?\s*")
+
+
 def _int_arg(text: str) -> int:
-    """Integer flag value, accepting scientific notation like 1e9."""
+    """Integer flag value, also in scientific notation like 1e9, read exactly; past 309 digits, as a float overflows, refused."""
     try:
         return int(text)
     except ValueError:
-        val = float(text)
-        if not val.is_integer():  # also refuses inf and nan
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        return int(val)
+        match = _DECIMAL.fullmatch(text)
+    if match is None or not (match[2] or match[3]):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    sign, whole, frac, exp = match.groups("")
+    digits = whole + frac
+    significant = digits.strip("0")  # the value is significant * 10**scale
+    scale = int(exp or 0) - len(frac) + len(digits) - len(digits.rstrip("0"))
+    if significant and (scale < 0 or len(significant) + scale > 309):  # checked before 10**scale is built
+        raise argparse.ArgumentTypeError(f"expected an integer of at most 309 digits, got {text!r}")
+    return int(sign + significant) * 10**scale if significant else 0
 
 
 def _env_name(flag: str) -> str:

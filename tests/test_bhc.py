@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -355,21 +356,82 @@ class TestSegmentedConstant:
 
 class TestQuadrature:
     def test_polynomial_exact(self):
-        val, err = bhc.integrate_adaptive(lambda x: x * x, 0.0, 1.0)
+        val, err = bhc.integrate_bracket(lambda x: x * x, 0.0, 1.0)
         assert abs(val - 1 / 3) < 1e-12
 
     def test_reciprocal(self):
-        val, _ = bhc.integrate_adaptive(lambda x: 1.0 / x, 1.0, math.e)
+        val, _ = bhc.integrate_bracket(lambda x: 1.0 / x, 1.0, math.e)
         assert abs(val - 1.0) < 1e-10
 
     def test_wide_logarithmic_range(self):
-        val, _ = bhc.integrate_adaptive(lambda x: 1.0 / x, 1.0, 1e9)
+        val, _ = bhc.integrate_bracket(lambda x: 1.0 / x, 1.0, 1e9)
         assert abs(val - math.log(1e9)) < 1e-7 * math.log(1e9)
 
     def test_vectorised_callable(self):
         import numpy as np
-        val, _ = bhc.integrate_adaptive(np.sin, 0.0, math.pi)
+        val, _ = bhc.integrate_bracket(np.sin, 0.0, math.pi)
         assert abs(val - 2.0) < 1e-10
+
+
+def _seconds_to_refuse(f, lo, hi):
+    """The least of three times integrate_bracket takes to raise ValueError on f."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(ValueError), np.errstate(divide="ignore", invalid="ignore"):
+            bhc.integrate_bracket(f, lo, hi)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+class TestBracket:
+    @pytest.mark.parametrize("f,lo,hi,exact", [
+        (lambda x: x * x, 0.0, 1.0, 1 / 3),            # convex
+        (lambda x: 1.0 / x, 1.0, math.e, 1.0),
+        (lambda x: 1.0 / x, 1.0, 1e9, math.log(1e9)),
+        (np.sin, 0.0, math.pi, 2.0),                   # concave
+        (lambda x: 2.0 * x + 1.0, 0.0, 3.0, 12.0),     # both: the bracket is shut up to rounding
+    ], ids=["square", "reciprocal", "reciprocal to 1e9", "sine", "linear"])
+    def test_error_bounds_the_exact_integral(self, f, lo, hi, exact):
+        val, err = bhc.integrate_bracket(f, lo, hi)
+        assert abs(val - exact) <= err
+        assert err < 1e-7 * exact  # and is not vacuous
+
+    def test_error_bounds_case_a_at_1e9(self, monkeypatch):
+        calls = []
+        real = bhc.integrate_bracket
+        monkeypatch.setattr(bhc, "integrate_bracket", lambda f, lo, hi: calls.append((f, lo, hi)) or real(f, lo, hi))
+        hc = bhc.hl_constant(FAMS["a"], 10**4)
+        est = bhc.estimate_E(FAMS["a"], 1e9, hc)
+        (f, lo, hi), = calls
+        val, err = real(f, lo, hi)
+        assert (est.integral, est.quadrature_error) == (val, hc.value * err)
+        monkeypatch.setattr(bhc, "_PANELS", 10 * bhc._PANELS)
+        fine_val, fine_err = real(f, lo, hi)
+        assert fine_err < err / 50
+        # every value within fine_err of fine_val, the exact integral among them, is within err of val
+        assert abs(val - fine_val) + fine_err <= err
+
+    @pytest.mark.parametrize("f", [lambda x: 1.0 / (x - 0.5), lambda x: np.log(x - 0.5)], ids=["pole", "nan"])
+    def test_bad_integrands_are_refused_at_once(self, f):
+        assert _seconds_to_refuse(f, 0.0, 1.0) < 0.1
+
+    @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, 1.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_bad_ranges(self, lo, hi):
+        with pytest.raises(ValueError):
+            bhc.integrate_bracket(np.sin, lo, hi)
+
+    def test_the_old_name_is_the_same_function(self):
+        # perfbench/tracer.py wraps the quadrature by this name and rebinds every name bound to it
+        assert bhc.integrate_adaptive is bhc.integrate_bracket
+
+
+def _lower_limit_by_loop(fam, limit):
+    """The first t >= 0 at which every value is at least 2, trying each t up to limit; None past it."""
+    for t in range(limit + 1):
+        if all(v >= 2 for v in fam.values(t)):
+            return t
+    return None
 
 
 class TestEstimate:
@@ -378,6 +440,29 @@ class TestEstimate:
         assert bhc.integration_lower_limit(FAMS["b"]) == 1
         assert bhc.integration_lower_limit(FAMS["c"]) == 1
         assert bhc.integration_lower_limit(FAMS["d"]) == 2
+
+    def test_lower_limit_matches_the_loop(self):
+        rng = random.Random(2)
+        fams = list(FAMS.values())
+        for _ in range(3000):
+            members = [(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(rng.randint(1, 4))]
+            fams.append(bhc.family(*[m for m in members if m != (0, 0)] or [(1, 1)]))
+        refused = 0
+        for fam in fams:
+            # every rising member with |a|, |b| <= 50 is at least 2 from t = 52 on
+            want = _lower_limit_by_loop(fam, 100)
+            if want is None:
+                refused += 1
+                with pytest.raises(ValueError):
+                    bhc.integration_lower_limit(fam)
+            else:
+                assert bhc.integration_lower_limit(fam) == want, fam
+        assert 0 < refused < len(fams)
+
+    def test_lower_limit_far_out_or_nowhere(self):
+        assert bhc.integration_lower_limit(bhc.family((-3000000, 1), (5, 12))) == 3000002
+        with pytest.raises(ValueError):
+            bhc.integration_lower_limit(bhc.family((1, -1)))  # 1 - t never reaches 2
 
     def test_rejects_x_below_limit(self):
         hc = bhc.hl_constant(FAMS["a"], 10**4)

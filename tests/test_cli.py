@@ -179,6 +179,27 @@ class TestSearchCommand:
         code, out, _ = run(["search", "a", "--t-max", "1e3", "--format", "json"])
         assert json.loads(out)["t_max"] == 1000
 
+    @pytest.mark.parametrize("text,value", [
+        ("9007199254740993e0", 9007199254740993),  # 2**53 + 1, where a float would give 2**53
+        ("1.8446744073709551615e19", 2**64 - 1),
+        ("1e23", 10**23),
+        ("2.50e1", 25),
+        ("-3E2", -300),
+        ("0e999999999", 0),
+    ])
+    def test_scientific_notation_is_exact(self, text, value):
+        assert cli._int_arg(text) == value
+
+    def test_exact_value_reaches_the_command(self):
+        code, _, err = run(["invariants", "9007199254740993e0"])
+        assert code == 2 and "got 9007199254740993" in err
+
+    @pytest.mark.parametrize("text", ["1.5", "inf", "nan", "1e999999999", "1e-999999999", "e5", "."])
+    def test_non_integers_are_usage_errors(self, text):
+        start = time.perf_counter()
+        assert run(["search", "a", "--t-max", text])[0] == 2
+        assert time.perf_counter() - start < 1.0
+
     def test_only_shown_hits_are_built(self, monkeypatch):
         caps = []
         real_scan = search.scan
