@@ -24,7 +24,8 @@ U64_MAX = 2**64 - 1
 # would be a 46 MB uint64 array.
 PRIME_CAP = 10**8
 
-# t per window of prime_segments (p = 2t + 1).  Measured through
+# t per window of prime_segments (p = 2t + 1) and of heathbrown.scan_hb, where
+# it makes a 1 MiB uint64 residual per form.  Measured through
 # bhc.hl_constant on case a, 2 cores, at 2**16, 2**17 and 2**18: the traced
 # peak at a truncation of 10**7 is 0.8, 1.6 and 3.0 MiB (ru_maxrss of the
 # whole bhc command 31.9, 32.1 and 34.4 MiB), and 10**8 takes 0.61, 0.59

@@ -224,52 +224,32 @@ def cmd_census(args) -> int:
 # verify-table
 
 
-def _row_statuses(report: invariants.GoldenReport) -> list[tuple[int, str, list]]:
-    by_p: dict[int, list] = {}
-    for c in report.checks:
-        by_p.setdefault(c.p, []).append(c)
-    rows = []
-    for p in sorted(by_p):
-        checks = by_p[p]
-        if any(c.status == "mismatch" for c in checks):
-            status = "mismatch"
-        elif any(c.status == "known-issue" for c in checks):
-            status = "known-issue"
-        else:
-            status = "ok"
-        rows.append((p, status, [c for c in checks if c.status != "match"]))
-    return rows
+def _cell(c: invariants.CellCheck) -> dict:
+    return {"p": c.p, "column": c.column, "expected": c.expected, "computed": c.computed}
 
 
 def cmd_verify_table(args) -> int:
     report = invariants.verify_golden(oracle_rows=args.oracle_rows)
-    rows = _row_statuses(report)
 
     if args.format == "json":
         out = {
-            "rows": [{"p": p, "status": status} for p, status, _ in rows],
-            "mismatches": [
-                {"p": c.p, "column": c.column, "expected": c.expected, "computed": c.computed}
-                for c in report.mismatches
-            ],
-            "known_issues": [
-                {"p": c.p, "column": c.column, "expected": c.expected, "computed": c.computed}
-                for c in report.known_issues
-            ],
+            "rows": [{"p": p, "status": status} for p, status, _ in report.rows],
+            "mismatches": [_cell(c) for c in report.mismatches],
+            "known_issues": [_cell(c) for c in report.known_issues],
             "ok": report.ok,
         }
         print(json.dumps(out))
     elif args.format == "csv":
         print("p,status")
-        for p, status, _ in rows:
+        for p, status, _ in report.rows:
             print(f"{p},{status}")
     else:
-        for p, status, odd in rows:
+        for p, status, cells in report.rows:
             line = f"p={p:<3} {status}"
-            for c in odd:
+            for c in cells:
                 line += f"  ({c.column}: table {c.expected}, computed {c.computed})"
             print(line)
-        n_formula = sum(1 for p, _, _ in rows if p >= 5)
+        n_formula = sum(1 for p, _, _ in report.rows if p >= 5)
         print(
             f"{n_formula} formula rows checked"
             + (" (plus brute-force rows)" if args.oracle_rows else "")
@@ -464,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sea.add_argument("case", choices=tuple(search.CASE_IDS))
     _add(p_sea, "--t-max", type=_int_arg, required=True, help="scan t in [1, t_max]")
     _add(p_sea, "--threads", type=_int_arg, default=None,
-         help="worker processes (default: machine parallelism; result independent of it)")
+         help="worker processes, capped at the machine parallelism (the default); result independent of it")
     _add(p_sea, "--show-hits", type=_int_arg, default=10,
          help="hits to include in table/json output")
     p_sea.set_defaults(func=cmd_search)

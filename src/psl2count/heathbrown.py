@@ -30,8 +30,6 @@ HB_RESIDUE = 5
 HB_TOTAL_LIMIT = 11   # Omega(p-1) + Omega(p+1)
 HB_SIDE_LIMIT = 8     # Omega on either side
 
-_SEGMENT = 2**17  # t per sieve segment: a 1 MiB uint64 residual per form
-
 
 @dataclass(frozen=True)
 class HbCandidate:
@@ -84,8 +82,8 @@ def scan_hb(limit: int) -> HbScan:
 
     Equal to qualifies(p) for every prime p = 5 mod 72 up to limit that
     qualifies, without factoring any p -+ 1 one at a time: t runs in
-    segments of _SEGMENT, and arith.factor_counts sieves 18t + 1 and 12t + 1
-    over each.  Every candidate's profile must show k = 0, l = 1 and
+    segments of arith._PRIME_SEGMENT, and arith.factor_counts sieves 18t + 1
+    and 12t + 1 over each.  Every candidate's profile must show k = 0, l = 1 and
     sigma = 0; the congruence forces that, so a violation means a bug and
     raises.  A limit whose sieve needs base primes past arith.PRIME_CAP
     raises ResourceLimitError before the first segment.
@@ -99,8 +97,8 @@ def scan_hb(limit: int) -> HbScan:
     t_max = (limit - HB_RESIDUE) // HB_MODULUS
     arith.check_prime_cap(HB_MODULUS * t_max + HB_RESIDUE)
     segments = []
-    for lo in range(0, t_max + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT - 1, t_max)
+    for lo in range(0, t_max + 1, arith._PRIME_SEGMENT):
+        hi = min(lo + arith._PRIME_SEGMENT - 1, t_max)
         # p - 1 = 4(18t + 1) and p + 1 = 6(12t + 1): Omega(4) = Omega(6) = 2,
         # and tau((p -+ 1)/2) = 2 tau(18t + 1 | 12t + 1), as 2 and 3 are prime
         # to both forms.  int16 keeps the sums below clear of int8 overflow.

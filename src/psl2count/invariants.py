@@ -341,73 +341,70 @@ def golden_table() -> list[GoldenRow]:
 
 @dataclass(frozen=True)
 class CellCheck:
+    """One reference-table cell that the recomputation does not match."""
+
     p: int
     column: str
     expected: int
     computed: int
-    status: str  # "match" | "known-issue" | "mismatch"
+    status: str  # "known-issue" | "mismatch"
 
 
 @dataclass(frozen=True)
 class GoldenReport:
-    checks: tuple[CellCheck, ...]
+    """One (p, verdict, cells) per reference row, in table order.
+
+    cells are the row's CellChecks, the cells that do not match, in column
+    order.  The verdict is the worst of their statuses: "mismatch" over
+    "known-issue", and "ok" for a row whose every cell matches.
+    """
+
+    rows: tuple[tuple[int, str, tuple[CellCheck, ...]], ...]
 
     @property
     def mismatches(self) -> list[CellCheck]:
-        return [c for c in self.checks if c.status == "mismatch"]
+        return [c for _, _, cells in self.rows for c in cells if c.status == "mismatch"]
 
     @property
     def known_issues(self) -> list[CellCheck]:
-        return [c for c in self.checks if c.status == "known-issue"]
+        return [c for _, _, cells in self.rows for c in cells if c.status == "known-issue"]
 
     @property
     def ok(self) -> bool:
         return not self.mismatches
 
 
-_PROFILE_COLUMNS = ("delta", "epsilon", "k", "l", "sigma", "alpha")
-_COUNT_COLUMNS = ("i", "c", "s", "n")
-
-
-def _check(p: int, column: str, expected: int, computed: int) -> CellCheck:
-    if expected == computed:
-        status = "match"
-    elif (p, column) in KNOWN_ISSUES:
-        status = "known-issue"
-    else:
-        status = "mismatch"
-    return CellCheck(p, column, expected, computed, status)
-
-
 def verify_golden(*, oracle_rows: bool = False) -> GoldenReport:
-    """Recompute every reference-table cell and report cell-level status.
+    """Recompute every reference-table row and give each row its verdict.
 
     Rows with p >= 5 are checked column by column against profile() and the
     count formulas.  The p = 3 row is checked on its four counts only, using
     the brute-force census.  With oracle_rows=True the rows p = 5, 7, 11, 13,
-    17, 19 are additionally recomputed by brute force.
+    17, 19 are additionally recomputed by brute force, as columns oracle_i
+    to oracle_n checked against the row's i to n.  A row's verdict is
+    "mismatch" if any cell is a mismatch, else "known-issue" if any cell
+    differs (every such cell is in KNOWN_ISSUES), else "ok".
     """
     # Imported here: the brute-force module depends on this one for its
     # census types, so a top-level import would be circular.
     from . import oracle
 
-    checks: list[CellCheck] = []
+    rows = []
     for row in golden_table():
-        if row.p == 3:
-            cen = oracle.oracle_census(3)
-            got = (cen.i, cen.c, cen.s, cen.n)
-            for col, exp, comp in zip(_COUNT_COLUMNS, (row.i, row.c, row.s, row.n), got):
-                checks.append(_check(3, col, exp, comp))
-            continue
-        prof = profile(row.p)
-        for col in _PROFILE_COLUMNS:
-            checks.append(_check(row.p, col, getattr(row, col), getattr(prof, col)))
-        quad = counts(prof)
-        for col, exp, comp in zip(_COUNT_COLUMNS, (row.i, row.c, row.s, row.n), quad):
-            checks.append(_check(row.p, col, exp, comp))
-        if oracle_rows and row.p in (5, 7, 11, 13, 17, 19):
+        computed = {}  # column -> recomputed value, in column order
+        if row.p >= 5:
+            prof = profile(row.p)
+            computed.update((f.name, getattr(prof, f.name)) for f in dataclasses.fields(prof)[1:])  # delta to alpha
+            computed.update(zip("icsn", counts(prof)))
+        if row.p == 3 or (oracle_rows and row.p in (5, 7, 11, 13, 17, 19)):
             cen = oracle.oracle_census(row.p)
-            got = (cen.i, cen.c, cen.s, cen.n)
-            for col, exp, comp in zip(_COUNT_COLUMNS, (row.i, row.c, row.s, row.n), got):
-                checks.append(_check(row.p, "oracle_" + col, exp, comp))
-    return GoldenReport(tuple(checks))
+            prefix = "" if row.p == 3 else "oracle_"
+            computed.update((prefix + col, getattr(cen, col)) for col in "icsn")
+        cells = tuple(
+            CellCheck(row.p, col, expected, got, "known-issue" if (row.p, col) in KNOWN_ISSUES else "mismatch")
+            for col, got in computed.items()
+            if (expected := getattr(row, col.removeprefix("oracle_"))) != got
+        )
+        # the worst status, as "mismatch" > "known-issue" in string order; "ok" when no cell differs
+        rows.append((row.p, max((c.status for c in cells), default="ok"), cells))
+    return GoldenReport(tuple(rows))

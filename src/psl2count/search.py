@@ -203,8 +203,9 @@ def scan(
     """Count prime triples for t in [1, t_max] and record hits.
 
     q_count is exact regardless of hit_cap.  Blocks are merged in index
-    order, so the result is identical for every jobs value.  Blocks are made
-    as the pool takes them, and a t_max whose base primes would pass
+    order, so the result is identical for every jobs value; at most
+    default_jobs() worker processes run, however large jobs is.  Blocks are
+    made as the pool takes them, and a t_max whose base primes would pass
     arith.PRIME_CAP raises ResourceLimitError before the first.  With
     progress, each merged block prints the t done, the rate and an ETA on
     stderr.
@@ -227,7 +228,7 @@ def scan(
     q_count = 0
     sz_count = 0
     hit_ts: list[int] = []
-    workers = min(jobs, n_blocks)  # a single block runs in-process
+    workers = min(jobs, n_blocks, default_jobs())  # a pool forks all its workers at once; one runs in-process
     started = time.monotonic()
     if workers > 1:
         # imported here, not at the top: every command would pay for it at start-up

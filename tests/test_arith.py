@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psl2count import arith, heathbrown, search
+from psl2count import arith, search
 
 LIMIT = 10**5
 
@@ -276,9 +276,8 @@ class TestSieveFormsWheelNowhere(TestSieveForms):
 
 class TestWheelThreshold:
     def test_traffic_split(self):
-        # prime windows and hb segments stay in t; a full scan block takes the wheel
+        # prime windows and hb segments (both _PRIME_SEGMENT) stay in t; a full scan block takes the wheel
         assert arith._PRIME_SEGMENT < arith._WHEEL_MIN
-        assert heathbrown._SEGMENT < arith._WHEEL_MIN
         assert search._BLOCK >= arith._WHEEL_MIN
 
     def test_offsets_across_the_threshold(self, monkeypatch):

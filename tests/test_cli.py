@@ -78,16 +78,16 @@ class TestCensusCommand:
         assert "(empty)" in out
 
     def test_oracle_cap(self):
-        code, _, err = run(["census", "37", "--oracle"])
+        code, _, err = run(["census", "67", "--oracle"])
         assert code == 2
-        assert "capped at p <= 31" in err
+        assert "capped at p <= 61" in err
         code, _, err = run(["census", "17", "--oracle", "--allow-slow-oracle"])
-        assert code == 2  # the opt-in flag is gone: p <= 31 needs none
+        assert code == 2  # the opt-in flag is gone: p <= 61 needs none
         assert "--allow-slow-oracle" in err
         for p in (2, 0, -7):
             code, out, err = run(["census", str(p), "--oracle"])
             assert (code, out) == (2, ""), p
-            assert f"needs 3 <= p <= 31, got {p}" in err
+            assert f"needs 3 <= p <= 61, got {p}" in err
 
     def test_oracle_label_failure_is_internal(self, monkeypatch):
         # a subgroup the catalogue cannot name is a defect of the oracle, not a usage error
@@ -145,6 +145,60 @@ class TestVerifyTableCommand:
     def test_oracle_rows(self):
         code, out, _ = run(["verify-table", "--oracle-rows"])
         assert code == 0
+
+
+# (p, column index in a _GOLDEN row, wrong value): i at 11, delta at 23, s at 3
+_CORRUPTED_CELLS = ((11, 7, 13), (23, 1, 7), (3, 9, 2))
+
+
+class TestVerifyTableMismatch:
+    """The real table's only odd cell is the p = 7 known issue; three wrong cells reach "mismatch"."""
+
+    @pytest.fixture(autouse=True)
+    def corrupt_table(self, monkeypatch):
+        rows = [list(row) for row in invariants._GOLDEN]
+        for p, col, value in _CORRUPTED_CELLS:
+            next(row for row in rows if row[0] == p)[col] = value
+        monkeypatch.setattr(invariants, "_GOLDEN", tuple(map(tuple, rows)))
+
+    def test_exit_code_with_and_without_strict(self):
+        assert run(["verify-table"])[0] == 1
+        assert run(["verify-table", "--strict"])[0] == 1
+
+    def test_table(self):
+        code, out, _ = run(["verify-table"])
+        lines = out.splitlines()
+        for line in ("p=3   mismatch  (s: table 2, computed 1)",
+                     "p=11  mismatch  (i: table 13, computed 12)",
+                     "p=23  mismatch  (delta: table 7, computed 6)",
+                     "p=7   known-issue  (c: table 14, computed 13)"):
+            assert line in lines
+        assert lines[-1].endswith("mismatches: 3, known issues: 1")
+
+    def test_json(self):
+        d = json.loads(run(["verify-table", "--format", "json"])[1])
+        assert d["ok"] is False
+        assert [(m["p"], m["column"]) for m in d["mismatches"]] == [(3, "s"), (11, "i"), (23, "delta")]
+        assert d["mismatches"][1] == {"p": 11, "column": "i", "expected": 13, "computed": 12}
+        assert [r["status"] for r in d["rows"] if r["p"] in (3, 7, 11, 23)] == [
+            "mismatch", "known-issue", "mismatch", "mismatch"]
+
+    def test_csv(self):
+        lines = run(["verify-table", "--format", "csv"])[1].splitlines()
+        for line in ("3,mismatch", "11,mismatch", "23,mismatch", "7,known-issue"):
+            assert line in lines
+        assert sum(1 for line in lines[1:] if line.endswith(",ok")) == 13
+
+    def test_oracle_rows(self):
+        code, out, _ = run(["verify-table", "--oracle-rows", "--format", "json"])
+        d = json.loads(out)
+        assert code == 1
+        assert [(m["p"], m["column"]) for m in d["mismatches"]] == [
+            (3, "s"), (11, "i"), (11, "oracle_i"), (23, "delta")]
+        assert [(k["p"], k["column"]) for k in d["known_issues"]] == [(7, "c"), (7, "oracle_c")]
+        _, out, _ = run(["verify-table", "--oracle-rows"])
+        assert "p=7   known-issue  (c: table 14, computed 13)  (oracle_c: table 14, computed 13)" in out.splitlines()
+        assert "p=11  mismatch  (i: table 13, computed 12)  (oracle_i: table 13, computed 12)" in out.splitlines()
 
 
 class TestSearchCommand:
@@ -432,7 +486,7 @@ class TestPlumbing:
         # entry() freezes the collector before it exits; output and status stay main's
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         for argv, code, out in ((["invariants", "53", "--format", "csv"], 0, "53,4,4,0,1,0,0,17,18,6,12\n"),
-                                (["census", "37", "--oracle"], 2, "")):
+                                (["census", "67", "--oracle"], 2, "")):
             proc = subprocess.run([sys.executable, "-c", "from psl2count.cli import entry; entry()", *argv],
                                   capture_output=True, text=True, env=env, timeout=120)
             assert (proc.returncode, proc.stdout) == (code, out), (argv, proc.stderr)

@@ -111,7 +111,7 @@ class TestScan:
     @pytest.mark.parametrize("segment", [2**10, 2**15])
     def test_segment_size_leaves_columns_unchanged(self, segment, monkeypatch):
         expect = heathbrown.scan_hb(10**6)
-        monkeypatch.setattr(heathbrown, "_SEGMENT", segment)
+        monkeypatch.setattr(arith, "_PRIME_SEGMENT", segment)
         found = heathbrown.scan_hb(10**6)
         for field in ("p", "omega_minus", "omega_plus"):
             assert getattr(found, field).tolist() == getattr(expect, field).tolist(), field

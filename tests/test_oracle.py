@@ -157,9 +157,9 @@ class TestBuild:
         assert g.element_orders().tolist() == [_cycle_order(row) for row in perms.tolist()]
 
     def test_cap_and_overrides(self):
-        assert oracle.build_psl2(oracle.MAX_P).order == 14880  # the largest group built: p = 31
+        assert oracle.build_psl2(oracle.MAX_P).order == 113460  # the largest group built: p = 61
         with pytest.raises(ValueError):
-            oracle.build_psl2(37)
+            oracle.build_psl2(67)
         with pytest.raises(ValueError):
             oracle.build_psl2(4)
         with pytest.raises(TypeError):
@@ -463,9 +463,12 @@ class TestCensusAgreement:
         _assert_label_by_label(p)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("p", [29, 31])
+    @pytest.mark.parametrize("p", [29, 31, 37, 41, 43, 47, 53, 59, 61])
     def test_label_by_label_opt_in(self, p):
-        _assert_label_by_label(p)
+        # the brute-force counts are also the golden row's i, c, s, n
+        brute = _assert_label_by_label(p)
+        row = next(r for r in invariants.golden_table() if r.p == p)
+        assert (brute.i, brute.c, brute.s, brute.n) == (row.i, row.c, row.s, row.n)
 
 
 def _assert_label_by_label(p):
@@ -474,3 +477,4 @@ def _assert_label_by_label(p):
     fm = {(e.label, e.order, e.num_classes, e.self_normalising) for e in formula.entries}
     bm = {(e.label, e.order, e.num_classes, e.self_normalising) for e in brute.entries}
     assert fm == bm
+    return brute

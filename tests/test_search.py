@@ -1,5 +1,7 @@
 """Prime-triple scans: frozen counts, hit semantics and determinism."""
 
+import concurrent.futures
+import os
 import random
 import tracemalloc
 
@@ -261,6 +263,35 @@ class TestDeterminism:
         monkeypatch.setattr(search, "_BLOCK", 997)
         other = search.scan(SPECS["a"], 10**4)
         assert other == base
+
+    def test_workers_capped_at_machine_parallelism(self, monkeypatch):
+        # A pool forks all its max_workers at the first submit, so a huge jobs
+        # must not reach it.  The fake pool starts no process: it records
+        # max_workers and runs each block in-process.
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(search, "_BLOCK", 997)
+        base = search.scan(SPECS["a"], 10**4, jobs=1)
+        assert asked == []  # jobs=1 runs in-process
+        assert search.scan(SPECS["a"], 10**4, jobs=10**6) == base
+        assert asked == [2]
 
 
 class TestJsonShape:
