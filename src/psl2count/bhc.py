@@ -12,8 +12,8 @@ Hardy-Littlewood product over primes of
 the product modulo p.  The integral is bracketed by midpoint and
 trapezoid sums (integrate_bracket), so its error comes with a bound.
 
-Each member is a coefficient pair (b, a), the polynomial b + a*t, so
-(5, 12) is 5 + 12*t; a = 0 gives a constant member.
+Each member is a pair (a, b) for a*t + b, the pair order of arith, so (12, 5)
+is 12*t + 5; a = 0 gives a constant member.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from . import arith
 
 @dataclass(frozen=True)
 class PolynomialFamily:
-    """A finite family of constant or linear integer polynomials, each a pair (b, a) for b + a*t."""
+    """A finite family of constant or linear integer polynomials, each a pair (a, b) for a*t + b."""
 
     polys: tuple[tuple[int, int], ...]
 
@@ -37,7 +37,7 @@ class PolynomialFamily:
             raise ValueError("family must contain at least one polynomial")
         for coeffs in self.polys:
             if len(coeffs) != 2:
-                raise ValueError(f"members are coefficient pairs (b, a) for b + a*t, got {coeffs}")
+                raise ValueError(f"members are coefficient pairs (a, b) for a*t + b, got {coeffs}")
             if not any(coeffs):
                 raise ValueError("zero polynomial in family")
             if any(abs(c) > arith.U64_MAX for c in coeffs):
@@ -48,7 +48,7 @@ class PolynomialFamily:
         return len(self.polys)
 
     def value(self, index: int, t: int) -> int:
-        b, a = self.polys[index]
+        a, b = self.polys[index]
         return a * t + b
 
     def values(self, t: int) -> tuple[int, ...]:
@@ -87,8 +87,8 @@ def check_sh(fam: PolynomialFamily) -> ShReport:
     of one member, so those two finite sets of candidates decide the
     matter.  The smallest offender is reported.
     """
-    positive = all((a or b) > 0 for b, a in fam.polys)
-    irreducible = all(a != 0 for _, a in fam.polys)
+    positive = all((a or b) > 0 for a, b in fam.polys)
+    irreducible = all(a != 0 for a, _ in fam.polys)
 
     candidates = set(arith.prime_array(fam.m).tolist())
     for coeffs in fam.polys:
@@ -108,14 +108,14 @@ def check_sh(fam: PolynomialFamily) -> ShReport:
 def omega_roots(fam: PolynomialFamily, p: int) -> int:
     """Number of t mod p at which the family product vanishes.
 
-    A member b + a*t has the one root -b/a when p does not divide a, none
+    A member a*t + b has the one root -b/a when p does not divide a, none
     when p divides a but not b, and vanishes at every t (omega is then p)
     when p divides both.
     """
     if p < 2 or not arith.is_prime(p):
         raise ValueError("omega_roots requires a prime modulus")
     roots: set[int] = set()
-    for b, a in fam.polys:
+    for a, b in fam.polys:
         if a % p:
             roots.add(-b * pow(a, -1, p) % p)
         elif b % p == 0:
@@ -123,10 +123,10 @@ def omega_roots(fam: PolynomialFamily, p: int) -> int:
     return len(roots)
 
 
-def _primitive(b: int, a: int) -> tuple[int, int]:
-    """The linear member b + a*t divided by its content, with a positive leading coefficient."""
-    content = math.gcd(b, a) if a > 0 else -math.gcd(b, a)
-    return b // content, a // content
+def _primitive(a: int, b: int) -> tuple[int, int]:
+    """The linear member a*t + b divided by its content, with a positive leading coefficient."""
+    content = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
+    return a // content, b // content
 
 
 def _mod_primes(n: int, primes: np.ndarray) -> np.ndarray:
@@ -147,16 +147,16 @@ def _mod_primes(n: int, primes: np.ndarray) -> np.ndarray:
 def _omega(fam: PolynomialFamily, primes: np.ndarray) -> np.ndarray:
     """omega(p) for every p in a uint64 array of primes below 2**32.
 
-    Let g_1, ..., g_k be the distinct primitive parts b_i + a_i*t of the
+    Let g_1, ..., g_k be the distinct primitive parts a_i*t + b_i of the
     linear members, each with a_i > 0.  At a prime dividing no member's
     leading coefficient and no resultant a_i*b_j - a_j*b_i, no member
     vanishes mod p and the g_i have k distinct roots, so omega(p) = k.
     Only those finitely many exceptional primes are counted by omega_roots.
     Distinct g_i are not proportional, so every resultant is nonzero.
     """
-    linear = sorted({_primitive(b, a) for b, a in fam.polys if a})
-    exceptional = [a or b for b, a in fam.polys]  # a constant member's leading coefficient is b
-    exceptional += [a_i * b_j - a_j * b_i for i, (b_i, a_i) in enumerate(linear) for b_j, a_j in linear[:i]]
+    linear = sorted({_primitive(a, b) for a, b in fam.polys if a})
+    exceptional = [a or b for a, b in fam.polys]  # a constant member's leading coefficient is b
+    exceptional += [a_i * b_j - a_j * b_i for i, (a_i, b_i) in enumerate(linear) for a_j, b_j in linear[:i]]
     exact = np.zeros(len(primes), dtype=bool)
     for n in exceptional:
         # primes ascend, and a nonzero n has no prime divisor above |n|
@@ -314,10 +314,10 @@ class BhcEstimate:
 def integration_lower_limit(fam: PolynomialFamily) -> int:
     """Smallest integer t >= 0 at which every family value is at least 2.
 
-    That is the least t with every rising member b + a*t at least 2, t >= ceil((2 - b)/a),
+    That is the least t with every rising member a*t + b at least 2, t >= ceil((2 - b)/a),
     if the constant and falling members, which never grow, are at least 2 there.
     """
-    t = max([0] + [-((b - 2) // a) for b, a in fam.polys if a > 0])
+    t = max([0] + [-((b - 2) // a) for a, b in fam.polys if a > 0])
     if any(v < 2 for v in fam.values(t)):
         raise ValueError(f"no t >= 0 at which every value of the family {fam.polys} is at least 2")
     return t
@@ -340,7 +340,7 @@ def estimate_E(fam: PolynomialFamily, x: float, constant: HlConstant) -> BhcEsti
     """Evaluate E(x) = C * integral from a to x of dt / prod ln f_i(t)."""
     a = check_x(fam, x)
 
-    pairs = [(float(a), float(b)) for b, a in fam.polys]
+    pairs = [(float(a), float(b)) for a, b in fam.polys]
 
     def integrand(ts):
         acc = np.ones_like(ts)

@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p_sea, "--threads", type=_int_arg, default=None,
          help="worker processes, capped at the machine parallelism (the default); result independent of it")
     _add(p_sea, "--show-hits", type=_int_arg, default=10,
-         help="hits to include in table/json output")
+         help=f"hits to include in table/json output, at most {search.MAX_HITS} (each built hit takes about 1 KB; more exits 3)")
     p_sea.set_defaults(func=cmd_search)
     _add_format(p_sea)
 

@@ -15,9 +15,10 @@ product of six primes with the split parameters at their minima.  In cases
 (i, c, s, n) = (17, 18, 6, 12); smaller p and the other two cases can
 miss one or more of them, which the attainment flags record.
 
-Scanning sieves the three polynomials at once with arith.sieve_forms, in
-blocks of t so the work can spread over processes while staying
-bit-for-bit independent of the process count.
+Each case is kept as the forms (a, b), value a*t + b, of p, s and r, the
+pair order of arith and bhc, and scanning hands them unchanged to
+arith.sieve_forms, in blocks of t so the work can spread over processes
+while staying bit-for-bit independent of the process count.
 """
 
 from __future__ import annotations
@@ -38,27 +39,27 @@ CASE_IDS = ("a", "b", "c", "d")
 
 TARGET_COUNTS = (17, 18, 6, 12)
 
-# Per case: polynomial coefficient pairs (ascending) ordered p first, then
-# the remaining two by descending leading coefficient; role map into that
-# tuple; and the split multipliers (p+1)/2 = mult_plus * role, etc.
-_CASE_DEFS = {
-    "a": (((5, 12), (1, 3), (1, 2)), {"p": 0, "r": 1, "s": 2}, (3, "s"), (2, "r")),
-    "b": (((7, 12), (2, 3), (1, 2)), {"p": 0, "s": 1, "r": 2}, (2, "s"), (3, "r")),
-    "c": (((11, 12), (5, 6), (1, 1)), {"p": 0, "r": 1, "s": 2}, (6, "s"), (1, "r")),
-    "d": (((1, 12), (1, 6), (0, 1)), {"p": 0, "s": 1, "r": 2}, (1, "s"), (6, "r")),
+# Per case: the forms (a, b), value a*t + b, of p, s and r, in that order.
+_CASE_FORMS = {
+    "a": ((12, 5), (2, 1), (3, 1)),
+    "b": ((12, 7), (3, 2), (2, 1)),
+    "c": ((12, 11), (1, 1), (6, 5)),
+    "d": ((12, 1), (6, 1), (1, 0)),
 }
+
+# At most this many hits are built, about 1 KB each: a cap of 10**6 is about 1 GiB.
+MAX_HITS = 10**6
 
 
 @dataclass(frozen=True)
 class CaseSpec:
-    """One of the four linear progressions, with its role bookkeeping."""
+    """One of the four linear progressions: the forms of p, s and r, in that order."""
 
     case_id: str
     polys: PolynomialFamily
-    roles: dict[str, int]
 
     def value(self, role: str, t: int) -> int:
-        return self.polys.value(self.roles[role], t)
+        return self.polys.value("psr".index(role), t)
 
 
 def case_spec(case_id: str) -> CaseSpec:
@@ -69,13 +70,13 @@ def case_spec(case_id: str) -> CaseSpec:
     """
     if case_id not in CASE_IDS:
         raise ValueError(f"case must be one of {CASE_IDS}, got {case_id!r}")
-    coeffs, roles, plus, minus = _CASE_DEFS[case_id]
-    b_p, a_p = coeffs[roles["p"]]
-    for sign, (mult, role) in ((1, plus), (-1, minus)):
-        b_m, a_m = coeffs[roles[role]]
+    forms = _CASE_FORMS[case_id]
+    (a_p, b_p), *halves = forms
+    for sign, role, (a_m, b_m) in zip((1, -1), "sr", halves):
+        mult = a_p // (2 * a_m)
         if (a_p, b_p + sign) != (2 * mult * a_m, 2 * mult * b_m):
             raise AssertionError(f"case {case_id}: (p{sign:+d})/2 = {mult}*{role} fails")
-    return CaseSpec(case_id, PolynomialFamily(coeffs), dict(roles))
+    return CaseSpec(case_id, PolynomialFamily(forms))
 
 
 @dataclass(frozen=True)
@@ -119,13 +120,13 @@ class SearchSummary:
 
 def _make_hit(spec: CaseSpec, t: int) -> TripleHit:
     """The hit at t, its profile in closed form: (p + 1)/2 = mult_plus * s and
-    (p - 1)/2 = mult_minus * r with s and r primes of at least 5, prime to
-    the multipliers (which divide 6), so delta = 2 tau(mult_plus) and
-    epsilon = 2 tau(mult_minus).  verify_attainment factors p -+ 1 instead.
+    (p - 1)/2 = mult_minus * r, mult = a_p/(2 a_m), with s and r primes of at
+    least 5, prime to the multipliers (which divide 6), so delta = 2 tau(mult_plus)
+    and epsilon = 2 tau(mult_minus).  verify_attainment factors p -+ 1 instead.
     """
-    _, _, (mult_plus, _), (mult_minus, _) = _CASE_DEFS[spec.case_id]
-    p, s, r = (spec.value(role, t) for role in "psr")
-    prof = invariants.assemble_profile(p, 2 * arith.tau(mult_plus), 2 * arith.tau(mult_minus))
+    (a_p, _), (a_s, _), (a_r, _) = spec.polys.polys
+    p, s, r = spec.polys.values(t)
+    prof = invariants.assemble_profile(p, 2 * arith.tau(a_p // (2 * a_s)), 2 * arith.tau(a_p // (2 * a_r)))
     attains = tuple(got == want for got, want in zip(invariants.counts(prof), TARGET_COUNTS))
     return TripleHit(spec.case_id, t, p, s, r, prof, attains)
 
@@ -147,10 +148,6 @@ def verify_attainment(hit: TripleHit) -> tuple[bool, bool, bool, bool]:
 _BLOCK = 210 * 2**20  # t per block of scan: 2**20 t per class of the wheel in arith.sieve_forms
 
 
-def _forms(case_id: str) -> list[tuple[int, int]]:
-    return [(c[1], c[0]) for c in _CASE_DEFS[case_id][0]]  # (a, b) with value a*t + b
-
-
 def _scan_block(args) -> tuple[int, int, list[int]]:
     """Scan [lo, hi] for one case; returns (q_count, sz_count, hit ts).
 
@@ -160,11 +157,11 @@ def _scan_block(args) -> tuple[int, int, list[int]]:
     p mod 40 follows from t mod 40, and so does sigma = alpha = 0.
     """
     case_id, lo, hi, hit_cap = args
-    polys, roles = _forms(case_id), _CASE_DEFS[case_id][1]
-    offsets = arith.sieve_forms(polys, lo, hi)
-    t_hit = max((3 - b) // a + 1 for a, b in (polys[roles["s"]], polys[roles["r"]]))
+    forms = _CASE_FORMS[case_id]
+    (a_p, b_p), *halves = forms
+    offsets = arith.sieve_forms(forms, lo, hi)
+    t_hit = max((3 - b) // a + 1 for a, b in halves)
     hits = offsets[np.searchsorted(offsets, t_hit - lo) :]
-    a_p, b_p = polys[roles["p"]]
     zero = np.array([invariants.sigma_alpha(a_p * (lo + c) + b_p) == (0, 0) for c in range(40)])  # t = lo + c mod 40
     sz_count = int(np.count_nonzero(zero[hits % 40]))
     return offsets.size, sz_count, (hits[:hit_cap].astype(np.int64) + lo).tolist()
@@ -205,10 +202,10 @@ def scan(
     q_count is exact regardless of hit_cap.  Blocks are merged in index
     order, so the result is identical for every jobs value; at most
     default_jobs() worker processes run, however large jobs is.  Blocks are
-    made as the pool takes them, and a t_max whose base primes would pass
-    arith.PRIME_CAP raises ResourceLimitError before the first.  With
-    progress, each merged block prints the t done, the rate and an ETA on
-    stderr.
+    made as the pool takes them, and a hit_cap above MAX_HITS or a t_max
+    whose base primes would pass arith.PRIME_CAP raises ResourceLimitError
+    before the first.  With progress, each merged block prints the t done,
+    the rate and an ETA on stderr.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
@@ -218,7 +215,9 @@ def scan(
         raise ValueError("jobs must be at least 1")
     if hit_cap < 0:
         raise ValueError("hit_cap must be at least 0")
-    arith.check_prime_cap(max(a * t_max + b for a, b in _forms(spec.case_id)))
+    if hit_cap > MAX_HITS:
+        raise arith.ResourceLimitError(f"hit_cap {hit_cap} exceeds the cap {MAX_HITS} on the hits built")
+    arith.check_prime_cap(max(a * t_max + b for a, b in spec.polys.polys))
 
     n_blocks = -(-t_max // _BLOCK)
     block_args = (

@@ -1,8 +1,12 @@
-"""Opt-in tests: a test marked slow runs only when PSL2COUNT_SLOW=1."""
+"""Shared test set-up: a test marked slow runs only when PSL2COUNT_SLOW=1,
+and the force_wheel_min fixture sends the sieve windows under test through
+the wheel (or past it) while their base primes come the default way."""
 
 import os
 
 import pytest
+
+from psl2count import arith
 
 
 def pytest_collection_modifyitems(config, items):
@@ -12,3 +16,29 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture
+def force_wheel_min(monkeypatch):
+    """A function that sets arith._WHEEL_MIN for the windows under test, while
+    arith.prime_array, which fetches their base primes, runs at the default.
+
+    prime_array re-enters itself from inside its walk (prime_segments ->
+    sieve_forms -> prime_array), so each call restores the value it found,
+    not the forced one: else the rest of the outer walk would take the wheel.
+    """
+    default, prime_array = arith._WHEEL_MIN, arith.prime_array
+
+    def at_default(n):
+        found = arith._WHEEL_MIN
+        arith._WHEEL_MIN = default
+        try:
+            return prime_array(n)
+        finally:
+            arith._WHEEL_MIN = found
+
+    def force(wheel_min):
+        monkeypatch.setattr(arith, "_WHEEL_MIN", wheel_min)
+        monkeypatch.setattr(arith, "prime_array", at_default)
+
+    return force

@@ -198,9 +198,9 @@ class TestSieveForms:
     wheel_min = None  # None keeps arith._WHEEL_MIN
 
     @pytest.fixture(autouse=True)
-    def _wheel_min(self, monkeypatch):
+    def _wheel_min(self, force_wheel_min):
         if self.wheel_min is not None:
-            monkeypatch.setattr(arith, "_WHEEL_MIN", self.wheel_min)
+            force_wheel_min(self.wheel_min)
 
     @pytest.mark.parametrize("forms", SIEVE_FORMS)
     def test_random_windows_match_plain_loop(self, forms):

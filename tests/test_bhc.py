@@ -20,7 +20,7 @@ def _brute_omega(fam, p):
 
 class TestFamily:
     def test_value_and_values(self):
-        fam = bhc.family((5, 12), (1, 3), (1, 2))
+        fam = bhc.family((12, 5), (3, 1), (2, 1))
         assert fam.value(0, 2) == 29
         assert fam.values(2) == (29, 7, 5)
         assert fam.m == 3
@@ -31,9 +31,9 @@ class TestFamily:
         with pytest.raises(ValueError):
             bhc.family((0, 0))  # zero polynomial
         with pytest.raises(ValueError):
-            bhc.family((0, 2**70))  # coefficient overflow
+            bhc.family((2**70, 0))  # coefficient overflow
         with pytest.raises(ValueError):
-            bhc.family((7,))  # a member is a pair (b, a), constants included
+            bhc.family((7,))  # a member is a pair (a, b), constants included
 
     def test_cubics_refused_by_admissibility_check(self):
         # refused on construction, before any check can run
@@ -43,13 +43,13 @@ class TestFamily:
 
 class TestAdmissibility:
     def test_consecutive_integers_fail_at_two(self):
-        rep = bhc.check_sh(bhc.family((0, 1), (1, 1)))
+        rep = bhc.check_sh(bhc.family((1, 0), (1, 1)))
         assert not rep.ok
         assert not rep.no_fixed_prime_divisor
         assert rep.failing_prime == 2
 
     def test_twin_pattern_passes(self):
-        assert bhc.check_sh(bhc.family((0, 1), (2, 1))).ok
+        assert bhc.check_sh(bhc.family((1, 0), (1, 2))).ok
 
     def test_case_families_pass(self):
         for case_id, fam in FAMS.items():
@@ -60,9 +60,9 @@ class TestAdmissibility:
         # members are constant or linear pairs; a quadratic is refused on construction
         for coeffs in ((1, 0, 1), (2, 1, 1), (-1, 0, 1)):
             with pytest.raises(ValueError):
-                bhc.family((0, 1), coeffs)
+                bhc.family((1, 0), coeffs)
         with pytest.raises(ValueError):
-            bhc.family((5, 12, 0))  # three coefficients, even with a zero on top
+            bhc.family((0, 12, 5))  # three coefficients, even with a zero leading one
 
     def test_fixed_divisor_of_one_member(self):
         # 3 divides every value of 3t + 3, though not every coefficient of the family
@@ -72,16 +72,16 @@ class TestAdmissibility:
             bhc.hl_constant(bhc.family((1, 1), (3, 3)), 10**4)
 
     def test_constant_polynomial_rejected(self):
-        rep = bhc.check_sh(bhc.family((7, 0)))
+        rep = bhc.check_sh(bhc.family((0, 7)))
         assert not rep.ok and not rep.all_irreducible
         # a constant's leading coefficient is its value
-        assert rep.leading_positive and not bhc.check_sh(bhc.family((-7, 0))).leading_positive
+        assert rep.leading_positive and not bhc.check_sh(bhc.family((0, -7))).leading_positive
 
     def test_fixed_divisor_from_a_large_content(self):
         # 2**61 - 1 divides both coefficients of the second member; omega_roots
         # decides it at once, where trying every residue would not finish
         q = 2**61 - 1
-        rep = bhc.check_sh(bhc.family((1, 2), (q, q)))
+        rep = bhc.check_sh(bhc.family((2, 1), (q, q)))
         assert rep.failing_prime == q and not rep.ok
 
 
@@ -94,7 +94,7 @@ class TestRootCounting:
 
     def test_brute_matches_formula_all_small_primes(self):
         # 3t + 3 vanishes identically mod 3, and the constant 5 mod 5
-        fams = {**FAMS, "vanishing and constant members": bhc.family((1, 1), (3, 3), (5, 0))}
+        fams = {**FAMS, "vanishing and constant members": bhc.family((1, 1), (3, 3), (0, 5))}
         for name, fam in fams.items():
             for p in arith.primes_in_range(2, 97):
                 assert bhc.omega_roots(fam, p) == _brute_omega(fam, p), (name, p)
@@ -108,12 +108,12 @@ class TestRootCounting:
 
 class TestConstant:
     def test_identity_family_telescopes(self):
-        hc = bhc.hl_constant(bhc.family((0, 1)), 10**4)
+        hc = bhc.hl_constant(bhc.family((1, 0)), 10**4)
         assert abs(hc.value - 1.0) < 1e-12
 
     def test_twin_constant(self):
         # 2 * prod (1 - 1/(p-1)^2) = 1.32032...
-        hc = bhc.hl_constant(bhc.family((0, 1), (2, 1)), 10**6)
+        hc = bhc.hl_constant(bhc.family((1, 0), (1, 2)), 10**6)
         assert abs(hc.value - 1.3203236316) < 2e-6
 
     def test_case_constants_agree(self):
@@ -142,17 +142,17 @@ class TestConstant:
 
     def test_inadmissible_family_rejected(self):
         with pytest.raises(ValueError):
-            bhc.hl_constant(bhc.family((0, 1), (1, 1)), 10**4)
+            bhc.hl_constant(bhc.family((1, 0), (1, 1)), 10**4)
 
 
 # Families for the closed-form omega: the paper's cases, an exceptional prime
 # from a resultant, and members that repeat up to a constant factor.
 CLOSED_FORM_FAMS = {
     **{f"case {c}": fam for c, fam in FAMS.items()},
-    "twin": bhc.family((0, 1), (2, 1)),
-    "linear pair, resultant 1999": bhc.family((1, 2), (1000, 1)),
-    "repeated and rescaled": bhc.family((0, 1), (2, 1), (0, 1), (6, 3)),
-    "constant member": bhc.family((0, 1), (2, 1), (15, 0)),  # vanishes identically mod 3 and 5
+    "twin": bhc.family((1, 0), (1, 2)),
+    "linear pair, resultant 1999": bhc.family((2, 1), (1, 1000)),
+    "repeated and rescaled": bhc.family((1, 0), (1, 2), (1, 0), (3, 6)),
+    "constant member": bhc.family((1, 0), (1, 2), (0, 15)),  # vanishes identically mod 3 and 5
 }
 
 
@@ -162,13 +162,16 @@ def _random_linear_families(seed=20241, count=20):
     rng = random.Random(seed)
     fams = []
     for _ in range(count):
-        polys = [(rng.randint(-(2**20), 2**20), rng.randint(1, 2**20)) for _ in range(rng.randint(1, 4))]
-        b, a = rng.choice(polys)
+        polys = []
+        for _ in range(rng.randint(1, 4)):
+            b = rng.randint(-(2**20), 2**20)  # b drawn before a, as the families were first seeded
+            polys.append((rng.randint(1, 2**20), b))
+        a, b = rng.choice(polys)
         if rng.random() < 0.4:
             c = rng.choice((2, 3, 5, 7))
-            polys.append((c * b, c * a))
+            polys.append((c * a, c * b))
         if rng.random() < 0.3:
-            polys.append((-b, -a))
+            polys.append((-a, -b))
         fams.append(bhc.family(*polys))
     return fams
 
@@ -195,8 +198,8 @@ class TestClosedForm:
         exceptional_above_600 = 0
         for fam in _random_linear_families():
             polys = fam.polys
-            special = [a for _, a in polys]
-            special += [a_i * b_j - a_j * b_i for i, (b_i, a_i) in enumerate(polys) for b_j, a_j in polys[:i]]
+            special = [a for a, _ in polys]
+            special += [a_i * b_j - a_j * b_i for i, (a_i, b_i) in enumerate(polys) for a_j, b_j in polys[:i]]
             primes = [q for q in arith.primes_in_range(2, 5000)
                       if q < 600 or any(n and n % q == 0 for n in special)]
             exceptional_above_600 += sum(q > 600 for q in primes)
@@ -231,7 +234,7 @@ class TestClosedForm:
         assert seen == [2, 3] + [2, 3]  # then the primes dividing case a's leading coefficients and resultants
         seen.clear()
         # a repeated member must not give a zero resultant
-        bhc.hl_constant(bhc.family((0, 1), (2, 1), (0, 1)), 10**5)
+        bhc.hl_constant(bhc.family((1, 0), (1, 2), (1, 0)), 10**5)
         assert seen == [2, 3] + [2]
         seen.clear()
         bhc.hl_constant(CLOSED_FORM_FAMS["linear pair, resultant 1999"], 10**5)
@@ -460,9 +463,9 @@ class TestEstimate:
         assert 0 < refused < len(fams)
 
     def test_lower_limit_far_out_or_nowhere(self):
-        assert bhc.integration_lower_limit(bhc.family((-3000000, 1), (5, 12))) == 3000002
+        assert bhc.integration_lower_limit(bhc.family((1, -3000000), (12, 5))) == 3000002
         with pytest.raises(ValueError):
-            bhc.integration_lower_limit(bhc.family((1, -1)))  # 1 - t never reaches 2
+            bhc.integration_lower_limit(bhc.family((-1, 1)))  # 1 - t never reaches 2
 
     def test_rejects_x_below_limit(self):
         hc = bhc.hl_constant(FAMS["a"], 10**4)

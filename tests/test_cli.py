@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from psl2count import bhc, cli, heathbrown, invariants, oracle, search
+from psl2count import arith, bhc, cli, heathbrown, invariants, oracle, search
 
 
 def run(argv, env=None):
@@ -285,6 +285,21 @@ class TestSearchCommand:
         assert code == 3
         assert out == ""
         assert err.startswith("psl2count: resource cap hit: ResourceLimitError")
+
+    def test_oversized_hit_cap_is_a_resource_abort(self, monkeypatch):
+        # refused before any sieving: each built hit takes about 1 KB
+        def no_sieve(*args):
+            raise AssertionError("sieve_forms called")
+
+        monkeypatch.setattr(arith, "sieve_forms", no_sieve)
+        code, out, err = run(["search", "a", "--t-max", "100", "--show-hits", "1000001"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("psl2count: resource cap hit: ResourceLimitError")
+        assert str(search.MAX_HITS) in err
+        monkeypatch.undo()
+        code, out, _ = run(["search", "a", "--t-max", "100", "--show-hits", str(search.MAX_HITS)])
+        assert code == 0 and out.count("  t=") == 4  # every hit to t = 100
 
     def test_negative_hit_counts_are_usage_errors(self):
         assert run(["search", "a", "--t-max", "100", "--show-hits", "-1"])[0] == 2

@@ -18,10 +18,11 @@ FROZEN_Q_1E4 = {"a": 64, "b": 82}
 
 class TestCaseSpec:
     def test_polynomials(self):
-        assert SPECS["a"].polys.polys == ((5, 12), (1, 3), (1, 2))
-        assert SPECS["b"].polys.polys == ((7, 12), (2, 3), (1, 2))
-        assert SPECS["c"].polys.polys == ((11, 12), (5, 6), (1, 1))
-        assert SPECS["d"].polys.polys == ((1, 12), (1, 6), (0, 1))
+        # the forms (a, b), value a*t + b, of p, s and r
+        assert SPECS["a"].polys.polys == ((12, 5), (2, 1), (3, 1))
+        assert SPECS["b"].polys.polys == ((12, 7), (3, 2), (2, 1))
+        assert SPECS["c"].polys.polys == ((12, 11), (1, 1), (6, 5))
+        assert SPECS["d"].polys.polys == ((12, 1), (6, 1), (1, 0))
 
     def test_role_values(self):
         s = SPECS["a"]
@@ -41,12 +42,14 @@ class TestCaseSpec:
             search.case_spec("e")
 
     def test_wrong_multiplier_raises(self, monkeypatch):
-        coeffs, roles, plus, minus = search._CASE_DEFS["a"]
-        monkeypatch.setitem(search._CASE_DEFS, "a", (coeffs, roles, (2, "s"), minus))
-        with pytest.raises(AssertionError, match=r"\(p\+1\)/2 = 2\*s"):
+        # the multiplier a_p/(2 a_m) is right, b is not: 12t + 6 = 2*3*(2t + 3) fails,
+        # and so does 12t + 4 = 2*2*(3t + 2)
+        p, s, r = search._CASE_FORMS["a"]
+        monkeypatch.setitem(search._CASE_FORMS, "a", (p, (2, 3), r))
+        with pytest.raises(AssertionError, match=r"\(p\+1\)/2 = 3\*s"):
             search.case_spec("a")
-        monkeypatch.setitem(search._CASE_DEFS, "a", (coeffs, roles, plus, (3, "r")))
-        with pytest.raises(AssertionError, match=r"\(p-1\)/2 = 3\*r"):
+        monkeypatch.setitem(search._CASE_FORMS, "a", (p, s, (3, 2)))
+        with pytest.raises(AssertionError, match=r"\(p-1\)/2 = 2\*r"):
             search.case_spec("a")
 
 
@@ -82,6 +85,14 @@ class TestScanCounts:
         with pytest.raises(ValueError):
             search.scan(SPECS["a"], 10, hit_cap=-1)
 
+    def test_hit_cap_above_max_refused_before_sieving(self, monkeypatch):
+        def no_sieve(*args):
+            raise AssertionError("sieve_forms called")
+
+        monkeypatch.setattr(arith, "sieve_forms", no_sieve)
+        with pytest.raises(arith.ResourceLimitError, match=f"cap {search.MAX_HITS} "):
+            search.scan(SPECS["a"], 100, hit_cap=search.MAX_HITS + 1)
+
 
 def _plain_block(spec, lo, hi):
     """Reference for search._scan_block: a plain primality loop over t."""
@@ -102,14 +113,14 @@ def _plain_block(spec, lo, hi):
 
 
 class WheelMin:
-    """Runs a class's cases with arith._WHEEL_MIN set to wheel_min (None keeps the default)."""
+    """Runs a class's cases with the windows under test sieved at arith._WHEEL_MIN = wheel_min (None keeps the default)."""
 
     wheel_min = None
 
     @pytest.fixture(autouse=True)
-    def _wheel_min(self, monkeypatch):
+    def _wheel_min(self, force_wheel_min):
         if self.wheel_min is not None:
-            monkeypatch.setattr(arith, "_WHEEL_MIN", self.wheel_min)
+            force_wheel_min(self.wheel_min)
 
 
 class TestExactSieve(WheelMin):
