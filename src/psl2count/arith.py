@@ -1,7 +1,7 @@
 """Integer arithmetic helpers: primality, factorization, divisor counts, two
-sieves of linear forms (sieve_forms for primes, with a wheel mod 210 on
-long windows, and factor_counts), and the one source of ranges of primes,
-prime_segments.
+sieves of linear forms with one input check and one root set-up (sieve_forms
+for primes, by a wheel mod 210 or 1 from the window length, and
+factor_counts), and the one source of ranges of primes, prime_segments.
 
 Everything here is exact and deterministic.  Primality testing uses a fixed
 witness set that is proven correct for all inputs below 2**64, so no function
@@ -33,8 +33,8 @@ PRIME_CAP = 10**8
 _PRIME_SEGMENT = 2**17
 
 # sieve_forms sieves a window of at least _WHEEL_MIN t by classes mod
-# _WHEEL = 2*3*5*7.  prime_segments and heathbrown windows (2**17 t) stay
-# below it; a scan block (210 * 2**20 t) would need a 220 MB mask.
+# _WHEEL = 2*3*5*7, and a shorter one as its one class mod 1.  prime_segments
+# and heathbrown windows (2**17 t) are shorter; a scan block is not.
 _WHEEL, _WHEEL_MIN = 210, 2**20
 
 # Strong-pseudoprime witnesses covering every n < 2**64 (the seven-base set
@@ -148,27 +148,51 @@ def inverse_mod(a: int, primes: np.ndarray) -> np.ndarray:
     return (k * primes + np.uint64(1)) // np.uint64(a)
 
 
-def root_offsets(v: int, inv: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """The least o >= 0 with v + a*o = 0 mod q, for each prime q not dividing a.
+def _check_forms(forms, lo: int, hi: int) -> int:
+    """What both sieves accept; returns the largest value, max(a*hi + b) over forms.
 
-    inv is inverse_mod(a, primes) and |v| < 2**64: v is a*t + b at the
-    window's first t, and o the offset from it of the first t with q
-    dividing a*t + b.
+    ValueError for no forms, lo > hi, or a form without 1 <= a < 2**32,
+    gcd(a, b) = 1 and every |a*t + b| < 2**64; then, before any base prime
+    is fetched, check_prime_cap.
     """
+    if not forms:
+        raise ValueError("a sieve of linear forms requires at least one form")
+    if lo > hi:
+        raise ValueError(f"a sieve of linear forms requires lo <= hi, got [{lo}, {hi}]")
+    for a, b in forms:
+        if not 1 <= a < 2**32 or math.gcd(a, b) != 1:
+            raise ValueError(f"a sieve of linear forms requires 1 <= a < 2**32 and gcd(a, b) = 1, got ({a}, {b})")
+        if a * hi + b > U64_MAX or a * lo + b < -U64_MAX:
+            raise ValueError("a sieve of linear forms requires every value below 2**64 in absolute value")
+    top = max(a * hi + b for a, b in forms)
+    check_prime_cap(top)
+    return top
+
+
+def _roots(a: int, v: int, n: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, inv, off): each q in primes with a root in a window of n t, a**-1 mod q, and the least such offset.
+
+    v = a*lo + b, |v| < 2**64, and off is the least o >= 0 with v + a*o = 0
+    mod q.  A prime dividing a (inverse 0) divides no value, as gcd(a, b) = 1,
+    and is dropped with every prime whose first root lies past the window.
+    """
+    inv = inverse_mod(a, primes)
     neg = np.uint64(abs(v)) % primes  # -v mod q
     if v > 0:
-        neg = (primes - neg) % primes
-    return neg * inv % primes
+        neg = primes - neg  # in [1, q]: off is still below q
+    off = neg * inv % primes
+    keep = (inv != 0) & (off < n)
+    return primes[keep], inv[keep], off[keep]
 
 
 def strike_form(mask: np.ndarray, lo: int, a: int, b: int, primes: np.ndarray, roots: np.ndarray) -> None:
     """Clear mask, over t in [lo, lo + mask.size), wherever a*t + b is below 2 or composite.
 
-    primes holds, as ascending uint64, every prime up to isqrt of the
-    largest value that divides some a*t + b in the window (any other prime
-    never strikes), and roots = root_offsets(a*lo + b, ...) on them.  Each
-    prime q not dividing a strikes the t with a*t + b = 0 mod q and
-    a*t + b >= q*q, from the first such t.  Primes whose first such t lies
+    primes holds, as ascending uint64, every prime not dividing a up to
+    isqrt of the largest value that divides some a*t + b in the window (any
+    other prime never strikes), and roots their first roots' offsets from
+    lo, as _roots gives them.  Each q strikes the t with a*t + b = 0 mod q
+    and a*t + b >= q*q, from the first such t.  Primes whose first such t lies
     past the window are dropped; of the rest, a prime shorter than the window
     strikes one strided slice, and every longer prime has exactly one such t
     in the window, and they all strike in one fancy-index assignment.
@@ -185,117 +209,90 @@ def strike_form(mask: np.ndarray, lo: int, a: int, b: int, primes: np.ndarray, r
         q = primes[j:]
         f = (q * q - np.uint64(v + 1)) // np.uint64(a) + np.uint64(1)  # first offset with value >= q*q
         start[j:] = f + (start[j:] + q - f % q) % q
-    low = primes[: np.searchsorted(primes, a, side="right")]  # only these can divide a
-    start[: low.size][np.uint64(a) % low == 0] = n  # gcd(a, b) = 1: q | a never divides a*t + b
     n -= d
     live = start < n  # the rest have no t to strike in the window
-    start, primes = start[live], primes[live]
+    start, primes = start[live] + np.uint64(d), primes[live]
     k = int(np.searchsorted(primes, n))
     for s, q in zip(start[:k].tolist(), primes[:k].tolist()):
-        mask[d + s :: q] = False
-    mask[d + start[k:]] = False
+        mask[s::q] = False
+    mask[start[k:]] = False
 
 
 def sieve_forms(forms, lo: int, hi: int) -> np.ndarray:
     """The offsets t - lo, ascending, of the t in [lo, hi] where every a*t + b in forms is prime.
 
-    forms holds (a, b) pairs with 1 <= a < 2**32 and gcd(a, b) = 1.  Exact
-    sieve: strike_form has each prime q <= isqrt(largest value) strike, per
-    form, the t with a*t + b = 0 mod q and a*t + b >= q*q.  A composite
-    value is at least the square of its least prime factor, so it is
-    struck; a prime value q is below q*q, so it never is, and values below 2
-    are masked.  The survivors are exactly the t where every value is prime.
-    A prime q dividing a never divides a*t + b, because gcd(a, b) = 1.  The
-    base primes are one uint64 array, each form's roots mod all of them
-    come from one vectorised inverse, and primes with no root in the window
-    are dropped.  A window of at least _WHEEL_MIN t is sieved only in the
-    classes r mod 210 where no value has a factor 2, 3, 5 or 7 (the wheel:
-    Pritchard, Acta Informatica 17, 1982), each as the forms (210*a, a*r + b)
-    in u with t = 210*u + r, whose roots come from those in t through
-    1/210 mod q; a t in any other class survives only if a value is 2, 3, 5
-    or 7, and is tested by is_prime.  Values past PRIME_CAP**2 raise
-    ResourceLimitError before any base prime is fetched.
+    forms holds (a, b) pairs that pass _check_forms.  Exact sieve:
+    strike_form has each prime q <= isqrt(largest value) strike, per form,
+    the t with a*t + b = 0 mod q and a*t + b >= q*q.  A composite value is
+    at least the square of its least prime factor, so it is struck; a prime
+    value q is below q*q, so it never is, and values below 2 are masked.
+    One loop sieves the classes r mod w where every value is prime to w (a
+    wheel: Pritchard, Acta Informatica 17, 1982), each as the forms
+    (w*a, a*r + b) in u with t = w*u + r, whose roots come from those of
+    _roots in t through 1/w mod q (0 at the primes dividing w: dropped).
+    w = 210 on a window of at least _WHEEL_MIN t, where a t in any other
+    class survives only if a value is 2, 3, 5 or 7 and is tested by
+    is_prime; else w = 1, one class and no such t.  A stable sort merges
+    the classes' offsets: one linear pass on a single class.
     """
-    if lo > hi:
-        raise ValueError("sieve_forms requires lo <= hi")
-    for a, b in forms:
-        if not 1 <= a < 2**32 or math.gcd(a, b) != 1:
-            raise ValueError(f"sieve_forms requires 1 <= a < 2**32 and gcd(a, b) = 1, got ({a}, {b})")
-        if a * hi + b > U64_MAX or a * lo + b < -U64_MAX:
-            raise ValueError("sieve_forms requires every value below 2**64 in absolute value")
-    top = max(a * hi + b for a, b in forms)
-    check_prime_cap(top)
-    primes = prime_array(math.isqrt(max(top, 0)))  # max(top, 0) admits all-negative values
+    top = _check_forms(forms, lo, hi)
     n = hi - lo + 1
-    # per form: the primes with a root in the window, and those roots less lo
-    roots = [root_offsets(a * lo + b, inverse_mod(a, primes), primes) for a, b in forms]
-    roots = [(primes[rho < n], rho[rho < n]) for rho in roots]
-    if n < _WHEEL_MIN:
-        mask = np.ones(n, dtype=bool)
-        for (a, b), (q, rho) in zip(forms, roots):
-            strike_form(mask, lo, a, b, q, rho)
-        return np.flatnonzero(mask)
-    dtype = np.int32 if n <= 2**31 else np.int64  # only the survivors are kept
-    special = {(w - b) // a for a, b in forms for w in (2, 3, 5, 7) if (w - b) % a == 0}
+    w = _WHEEL if n >= _WHEEL_MIN else 1
+    primes = prime_array(math.isqrt(max(top, 0)))  # max(top, 0) admits all-negative values
+    roots = [_roots(a, a * lo + b, n, primes) for a, b in forms]
+    roots = [(q, off, inverse_mod(w, q)) for q, _, off in roots]
+    roots = [(q[inv != 0], off[inv != 0], inv[inv != 0]) for q, off, inv in roots]  # q | w divides no value in a class
+    special = {(v - b) // a for a, b in forms for v in (2, 3, 5, 7) if w % v == 0 and (v - b) % a == 0}
     parts = [np.array([t - lo for t in special if lo <= t <= hi and all(
-        a * t + b >= 2 and is_prime(a * t + b) for a, b in forms)], dtype=dtype)]
-    roots = [(q, rho, inverse_mod(_WHEEL, q)) for q, rho in roots]
-    for r in range(_WHEEL):
-        u_lo, u_hi = -((r - lo) // _WHEEL), (hi - r) // _WHEEL
-        if u_lo > u_hi or any(math.gcd(a * r + b, _WHEEL) != 1 for a, b in forms):
+        a * t + b >= 2 and is_prime(a * t + b) for a, b in forms)], dtype=np.intp)]
+    for r in range(w):
+        u_lo, u_hi = -((r - lo) // w), (hi - r) // w
+        if u_lo > u_hi or any(math.gcd(a * r + b, w) != 1 for a, b in forms):
             continue
         mask = np.ones(u_hi - u_lo + 1, dtype=bool)
-        shift = _WHEEL * u_lo + r - lo  # t at u_lo, less lo
-        for (a, b), (q, rho, inv) in zip(forms, roots):
-            strike_form(mask, u_lo, _WHEEL * a, a * r + b, q, (rho + q - np.uint64(shift) % q) % q * inv % q)
-        parts.append(np.flatnonzero(mask).astype(dtype) * _WHEEL + shift)
+        shift = w * u_lo + r - lo  # t at u_lo, less lo
+        for (a, b), (q, off, inv) in zip(forms, roots):
+            strike_form(mask, u_lo, w * a, a * r + b, q, (off + q - np.uint64(shift) % q) * inv % q)  # < 2q*q
+        idx = np.flatnonzero(mask)
+        idx *= w
+        idx += shift
+        parts.append(idx)
     out = np.concatenate(parts)
-    out.sort()
+    out.sort(kind="stable")
     return out
 
 
 def factor_counts(a: int, b: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Omega (int8) and tau (int32) of a*t + b for every t in [lo, hi].
 
-    1 <= a < 2**32, gcd(a, b) = 1 and every value in [1, 2**64).  Each prime
+    The window passes _check_forms and every value is at least 1.  Each prime
     power q**e up to the largest value, with q <= isqrt(largest value),
     strikes the t with a*t + b = 0 mod q**e from lo on: one more prime
     factor, tau times (e + 1)/e, and the value's uint64 residual divided by
     q.  A residual above 1 at the end has no prime factor up to the square
-    root of its value, so it is one more prime.  The first multiple of q**e
-    in the window comes from the one of q**(e - 1) by a Hensel step; a
-    window with none has none of q**(e + 1) either, so the powers of q stop
-    there.  As in strike_form, powers shorter than the window strike a
-    strided slice each and the rest, with at most one hit each, strike
-    together (ufunc.at, since two of them can hit one t).  Values past
-    PRIME_CAP**2 raise ResourceLimitError before any base prime is fetched.
+    root of its value, so it is one more prime.  The roots mod q come from
+    _roots, and the first multiple of q**e from the one of q**(e - 1) by a
+    Hensel step; a window with none has none of q**(e + 1) either, so the
+    powers of q stop there.  As in strike_form, powers shorter than the
+    window strike a strided slice each and the rest, with at most one hit
+    each, strike together (ufunc.at, since two of them can hit one t).
 
     >>> [w.tolist() for w in factor_counts(1, 0, 1, 12)]
     [[0, 1, 1, 2, 1, 2, 1, 3, 2, 2, 1, 3], [1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6]]
     """
-    if lo > hi:
-        raise ValueError("factor_counts requires lo <= hi")
-    if not 1 <= a < 2**32 or math.gcd(a, b) != 1:
-        raise ValueError(f"factor_counts requires 1 <= a < 2**32 and gcd(a, b) = 1, got ({a}, {b})")
-    first, top = a * lo + b, a * hi + b
+    first = a * lo + b
     if first < 1:
         raise ValueError("factor_counts requires every value to be at least 1")
-    if top > U64_MAX:
-        raise ValueError("factor_counts requires every value below 2**64")
-    check_prime_cap(top)
+    top = _check_forms([(a, b)], lo, hi)
     n = hi - lo + 1
     residual = np.arange(n, dtype=np.uint64)
     residual *= np.uint64(a)
     residual += np.uint64(first)
     omega = np.zeros(n, dtype=np.int8)
     tau = np.ones(n, dtype=np.int32)
-    q = prime_array(math.isqrt(top))
-    inv = inverse_mod(a, q)
-    q, inv = q[inv != 0], inv[inv != 0]  # gcd(a, b) = 1, so q | a never divides a*t + b
-    qe, off, e = q, root_offsets(first, inv, q), 1  # off: offset of the first multiple of qe
+    q, inv, off = _roots(a, first, n, prime_array(math.isqrt(top)))
+    qe, e = q, 1  # off: offset of the first multiple of qe
     while q.size:
-        near = off < n
-        q, inv, qe, off = q[near], inv[near], qe[near], off[near]
         k = int(np.searchsorted(qe, n))  # qe ascends with q
         for s, m, p in zip(off[:k].tolist(), qe[:k].tolist(), q[:k].tolist()):
             hit = slice(s, None, m)
@@ -316,6 +313,8 @@ def factor_counts(a: int, b: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndar
         off = off + qe * ((q - w) % q * inv % q)
         qe = qe * q
         e += 1
+        near = off < n
+        q, inv, qe, off = q[near], inv[near], qe[near], off[near]
     rest = residual > 1
     omega[rest] += 1
     tau[rest] *= 2

@@ -1,5 +1,6 @@
 """Number-theory helpers checked against sieve-built oracles."""
 
+import math
 import random
 import time
 
@@ -192,8 +193,9 @@ def _plain_offsets(forms, lo, hi):
 
 
 class TestSieveForms:
-    """Against the plain loop at the default wheel threshold; the subclasses
-    below rerun every case with the wheel on every window and on none."""
+    """Against the plain loop at the default wheel threshold, where every
+    window here is one class mod 1; the subclass below reruns every case
+    with the wheel mod 210 on every window."""
 
     wheel_min = None  # None keeps arith._WHEEL_MIN
 
@@ -254,6 +256,7 @@ class TestSieveForms:
             ([(6, 3)], 0, 10),          # gcd(a, b) = 3
             ([(2, 1)], 5, 4),           # lo > hi
             ([(1, 0)], 2**64 - 5, 2**64),  # a value of 2**64
+            ([], 0, 10),                # no forms
         ):
             with pytest.raises(ValueError):
                 arith.sieve_forms(forms, lo, hi)
@@ -270,10 +273,6 @@ class TestSieveFormsWheelEverywhere(TestSieveForms):
     wheel_min = 1
 
 
-class TestSieveFormsWheelNowhere(TestSieveForms):
-    wheel_min = 2**62
-
-
 class TestWheelThreshold:
     def test_traffic_split(self):
         # prime windows and hb segments (both _PRIME_SEGMENT) stay in t; a full scan block takes the wheel
@@ -281,14 +280,14 @@ class TestWheelThreshold:
         assert search._BLOCK >= arith._WHEEL_MIN
 
     def test_offsets_across_the_threshold(self, monkeypatch):
-        # the same window in t, in 210 classes, and in both with the
-        # threshold at its length; int32 offsets on the wheel side
+        # the same window in one class mod 1 and in 210 classes, with the
+        # threshold at its length; intp offsets on both sides
         lo, hi = 10**9, 10**9 + 5000
         expect = _plain_offsets(SIEVE_FORMS[3], lo, hi)
-        for wheel_min, dtype in ((hi - lo + 2, np.int64), (hi - lo + 1, np.int32)):
+        for wheel_min in (hi - lo + 2, hi - lo + 1):
             monkeypatch.setattr(arith, "_WHEEL_MIN", wheel_min)
             got = arith.sieve_forms(SIEVE_FORMS[3], lo, hi)
-            assert got.dtype == dtype and got.tolist() == expect, wheel_min
+            assert got.dtype == np.intp and got.tolist() == expect, wheel_min
 
 
 def _checked_windows(lo, hi):
@@ -417,3 +416,38 @@ class TestFactorCounts:
         with pytest.raises(arith.ResourceLimitError):
             arith.factor_counts(1, 0, 2**60, 2**60 + 200)
         assert time.perf_counter() - start < 1.0
+
+
+class TestStrikeSplit:
+    """Windows of n = q - 1, q and q + 1 t (of one class, for the wheel)
+    where a base prime (power) q has its first root at offset 0.  Below n, q
+    strikes a strided slice and can hit offsets 0 and q; from n on it has at
+    most one hit and strikes with the rest at once."""
+
+    @pytest.mark.parametrize("w", [1, 210])
+    @pytest.mark.parametrize("form", [(1, 0), (2, 1), (12, 5)])
+    @pytest.mark.parametrize("q", [11, 37])
+    def test_sieve_forms(self, w, form, q, force_wheel_min):
+        # class r of t = w*u + r from u0, where the value at u0 is a multiple
+        # of q above q*q and the one at u0 + q is q times a prime above q,
+        # so q alone strikes it
+        a, b = form
+        if w > 1:
+            force_wheel_min(1)
+        r = next(r for r in range(w) if math.gcd(a * r + b, w) == 1)
+        u0 = 10**4 // q * q + (-(a * r + b) * pow(w * a, -1, q)) % q
+        while not arith.is_prime((a * (w * u0 + r) + b) // q + w * a):
+            u0 += q
+        lo = w * u0 + r
+        for n in (q - 1, q, q + 1):
+            hi = lo + w * (n - 1)
+            assert arith.sieve_forms([form], lo, hi).tolist() == _plain_offsets([form], lo, hi), (lo, n)
+
+    @pytest.mark.parametrize("form", FACTOR_FORMS)
+    @pytest.mark.parametrize("qe", [5, 125, 7, 49])
+    def test_factor_counts(self, form, qe):
+        a, b = form
+        lo = 10**4 * qe + (-b * pow(a, -1, qe)) % qe  # a*lo + b = 0 mod qe
+        for n in (qe - 1, qe, qe + 1):
+            omega, tau = arith.factor_counts(a, b, lo, lo + n - 1)
+            assert [omega.tolist(), tau.tolist()] == list(_plain_counts(a, b, lo, lo + n - 1)), (lo, n)

@@ -34,3 +34,10 @@ def test_all_matches_imports():
     assert set(psl2count.__all__) == set(imported)
     for name in psl2count.__all__:
         assert getattr(psl2count, name) is not None, name
+
+
+def test_no_assert_statements_in_the_package():
+    # invariants raise explicitly: python -O strips assert statements
+    found = [f"{path.name}:{node.lineno}" for path in sorted(pathlib.Path(psl2count.__file__).parent.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -113,7 +113,10 @@ def _plain_block(spec, lo, hi):
 
 
 class WheelMin:
-    """Runs a class's cases with the windows under test sieved at arith._WHEEL_MIN = wheel_min (None keeps the default)."""
+    """Runs a class's cases with the windows under test sieved at arith._WHEEL_MIN = wheel_min.
+
+    None keeps the default, where every window here is one class mod 1.
+    """
 
     wheel_min = None
 
@@ -176,20 +179,12 @@ class TestExactSieveWheelEverywhere(TestExactSieve):
     wheel_min = 1
 
 
-class TestExactSieveWheelNowhere(TestExactSieve):
-    wheel_min = 2**62
-
-
 class TestWheelEverywhere(TestWheel):
     wheel_min = 1
 
 
-class TestWheelNowhere(TestWheel):
-    wheel_min = 2**62
-
-
 def test_scan_block_memory():
-    # a block keeps only the survivors' int32 offsets, never a mask of its
+    # a block keeps only the survivors' offsets, never a mask of its
     # 10**8 t or value arrays over the survivors
     tracemalloc.start()
     try:
