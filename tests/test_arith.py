@@ -273,6 +273,10 @@ class TestSieveFormsWheelEverywhere(TestSieveForms):
     wheel_min = 1
 
 
+class TestSieveFormsWheelNowhere(TestSieveForms):
+    wheel_min = 2**62
+
+
 class TestWheelThreshold:
     def test_traffic_split(self):
         # prime windows and hb segments (both _PRIME_SEGMENT) stay in t; a full scan block takes the wheel

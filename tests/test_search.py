@@ -179,8 +179,16 @@ class TestExactSieveWheelEverywhere(TestExactSieve):
     wheel_min = 1
 
 
+class TestExactSieveWheelNowhere(TestExactSieve):
+    wheel_min = 2**62
+
+
 class TestWheelEverywhere(TestWheel):
     wheel_min = 1
+
+
+class TestWheelNowhere(TestWheel):
+    wheel_min = 2**62
 
 
 def test_scan_block_memory():
