@@ -37,6 +37,12 @@ _PRIME_SEGMENT = 2**17
 # and heathbrown windows (2**17 t) are shorter; a scan block is not.
 _WHEEL, _WHEEL_MIN = 210, 2**20
 
+# strike_form has every prime with at most this many hits in its window (J)
+# strike in one vector round, and each shorter prime by a strided slice,
+# splitting the sieving primes by size against the window as Oliveira e
+# Silva, Herzog and Pardi (Math. Comp. 83, 2014) do.
+_VECTOR_HITS = 64
+
 # Strong-pseudoprime witnesses covering every n < 2**64 (the seven-base set
 # found by Sinclair; verified minimal for this range).
 _WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -193,9 +199,10 @@ def strike_form(mask: np.ndarray, lo: int, a: int, b: int, primes: np.ndarray, r
     other prime never strikes), and roots their first roots' offsets from
     lo, as _roots gives them.  Each q strikes the t with a*t + b = 0 mod q
     and a*t + b >= q*q, from the first such t.  Primes whose first such t lies
-    past the window are dropped; of the rest, a prime shorter than the window
-    strikes one strided slice, and every longer prime has exactly one such t
-    in the window, and they all strike in one fancy-index assignment.
+    past the window are dropped.  Of the rest, in a window of n t, a prime
+    q < n/_VECTOR_HITS strikes one strided slice, and every longer prime has
+    at most _VECTOR_HITS such t in the window, which _hits lists for all of
+    them at once, so they strike in one fancy-index assignment.
     """
     n = mask.size
     d = min(max(0, (1 - b) // a - lo + 1), n)  # the first d values are below 2
@@ -212,13 +219,43 @@ def strike_form(mask: np.ndarray, lo: int, a: int, b: int, primes: np.ndarray, r
     n -= d
     live = start < n  # the rest have no t to strike in the window
     start, primes = start[live] + np.uint64(d), primes[live]
-    k = int(np.searchsorted(primes, n))
+    k = int(np.searchsorted(primes, -(-n // _VECTOR_HITS)))  # from k on, q*_VECTOR_HITS >= n
     for s, q in zip(start[:k].tolist(), primes[:k].tolist()):
         mask[s::q] = False
-    mask[start[k:]] = False
+    if k < primes.size:
+        mask[_hits(start[k:], primes[k:], mask.size)] = False
 
 
-def sieve_forms(forms, lo: int, hi: int) -> np.ndarray:
+def _hits(start: np.ndarray, step: np.ndarray, n: int) -> np.ndarray:
+    """Every s + i*q below n, i >= 0, for each s < n in start and q in step: the
+    strides repeated, each prime's first stride replaced by the gap from the
+    previous prime's last hit, and summed up.
+
+    >>> _hits(np.array([1, 0], dtype=np.uint64), np.array([4, 7], dtype=np.uint64), 10).tolist()
+    [1, 5, 9, 0, 7]
+    """
+    s, q = start.astype(np.int64), step.astype(np.int64)
+    count = (n - 1 - s) // q + 1
+    last = s + (count - 1) * q
+    idx = np.repeat(q, count)
+    idx[np.cumsum(count) - count] = s - np.append(0, last[:-1])  # at each prime's first hit
+    return np.cumsum(idx, out=idx)
+
+
+def wheel_classes(forms, lo: int, hi: int) -> tuple[int, list[int]]:
+    """(w, classes): the modulus sieve_forms takes on [lo, hi] and the classes r mod w it sieves.
+
+    w = _WHEEL on a window of at least _WHEEL_MIN t, else 1; the classes are
+    those with a t in the window where every value a*t + b is prime to w.
+    """
+    w = _WHEEL if hi - lo + 1 >= _WHEEL_MIN else 1
+    return w, [
+        r for r in range(w)
+        if -((r - lo) // w) <= (hi - r) // w and all(math.gcd(a * r + b, w) == 1 for a, b in forms)
+    ]
+
+
+def sieve_forms(forms, lo: int, hi: int, *, share: tuple[int, int] = (0, 1)) -> np.ndarray:
     """The offsets t - lo, ascending, of the t in [lo, hi] where every a*t + b in forms is prime.
 
     forms holds (a, b) pairs that pass _check_forms.  Exact sieve:
@@ -226,29 +263,31 @@ def sieve_forms(forms, lo: int, hi: int) -> np.ndarray:
     the t with a*t + b = 0 mod q and a*t + b >= q*q.  A composite value is
     at least the square of its least prime factor, so it is struck; a prime
     value q is below q*q, so it never is, and values below 2 are masked.
-    One loop sieves the classes r mod w where every value is prime to w (a
-    wheel: Pritchard, Acta Informatica 17, 1982), each as the forms
-    (w*a, a*r + b) in u with t = w*u + r, whose roots come from those of
-    _roots in t through 1/w mod q (0 at the primes dividing w: dropped).
-    w = 210 on a window of at least _WHEEL_MIN t, where a t in any other
-    class survives only if a value is 2, 3, 5 or 7 and is tested by
-    is_prime; else w = 1, one class and no such t.  A stable sort merges
-    the classes' offsets: one linear pass on a single class.
+    One loop sieves the classes r mod w of wheel_classes, where every value
+    is prime to w (a wheel: Pritchard, Acta Informatica 17, 1982), each as
+    the forms (w*a, a*r + b) in u with t = w*u + r, whose roots come from
+    those of _roots in t through 1/w mod q (0 at the primes dividing w:
+    dropped).  w = 210 on a window of at least _WHEEL_MIN t, where a t in
+    any other class survives only if a value is 2, 3, 5 or 7 and is tested
+    by is_prime; else w = 1, one class and no such t.  share = (k, m) sieves
+    only every m-th class from the k-th, and only share 0 tests those t, so
+    the m shares' offsets together are the whole window's.  A stable sort
+    merges the classes' offsets: one linear pass on a single class.
     """
     top = _check_forms(forms, lo, hi)
     n = hi - lo + 1
-    w = _WHEEL if n >= _WHEEL_MIN else 1
+    w, classes = wheel_classes(forms, lo, hi)
+    k, m = share
     primes = prime_array(math.isqrt(max(top, 0)))  # max(top, 0) admits all-negative values
     roots = [_roots(a, a * lo + b, n, primes) for a, b in forms]
     roots = [(q, off, inverse_mod(w, q)) for q, _, off in roots]
     roots = [(q[inv != 0], off[inv != 0], inv[inv != 0]) for q, off, inv in roots]  # q | w divides no value in a class
-    special = {(v - b) // a for a, b in forms for v in (2, 3, 5, 7) if w % v == 0 and (v - b) % a == 0}
+    special = () if k else {
+        (v - b) // a for a, b in forms for v in (2, 3, 5, 7) if w % v == 0 and (v - b) % a == 0}
     parts = [np.array([t - lo for t in special if lo <= t <= hi and all(
         a * t + b >= 2 and is_prime(a * t + b) for a, b in forms)], dtype=np.intp)]
-    for r in range(w):
+    for r in classes[k::m]:
         u_lo, u_hi = -((r - lo) // w), (hi - r) // w
-        if u_lo > u_hi or any(math.gcd(a * r + b, w) != 1 for a, b in forms):
-            continue
         mask = np.ones(u_hi - u_lo + 1, dtype=bool)
         shift = w * u_lo + r - lo  # t at u_lo, less lo
         for (a, b), (q, off, inv) in zip(forms, roots):

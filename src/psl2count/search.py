@@ -17,15 +17,15 @@ miss one or more of them, which the attainment flags record.
 
 Each case is kept as the forms (a, b), value a*t + b, of p, s and r, the
 pair order of arith and bhc, and scanning hands them unchanged to
-arith.sieve_forms, in blocks of t so the work can spread over processes
-while staying bit-for-bit independent of the process count.
+arith.sieve_forms, in blocks of t.  Each block's wheel classes are shared
+out over worker processes forked for the block, and the shares' results
+are merged so the scan stays bit-for-bit independent of the process count.
 """
 
 from __future__ import annotations
 
-import collections
-import contextlib
 import os
+import pickle
 import sys
 import time
 from dataclasses import dataclass
@@ -148,18 +148,19 @@ def verify_attainment(hit: TripleHit) -> tuple[bool, bool, bool, bool]:
 _BLOCK = 210 * 2**20  # t per block of scan: 2**20 t per class of the wheel in arith.sieve_forms
 
 
-def _scan_block(args) -> tuple[int, int, list[int]]:
+def _scan_block(args, share: tuple[int, int] = (0, 1)) -> tuple[int, int, list[int]]:
     """Scan [lo, hi] for one case; returns (q_count, sz_count, hit ts).
 
-    One arith.sieve_forms call gives the offsets of the prime triples.  The
-    values grow with t, so the hits (s and r above 3) are the triples from
-    the first t where both pass 3, and the first hit_cap become hit ts.
-    p mod 40 follows from t mod 40, and so does sigma = alpha = 0.
+    One arith.sieve_forms call, on the share (k, m) of its wheel classes,
+    gives the offsets of the prime triples.  The values grow with t, so the
+    hits (s and r above 3) are the triples from the first t where both pass
+    3, and the first hit_cap become hit ts.  p mod 40 follows from t mod 40,
+    and so does sigma = alpha = 0.
     """
     case_id, lo, hi, hit_cap = args
     forms = _CASE_FORMS[case_id]
     (a_p, b_p), *halves = forms
-    offsets = arith.sieve_forms(forms, lo, hi)
+    offsets = arith.sieve_forms(forms, lo, hi, share=share)
     t_hit = max((3 - b) // a + 1 for a, b in halves)
     hits = offsets[np.searchsorted(offsets, t_hit - lo) :]
     zero = np.array([invariants.sigma_alpha(a_p * (lo + c) + b_p) == (0, 0) for c in range(40)])  # t = lo + c mod 40
@@ -167,15 +168,68 @@ def _scan_block(args) -> tuple[int, int, list[int]]:
     return offsets.size, sz_count, (hits[:hit_cap].astype(np.int64) + lo).tolist()
 
 
-def _in_order(pool, block_args, depth: int):
-    """_scan_block over block_args on pool, results in order, at most depth blocks in flight."""
-    pending: collections.deque = collections.deque()
-    for args in block_args:
-        pending.append(pool.submit(_scan_block, args))
-        if len(pending) == depth:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+def _forked(fn, calls: list[tuple]) -> list:
+    """[fn(*args) for args in calls]: the first in this process, each other in a child forked for it.
+
+    A child sends back its pickled (True, result), or (False, exception)
+    for an Exception, through a pipe, and leaves by os._exit, so it runs no
+    exit handler and never flushes this process's stdio.  Here the
+    exception is raised again with its own type; a child that ends without
+    a result raises RuntimeError.  Every child is killed, if still running,
+    and reaped on every path, errors and KeyboardInterrupt here included.
+    A fork costs a few ms where a spawned worker imports the package again;
+    the children run only Python and numpy arithmetic, so no lock that
+    another thread holds at the fork is ever taken in them.
+    """
+    import signal  # here, not at the top: every command would pay for it at start-up
+
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    try:
+        for args in calls[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _child(fn, args, write)
+            os.close(write)
+            children.append((pid, read))
+        results = [fn(*calls[0])]
+        for pid, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            try:
+                ok, value = pickle.loads(data)  # bytes from our own child
+            except Exception:
+                raise RuntimeError(f"scan worker {pid} ended without a result") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, read in children:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)  # safe on an ended child: its pid stays its own until reaped
+            os.waitpid(pid, 0)
+
+
+def _child(fn, args, write: int):
+    """In a forked child: send fn(*args) down the pipe write, as _forked reads it, and exit."""
+    code = 1
+    try:
+        try:
+            payload = pickle.dumps((True, fn(*args)))
+        except Exception as exc:
+            payload = pickle.dumps((False, exc))  # if exc cannot be pickled, the child ends without a result
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _progress_line(case_id: str, done: int, t_max: int, started: float) -> str:
@@ -199,13 +253,16 @@ def scan(
 ) -> SearchSummary:
     """Count prime triples for t in [1, t_max] and record hits.
 
-    q_count is exact regardless of hit_cap.  Blocks are merged in index
-    order, so the result is identical for every jobs value; at most
-    default_jobs() worker processes run, however large jobs is.  Blocks are
-    made as the pool takes them, and a hit_cap above MAX_HITS or a t_max
+    q_count is exact regardless of hit_cap.  Each block's wheel classes
+    (arith.wheel_classes) are split into one share per worker: this process
+    sieves share 0, and a child forked for the block each of the others.
+    workers is the least of jobs, default_jobs() and the block's classes
+    (at least 1), and 1 where os.fork is missing.  The shares' counts are
+    summed and their hit ts merged, and blocks are merged in order, so the
+    result is identical for every jobs value.  A hit_cap above MAX_HITS or a t_max
     whose base primes would pass arith.PRIME_CAP raises ResourceLimitError
-    before the first.  With progress, each merged block prints the t done,
-    the rate and an ETA on stderr.
+    before the first block.  With progress, each merged block prints the t
+    done, the rate and an ETA on stderr.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
@@ -217,29 +274,24 @@ def scan(
         raise ValueError("hit_cap must be at least 0")
     if hit_cap > MAX_HITS:
         raise arith.ResourceLimitError(f"hit_cap {hit_cap} exceeds the cap {MAX_HITS} on the hits built")
-    arith.check_prime_cap(max(a * t_max + b for a, b in spec.polys.polys))
+    forms = spec.polys.polys
+    arith.check_prime_cap(max(a * t_max + b for a, b in forms))
 
-    n_blocks = -(-t_max // _BLOCK)
-    block_args = (
-        (spec.case_id, lo, min(lo + _BLOCK - 1, t_max), hit_cap)
-        for lo in range(1, t_max + 1, _BLOCK)
-    )
     q_count = 0
     sz_count = 0
     hit_ts: list[int] = []
-    workers = min(jobs, n_blocks, default_jobs())  # a pool forks all its workers at once; one runs in-process
+    max_workers = min(jobs, default_jobs()) if hasattr(os, "fork") else 1
     started = time.monotonic()
-    if workers > 1:
-        # imported here, not at the top: every command would pay for it at start-up
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
-        blocks = _in_order(pool, block_args, 2 * workers) if pool else map(_scan_block, block_args)
-        for i, (q, sz, ts) in enumerate(blocks, 1):
-            q_count += q
-            sz_count += sz
-            hit_ts.extend(ts[: hit_cap - len(hit_ts)])
-            if progress:
-                print(_progress_line(spec.case_id, min(i * _BLOCK, t_max), t_max, started), file=sys.stderr)
+    for lo in range(1, t_max + 1, _BLOCK):
+        hi = min(lo + _BLOCK - 1, t_max)
+        workers = min(max_workers, max(1, len(arith.wheel_classes(forms, lo, hi)[1])))  # share 0 holds the special t
+        args = (spec.case_id, lo, hi, hit_cap)
+        shares = _forked(_scan_block, [(args, (k, workers)) for k in range(workers)])
+        q_count += sum(q for q, _, _ in shares)
+        sz_count += sum(sz for _, sz, _ in shares)
+        hit_ts.extend(sorted(t for _, _, ts in shares for t in ts)[: hit_cap - len(hit_ts)])
+        if progress:
+            print(_progress_line(spec.case_id, hi, t_max, started), file=sys.stderr)
     hits = tuple(_make_hit(spec, t) for t in hit_ts)
     return SearchSummary(
         case_id=spec.case_id,

@@ -447,6 +447,30 @@ class TestStrikeSplit:
             hi = lo + w * (n - 1)
             assert arith.sieve_forms([form], lo, hi).tolist() == _plain_offsets([form], lo, hi), (lo, n)
 
+    @pytest.mark.parametrize("j", [1, 2, 64])
+    @pytest.mark.parametrize("w", [1, 210])
+    @pytest.mark.parametrize("form", [(1, 0), (2, 1), (12, 5)])
+    def test_sieve_forms_at_j_and_j_plus_1_hits(self, j, w, form, monkeypatch, force_wheel_min):
+        # class r from u0, where q = 37 has its first root at offset 0:
+        # windows of j*q - 1, j*q and j*q + 1 t give q exactly j, j and j + 1
+        # hits, the last on the slice side of the split at _VECTOR_HITS = j,
+        # and the value at its last hit is q times a prime above q, so q
+        # alone strikes it
+        a, b = form
+        q = 37
+        monkeypatch.setattr(arith, "_VECTOR_HITS", j)
+        if w > 1:
+            force_wheel_min(1)
+        r = next(r for r in range(w) if math.gcd(a * r + b, w) == 1)
+        for n in (j * q - 1, j * q, j * q + 1):
+            last = (n - 1) // q * q
+            u0 = 10**4 // q * q + (-(a * r + b) * pow(w * a, -1, q)) % q
+            while not arith.is_prime((a * (w * (u0 + last) + r) + b) // q):
+                u0 += q
+            lo, hi = w * u0 + r, w * (u0 + n - 1) + r
+            got = [o for o in arith.sieve_forms([form], lo, hi).tolist() if o % w == 0]  # class r
+            assert got == [o for o in range(0, w * n, w) if arith.is_prime(a * (lo + o) + b)], (lo, n)
+
     @pytest.mark.parametrize("form", FACTOR_FORMS)
     @pytest.mark.parametrize("qe", [5, 125, 7, 49])
     def test_factor_counts(self, form, qe):
@@ -455,3 +479,40 @@ class TestStrikeSplit:
         for n in (qe - 1, qe, qe + 1):
             omega, tau = arith.factor_counts(a, b, lo, lo + n - 1)
             assert [omega.tolist(), tau.tolist()] == list(_plain_counts(a, b, lo, lo + n - 1)), (lo, n)
+
+
+def _slice_strike(mask, lo, a, b, primes, roots):
+    """The slice-only strike, the reference for arith.strike_form: each prime
+    q strikes one slice, from its first t with a*t + b = 0 mod q (at or past
+    its root) that is past the values below 2 and has a*t + b >= q*q."""
+    n = mask.size
+    d = min(max(0, (1 - b) // a - lo + 1), n)  # the first d values are below 2
+    mask[:d] = False
+    near = roots < n  # a prime strikes nothing before its root
+    for q, root in zip(primes[near].tolist(), roots[near].tolist()):
+        f = max(d, -((b - q * q) // a) - lo)  # the first offset past both bounds
+        mask[f + (root - f) % q :: q] = False
+
+
+class TestVectorStrike:
+    """sieve_forms against the slice-only strike, at w = 1 and 210 (every
+    window through the wheel), with _VECTOR_HITS at 1, 2, 64 and past every
+    window, where every prime strikes in the vector round."""
+
+    @pytest.mark.parametrize("j", [1, 2, 64, 2**62], ids=["1", "2", "64", "inf"])
+    @pytest.mark.parametrize("w", [1, 210])
+    def test_random_windows_match_slice_strike(self, j, w, monkeypatch, force_wheel_min):
+        if w > 1:
+            force_wheel_min(1)
+        strike_form = arith.strike_form
+        rng = random.Random(f"vector-{j}-{w}")
+        for forms in SIEVE_FORMS:
+            for _ in range(3):
+                lo = rng.randint(0, 10 ** rng.randint(1, 12))
+                hi = lo + rng.randint(0, 30000 if w == 1 else 300000)  # up to about 1400 t per class at w = 210
+                monkeypatch.setattr(arith, "strike_form", _slice_strike)
+                expect = arith.sieve_forms(forms, lo, hi).tolist()
+                monkeypatch.setattr(arith, "strike_form", strike_form)
+                monkeypatch.setattr(arith, "_VECTOR_HITS", j)
+                assert arith.sieve_forms(forms, lo, hi).tolist() == expect, (forms, lo, hi)
+                monkeypatch.setattr(arith, "_VECTOR_HITS", 64)

@@ -5,8 +5,11 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import types
 
 import pytest
@@ -57,3 +60,15 @@ def test_workload_answers_pass_the_benchmark_checks(workload):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(WORKLOADS[workload])
     assert checks.check(workload, code, out.getvalue(), err.getvalue(), random.Random(1), pkg) == []
+
+
+def test_scan_argv_in_a_subprocess_passes_the_benchmark_checks():
+    # perfbench/run.py's end-to-end scan command, two worker processes: the
+    # in-process case above runs one, so it never forks
+    checks = _load("perfbench_checks", CHECKS)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = ["search", "a", "--t-max", "1e8", "--threads", "2", "--format", "json"]
+    done = subprocess.run([sys.executable, "-c", "from psl2count.cli import entry; entry()", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    pkg = types.SimpleNamespace(arith=arith, invariants=invariants, search=search)
+    assert checks.check("scan", done.returncode, done.stdout, done.stderr, random.Random(1), pkg) == []

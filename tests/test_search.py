@@ -1,13 +1,14 @@
 """Prime-triple scans: frozen counts, hit semantics and determinism."""
 
-import concurrent.futures
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
-from psl2count import arith, invariants, search
+from psl2count import arith, cli, invariants, search
 
 SPECS = {c: search.case_spec(c) for c in search.CASE_IDS}
 
@@ -167,6 +168,16 @@ class TestWheel(WheelMin):
             assert got == _plain_block(SPECS[case_id], lo, hi), (case_id, lo, hi)
 
     @pytest.mark.parametrize("case_id", search.CASE_IDS)
+    def test_long_window_matches_short_blocks(self, case_id):
+        # one window past 2**20 t against the same t in blocks below it: at
+        # the default threshold the wheel against the one class mod 1
+        lo = 10**9 + 7
+        hi = lo + 2**20 + 999
+        parts = [search._scan_block((case_id, b, min(b + 2**19 - 1, hi), 10**6)) for b in range(lo, hi + 1, 2**19)]
+        expect = (sum(q for q, _, _ in parts), sum(sz for _, sz, _ in parts), [t for _, _, ts in parts for t in ts])
+        assert search._scan_block((case_id, lo, hi, 10**6)) == expect
+
+    @pytest.mark.parametrize("case_id", search.CASE_IDS)
     def test_block_sizes_around_the_wheel(self, case_id, monkeypatch):
         # blocks shorter than, equal to and just past 210 t
         base = search.scan(SPECS[case_id], 2000)
@@ -279,33 +290,108 @@ class TestDeterminism:
         assert other == base
 
     def test_workers_capped_at_machine_parallelism(self, monkeypatch):
-        # A pool forks all its max_workers at the first submit, so a huge jobs
-        # must not reach it.  The fake pool starts no process: it records
-        # max_workers and runs each block in-process.
-        asked = []
+        # Each block forks workers - 1 children, workers = min(jobs,
+        # default_jobs(), the block's classes), so on two cores a huge jobs
+        # forks one child per block, and jobs=1 none.  The counted fork is real.
+        forks = []
+        fork = os.fork
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "fork", counted_fork)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(search, "_BLOCK", 997)
-        base = search.scan(SPECS["a"], 10**4, jobs=1)
-        assert asked == []  # jobs=1 runs in-process
-        assert search.scan(SPECS["a"], 10**4, jobs=10**6) == base
-        assert asked == [2]
+        monkeypatch.setattr(search, "_BLOCK", 1_500_000)
+        base = search.scan(SPECS["a"], 3 * 10**6, jobs=1)
+        assert forks == []
+        assert search.scan(SPECS["a"], 3 * 10**6, jobs=10**6) == base
+        assert len(forks) == 2  # two blocks of 16 classes each
+        _assert_no_child_left()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestClassSplit:
+    """Scans whose blocks take the wheel, their 16 classes shared out over
+    jobs processes by real forks; three cores, so jobs=3 forks two
+    children on any machine."""
+
+    @pytest.fixture(autouse=True)
+    def _three_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+
+    @pytest.mark.parametrize("hit_cap", [0, 1, 7, 10**4])
+    @pytest.mark.parametrize("case_id,block", [("a", search._BLOCK), ("c", 1_500_000)])  # one block, two blocks
+    def test_jobs_invariance(self, case_id, block, hit_cap, monkeypatch):
+        monkeypatch.setattr(search, "_BLOCK", block)
+        base = search.scan(SPECS[case_id], 3 * 10**6, hit_cap=hit_cap, jobs=1)
+        assert len(base.hits) == hit_cap or len(base.hits) < hit_cap == 10**4  # the largest cap holds every hit
+        for jobs in (2, 3):
+            assert search.scan(SPECS[case_id], 3 * 10**6, hit_cap=hit_cap, jobs=jobs) == base, jobs
+            _assert_no_child_left()
+
+    def test_without_fork_one_process(self, monkeypatch):
+        base = search.scan(SPECS["a"], 3 * 10**6, jobs=1)
+        monkeypatch.delattr(os, "fork")
+        assert search.scan(SPECS["a"], 3 * 10**6, jobs=3) == base
+
+    @staticmethod
+    def _fail_in_share(monkeypatch, k, fail):
+        sieve_forms = arith.sieve_forms
+
+        def failing(forms, lo, hi, *, share=(0, 1)):
+            if share[0] == k:
+                fail()
+            return sieve_forms(forms, lo, hi, share=share)
+
+        monkeypatch.setattr(arith, "sieve_forms", failing)
+
+    def test_child_error_keeps_its_type(self, monkeypatch, capsys):
+        def fail():
+            raise arith.ResourceLimitError("share 1 over a cap")
+
+        self._fail_in_share(monkeypatch, 1, fail)
+        with pytest.raises(arith.ResourceLimitError, match="share 1 over a cap"):
+            search.scan(SPECS["a"], 3 * 10**6, jobs=2)
+        _assert_no_child_left()
+        assert cli.main(["search", "a", "--t-max", "3e6", "--threads", "2"]) == cli.EXIT_RESOURCE
+        assert "share 1 over a cap" in capsys.readouterr().err
+        _assert_no_child_left()
+
+    def test_child_without_a_result_is_an_internal_error(self, monkeypatch, capsys):
+        self._fail_in_share(monkeypatch, 2, lambda: os._exit(1))
+        with pytest.raises(RuntimeError, match="without a result"):
+            search.scan(SPECS["a"], 3 * 10**6, jobs=3)
+        _assert_no_child_left()
+        assert cli.main(["search", "a", "--t-max", "3e6", "--threads", "3"]) == cli.EXIT_INTERNAL
+        capsys.readouterr()
+        _assert_no_child_left()
+
+    def test_children_never_flush_stdio(self):
+        # stdout to a pipe is block-buffered, so a child that flushed it on
+        # its way out would repeat the text not yet written
+        code = ("import os; os.cpu_count = lambda: 3\n"
+                "from psl2count import search\n"
+                "print('before', end='')\n"
+                "search.scan(search.case_spec('a'), 3 * 10**6, jobs=3)\n"
+                "print(' after')\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "before after\n"), done.stderr
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_error_here_reaps_every_child(self, monkeypatch, error):
+        def fail():
+            raise error("share 0")
+
+        self._fail_in_share(monkeypatch, 0, fail)
+        with pytest.raises(error, match="share 0"):
+            search.scan(SPECS["a"], 3 * 10**6, jobs=3)
+        _assert_no_child_left()
 
 
 class TestJsonShape:
