@@ -144,6 +144,15 @@ def _mod_primes(n: int, primes: np.ndarray) -> np.ndarray:
     return rem if n >= 0 else (primes - rem) % primes
 
 
+def _exceptional(fam: PolynomialFamily) -> tuple[int, list[int]]:
+    """k, the number of distinct primitive linear parts, and the nonzero integers
+    whose prime divisors are the only primes where omega(p) may differ from k (see _omega)."""
+    linear = sorted({_primitive(a, b) for a, b in fam.polys if a})
+    exceptional = [a or b for a, b in fam.polys]  # a constant member's leading coefficient is b
+    exceptional += [a_i * b_j - a_j * b_i for i, (a_i, b_i) in enumerate(linear) for a_j, b_j in linear[:i]]
+    return len(linear), exceptional
+
+
 def _omega(fam: PolynomialFamily, primes: np.ndarray) -> np.ndarray:
     """omega(p) for every p in a uint64 array of primes below 2**32.
 
@@ -154,15 +163,13 @@ def _omega(fam: PolynomialFamily, primes: np.ndarray) -> np.ndarray:
     Only those finitely many exceptional primes are counted by omega_roots.
     Distinct g_i are not proportional, so every resultant is nonzero.
     """
-    linear = sorted({_primitive(a, b) for a, b in fam.polys if a})
-    exceptional = [a or b for a, b in fam.polys]  # a constant member's leading coefficient is b
-    exceptional += [a_i * b_j - a_j * b_i for i, (a_i, b_i) in enumerate(linear) for a_j, b_j in linear[:i]]
+    k, exceptional = _exceptional(fam)
     exact = np.zeros(len(primes), dtype=bool)
     for n in exceptional:
         # primes ascend, and a nonzero n has no prime divisor above |n|
         end = int(np.searchsorted(primes, min(abs(n), 2**32), side="right"))
         exact[:end] |= _mod_primes(n, primes[:end]) == 0
-    omega = np.full(len(primes), len(linear), dtype=np.int64)
+    omega = np.full(len(primes), k, dtype=np.int64)
     for i in np.flatnonzero(exact):
         omega[i] = omega_roots(fam, int(primes[i]))
     return omega
@@ -171,35 +178,55 @@ def _omega(fam: PolynomialFamily, primes: np.ndarray) -> np.ndarray:
 # Every finite float64 is an integer multiple of 2**-_SUM_SCALE: frexp
 # gives it as M * 2**(e - 53) with an integer |M| < 2**53 and e >= -1073.
 _SUM_SCALE = 1126
+_BAND = 10  # frexp exponents summed at once: M * 2**(e - least e) stays below 2**62
+
+
+def _band_sum(terms: np.ndarray, e: int, out: np.ndarray | None = None) -> int:
+    """The exact sum of float64 terms with frexp exponents in [e, e + _BAND), in units of 2**(e - 53).
+
+    Scaled by 2**(53 - e), each term is an integer v, M of _SUM_SCALE shifted left
+    by at most 9 bits, so |v| < 2**62.  Its halves v >> 31 and v & (2**31 - 1) lie in
+    [-2**31, 2**31), so under _exact_sum's cap of 2**26 terms each half sums within
+    2**57, exactly in int64.  out, a float64 array of len(terms), is overwritten.
+    """
+    scaled = np.ldexp(terms, 53 - e, out=out)
+    whole = scaled.astype(np.int64)
+    high = np.right_shift(whole, 31, out=scaled.view(np.int64))
+    whole &= 2**31 - 1
+    return (int(np.add.reduce(high)) << 31) + int(np.add.reduce(whole))
 
 
 def _exact_sum(terms: np.ndarray) -> int:
     """The exact sum of a float64 array, as a Python int in units of 2**-_SUM_SCALE.
 
-    Each term is M * 2**(e - 53) (see _SUM_SCALE), and M splits into
-    hi * 2**26 + lo with 0 <= lo < 2**26 and |hi| <= 2**27.  bincount sums
-    the halves per exponent in float64, exactly, since with at most 2**26
-    terms every partial sum is an integer within 2**53.  Sums of the
-    returned ints are exact too, and int true division by 2**_SUM_SCALE
-    rounds the total correctly, as math.fsum does (a zero total is +0.0).
+    The terms are walked in bands of _BAND frexp exponents from the least
+    nonzero magnitude up, each band summed exactly by _band_sum; zeros fall
+    in the first band and add nothing.  An Euler window of hl_constant past
+    the first few spans fewer than _BAND exponents, so it is one band, summed
+    with no mask.  The cap of 2**26 terms per call keeps each band's
+    int64 half sums exact (see _band_sum).  Sums of the returned ints are
+    exact too, and int true division by 2**_SUM_SCALE rounds the total
+    correctly, as math.fsum does (a zero total is +0.0).
 
     >>> _exact_sum(np.array([1e100, 1.0, -1e100])) == 2**_SUM_SCALE
     True
     """
     if len(terms) > 2**26:
         raise ValueError(f"_exact_sum takes at most 2**26 terms per call, got {len(terms)}")
-    if not np.isfinite(terms).all():
+    mag = np.abs(terms)
+    top = float(mag.max()) if len(mag) else 0.0
+    if not math.isfinite(top):
         raise ValueError("cannot sum a non-finite term exactly")
-    if not len(terms):
+    if not top:
         return 0
-    mant, exp = np.frexp(terms)
-    whole = (mant * 2.0**53).astype(np.int64)
-    shift = exp + (_SUM_SCALE - 53)
-    base = int(shift.min())
-    shift -= base
-    hi = np.bincount(shift, weights=whole >> 26).tolist()
-    lo = np.bincount(shift, weights=whole & (2**26 - 1)).tolist()
-    return sum(((int(h) << 26) + int(l)) << s for s, (h, l) in enumerate(zip(hi, lo))) << base
+    lo = math.frexp(float(mag.min()) or float(mag.min(where=mag > 0, initial=top)))[1]
+    total = 0
+    while math.frexp(top)[1] - lo >= _BAND:
+        band = mag < 2.0 ** (lo + _BAND - 1)  # |x| < 2**e exactly when x's exponent is at most e
+        total += _band_sum(terms[band], lo) << (lo + _SUM_SCALE - 53)
+        terms, mag = terms[~band], mag[~band]
+        lo = math.frexp(float(mag.min()))[1]
+    return total + (_band_sum(terms, lo, out=mag) << (lo + _SUM_SCALE - 53))
 
 
 @dataclass(frozen=True)
@@ -215,12 +242,14 @@ class HlConstant:
 def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
     """Product over primes p <= truncation of (1-1/p)^(-m) * (1-omega(p)/p).
 
-    omega(p) is closed-form at all but finitely many primes (see _omega),
-    which counts only the exceptional primes one at a time.  The primes
-    come in segments (arith.prime_segments), so memory stays flat in the
-    truncation; each segment's log factors go into one exact sum
-    (_exact_sum), rounded once at the end, so the result depends neither
-    on the segment size nor on how the primes were sieved.  A truncation
+    omega(p) = k at every prime dividing none of the family's exceptional
+    integers (_exceptional, found once): a segment whose least prime exceeds
+    them all takes omega = k at once, and only the others run _omega, which
+    counts the exceptional primes one at a time.  The primes come in
+    segments (arith.prime_segments), so memory stays flat in the truncation;
+    each segment's log factors, formed in place, go into one exact sum
+    (_exact_sum), rounded once at the end, so the result depends neither on
+    the segment size nor on how the primes were sieved.  A truncation
     above arith.PRIME_CAP raises ResourceLimitError before any sieving;
     that cap, below 2**32, also keeps every product in _mod_primes inside
     uint64.
@@ -240,10 +269,18 @@ def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
     report = check_sh(fam)
     if not report.ok:
         raise ValueError(f"family fails admissibility checks: {report}")
+    k, exceptional = _exceptional(fam)
+    reach = max(map(abs, exceptional))
     total = 0
     for primes in arith.prime_segments(2, truncation):
         p = primes.astype(float)
-        total += _exact_sum(-fam.m * np.log1p(-1.0 / p) + np.log1p(-_omega(fam, primes) / p))
+        # -m * log1p(-1/p) + log1p(-omega/p), operation for operation, in two buffers
+        terms = np.divide(-1.0, p)
+        np.log1p(terms, out=terms)
+        terms *= -fam.m
+        np.divide(-k if int(primes[0]) > reach else -_omega(fam, primes), p, out=p)
+        terms += np.log1p(p, out=p)
+        total += _exact_sum(terms)
     value = math.exp(total / 2**_SUM_SCALE)
     tail = value * fam.m * (fam.m - 1) / (truncation * math.log(truncation))
     return HlConstant(value=value, truncation=truncation, tail_bound=tail)
@@ -324,7 +361,8 @@ def integration_lower_limit(fam: PolynomialFamily) -> int:
 
 
 def check_x(fam: PolynomialFamily, x: float) -> int:
-    """The integration lower limit a of the family, after checking that x is finite and above it.
+    """The integration lower limit a of the family, after checking that x is finite and above
+    it and that no member's value a*x + b overflows, which would make the integrand a wrong 0.
 
     Cheap, so a caller can refuse a bad x before building the constant.
     """
@@ -333,6 +371,9 @@ def check_x(fam: PolynomialFamily, x: float) -> int:
     a = integration_lower_limit(fam)
     if x <= a:
         raise ValueError(f"x must exceed the integration lower limit {a}")
+    for c, b in fam.polys:
+        if not math.isfinite(float(c) * x + float(b)):
+            raise ValueError(f"x must keep every member a*x + b a finite float, but {c}*x + {b} overflows at x = {x}")
     return a
 
 

@@ -306,6 +306,82 @@ class TestExactSum:
         with pytest.raises(ValueError, match="non-finite"):
             bhc._exact_sum(np.array([1.0, bad, 2.0]))
 
+    def test_the_term_cap_is_checked_before_any_work(self):
+        # a zero-copy view of 2**26 + 1 terms: the cap must refuse it before reading them
+        with pytest.raises(ValueError, match=r"at most 2\*\*26 terms"):
+            bhc._exact_sum(np.broadcast_to(np.float64(0.0), (2**26 + 1,)))
+
+
+def _exact_reference(arr):
+    """The exact sum of a float array in units of 2**-_SUM_SCALE, one term at a time in Python ints."""
+    total = 0
+    for x in arr.tolist():
+        num, den = x.as_integer_ratio()  # den is a power of two at most 2**1074
+        total += num * (2**bhc._SUM_SCALE // den)
+    return total
+
+
+def _summed_arrays(monkeypatch, run):
+    """Copies of every array _exact_sum is given while run() runs."""
+    seen = []
+    real = bhc._exact_sum
+    monkeypatch.setattr(bhc, "_exact_sum", lambda terms: seen.append(terms.copy()) or real(terms))
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def _frexp_span(arr):
+    exps = np.frexp(arr[arr != 0])[1]
+    return int(exps.max() - exps.min())
+
+
+class TestExactSumAgainstTheExactInteger:
+    """_exact_sum's int itself, not only its rounding, against a pure-Python reference."""
+
+    def test_euler_windows(self, monkeypatch):
+        windows = []
+        for fam in (FAMS["a"], FAMS["d"], CLOSED_FORM_FAMS["twin"]):
+            windows += _summed_arrays(monkeypatch, lambda: bhc.hl_constant(fam, 10**6))
+        assert len(windows) == 3 * len(list(arith.prime_segments(2, 10**6)))
+        assert max(map(_frexp_span, windows)) >= 3 * bhc._BAND  # the first odd window spans several bands
+        for terms in windows:
+            assert bhc._exact_sum(terms) == _exact_reference(terms)
+
+    def test_quadrature_value_and_error_terms(self, monkeypatch):
+        hc = bhc.hl_constant(FAMS["a"], 10**4)
+        arrays = _summed_arrays(monkeypatch, lambda: bhc.estimate_E(FAMS["a"], 1e9, hc))
+        assert len(arrays) == 2 * bhc._PANELS // bhc._BLOCK
+        for terms in arrays:
+            assert bhc._exact_sum(terms) == _exact_reference(terms)
+
+    @pytest.mark.parametrize("span", [0, 9, 10, 11, 40, 2040])
+    def test_random_exponent_spans(self, span):
+        rng = np.random.default_rng(span)
+        for least in ((-1021, 0, 500) if span < 2040 else (-1021,)):
+            exps = rng.integers(least, least + span + 1, size=3000)
+            exps[:2] = least, least + span
+            arr = np.ldexp(rng.choice((-1.0, 1.0), size=3000) * rng.uniform(1.0, 2.0, size=3000), exps)
+            assert _frexp_span(arr) == span
+            assert bhc._exact_sum(arr) == _exact_reference(arr), least
+            assert bhc._exact_sum(arr) / 2**bhc._SUM_SCALE == math.fsum(arr.tolist())
+
+    def test_zeros_of_both_signs(self):
+        for arr in ([0.0], [-0.0], [-0.0, 0.0, -0.0], [0.0, 3.5, -0.0, -1e-300, 0.0], [-0.0, 5e-324]):
+            arr = np.array(arr)
+            assert bhc._exact_sum(arr) == _exact_reference(arr), arr
+
+    def test_subnormals_and_normals_in_one_band(self):
+        rng = np.random.default_rng(1074)
+        # subnormals k * 2**-1074 with k of 46 to 52 bits, beside normals just above 2**-1022
+        tiny = rng.integers(2**45, 2**52, size=500) * 5e-324
+        normal = rng.uniform(1.0, 8.0, size=500) * 2.2250738585072014e-308
+        arr = np.concatenate((tiny, -normal, normal[:100], -tiny[:50]))
+        rng.shuffle(arr)
+        assert (np.abs(tiny) < 2.2250738585072014e-308).all()
+        assert _frexp_span(arr) < bhc._BAND
+        assert bhc._exact_sum(arr) == _exact_reference(arr)
+
 
 def _one_array_constant(fam, truncation):
     """The Euler product with every log factor in one array over prime_array, summed by math.fsum."""
@@ -330,6 +406,30 @@ class TestSegmentedConstant:
                 got[size] = (hc.value.hex(), hc.tail_bound.hex())
             assert len(set(got.values())) == 1, got
             assert got[10**9][0] == want.hex(), truncation
+
+    @pytest.mark.parametrize("truncation", [10**4, 10**6])
+    def test_omega_skip_at_the_window_boundary(self, truncation, monkeypatch):
+        # 2**9 t per window puts 1999, the pair's one exceptional prime above 2,
+        # in the second odd window: only the windows up to it may run _omega
+        fam = CLOSED_FORM_FAMS["linear pair, resultant 1999"]
+        monkeypatch.setattr(arith, "_PRIME_SEGMENT", 2**9)
+        segments = list(arith.prime_segments(2, truncation))
+        assert 1999 in segments[2].tolist() and segments[3][0] > 1999
+        windows = []
+        real = bhc._omega
+        monkeypatch.setattr(bhc, "_omega", lambda fam, primes: windows.append(primes) or real(fam, primes))
+        got = bhc.hl_constant(fam, truncation).value
+        assert [w.tolist() for w in windows] == [s.tolist() for s in segments[:3]]
+        assert got.hex() == _one_array_constant(fam, truncation).hex()
+
+    def test_estimate_workload_frozen_bit_for_bit(self):
+        # perfbench's estimate workload, bhc a --x 1e9 --trunc 1e7: the banded
+        # exact sum and the omega skip keep every bit of the bincount sum's answer
+        hc = bhc.hl_constant(FAMS["a"], 10**7)
+        assert (hc.value.hex(), hc.tail_bound.hex()) == ("0x1.6ddb177522423p+2", "0x1.c8faeecc02a8cp-23")
+        est = bhc.estimate_E(FAMS["a"], 1e9, hc)
+        assert (est.integral.hex(), est.e_value.hex(), est.quadrature_error.hex()) == (
+            "0x1.a4a5172bc6356p+16", "0x1.2c93b0e7c46ffp+19", "0x1.29379cbcb6b5cp-11")
 
     def test_segments_cover_the_primes_in_order(self, monkeypatch):
         # the windows hl_constant reads
@@ -471,6 +571,16 @@ class TestEstimate:
         hc = bhc.hl_constant(FAMS["a"], 10**4)
         with pytest.raises(ValueError):
             bhc.estimate_E(FAMS["a"], 1.0, hc)
+
+    def test_x_near_the_float_range(self):
+        hc = bhc.hl_constant(FAMS["a"], 10**4)
+        est = bhc.estimate_E(FAMS["a"], 1e307, hc)  # 12 * 1e307 + 5 is still a finite float
+        assert abs(est.integral / 2.8259189181163144e298 - 1) < 1e-9  # mpmath, 30 digits
+        for x in (1e308, 1.7e308):  # 12 * x + 5 overflows to inf
+            with pytest.raises(ValueError, match="12\\*x \\+ 5 overflows"):
+                bhc.check_x(FAMS["a"], x)
+            with pytest.raises(ValueError, match="overflows"):
+                bhc.estimate_E(FAMS["a"], x, hc)
 
     def test_desk_scale_prediction(self):
         # committed brute-force counts at t_max = 10**6

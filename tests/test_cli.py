@@ -363,6 +363,20 @@ class TestBhcCommand:
             assert (code, out) == (2, ""), x
             assert "Traceback" not in err
 
+    def test_x_whose_member_values_overflow_is_a_usage_error(self, monkeypatch):
+        code, out, err = run(["bhc", "a", "--x", "1e307", "--trunc", "1e4", "--format", "json"])
+        assert code == 0 and err == ""
+        assert json.loads(out)["integral"] > 0
+
+        def unreachable(fam, truncation):
+            raise AssertionError("hl_constant reached")
+
+        monkeypatch.setattr(bhc, "hl_constant", unreachable)
+        for x in ("1e308", "1.7e308"):  # 12 * x + 5 overflows to inf
+            code, out, err = run(["bhc", "a", "--x", x, "--trunc", "1e4"])
+            assert (code, out) == (2, ""), x
+            assert "12*x + 5 overflows" in err and "Traceback" not in err, err
+
     def test_bad_x_is_refused_before_the_constant(self, monkeypatch):
         def unreachable(fam, truncation):
             raise AssertionError("hl_constant reached")
