@@ -144,15 +144,6 @@ def _mod_primes(n: int, primes: np.ndarray) -> np.ndarray:
     return rem if n >= 0 else (primes - rem) % primes
 
 
-def _exceptional(fam: PolynomialFamily) -> tuple[int, list[int]]:
-    """k, the number of distinct primitive linear parts, and the nonzero integers
-    whose prime divisors are the only primes where omega(p) may differ from k (see _omega)."""
-    linear = sorted({_primitive(a, b) for a, b in fam.polys if a})
-    exceptional = [a or b for a, b in fam.polys]  # a constant member's leading coefficient is b
-    exceptional += [a_i * b_j - a_j * b_i for i, (a_i, b_i) in enumerate(linear) for a_j, b_j in linear[:i]]
-    return len(linear), exceptional
-
-
 def _omega(fam: PolynomialFamily, primes: np.ndarray) -> np.ndarray:
     """omega(p) for every p in a uint64 array of primes below 2**32.
 
@@ -162,14 +153,20 @@ def _omega(fam: PolynomialFamily, primes: np.ndarray) -> np.ndarray:
     vanishes mod p and the g_i have k distinct roots, so omega(p) = k.
     Only those finitely many exceptional primes are counted by omega_roots.
     Distinct g_i are not proportional, so every resultant is nonzero.
+    An array whose least prime exceeds every exceptional |n|, as every
+    Euler window of hl_constant past the first few, takes omega = k at once.
     """
-    k, exceptional = _exceptional(fam)
+    linear = sorted({_primitive(a, b) for a, b in fam.polys if a})
+    exceptional = [a or b for a, b in fam.polys]  # a constant member's leading coefficient is b
+    exceptional += [a_i * b_j - a_j * b_i for i, (a_i, b_i) in enumerate(linear) for a_j, b_j in linear[:i]]
+    omega = np.full(len(primes), len(linear), dtype=np.int64)
+    if not len(primes) or int(primes[0]) > max(map(abs, exceptional)):
+        return omega
     exact = np.zeros(len(primes), dtype=bool)
     for n in exceptional:
         # primes ascend, and a nonzero n has no prime divisor above |n|
         end = int(np.searchsorted(primes, min(abs(n), 2**32), side="right"))
         exact[:end] |= _mod_primes(n, primes[:end]) == 0
-    omega = np.full(len(primes), k, dtype=np.int64)
     for i in np.flatnonzero(exact):
         omega[i] = omega_roots(fam, int(primes[i]))
     return omega
@@ -181,13 +178,14 @@ _SUM_SCALE = 1126
 _BAND = 10  # frexp exponents summed at once: M * 2**(e - least e) stays below 2**62
 
 
-def _band_sum(terms: np.ndarray, e: int, out: np.ndarray | None = None) -> int:
+def _band_sum(terms: np.ndarray, e: int, out: np.ndarray) -> int:
     """The exact sum of float64 terms with frexp exponents in [e, e + _BAND), in units of 2**(e - 53).
 
     Scaled by 2**(53 - e), each term is an integer v, M of _SUM_SCALE shifted left
     by at most 9 bits, so |v| < 2**62.  Its halves v >> 31 and v & (2**31 - 1) lie in
     [-2**31, 2**31), so under _exact_sum's cap of 2**26 terms each half sums within
-    2**57, exactly in int64.  out, a float64 array of len(terms), is overwritten.
+    2**57, exactly in int64.  out, a float64 array of len(terms), is overwritten
+    (it may be terms itself); writing in place spares two fresh temporaries.
     """
     scaled = np.ldexp(terms, 53 - e, out=out)
     whole = scaled.astype(np.int64)
@@ -199,14 +197,15 @@ def _band_sum(terms: np.ndarray, e: int, out: np.ndarray | None = None) -> int:
 def _exact_sum(terms: np.ndarray) -> int:
     """The exact sum of a float64 array, as a Python int in units of 2**-_SUM_SCALE.
 
-    The terms are walked in bands of _BAND frexp exponents from the least
-    nonzero magnitude up, each band summed exactly by _band_sum; zeros fall
-    in the first band and add nothing.  An Euler window of hl_constant past
-    the first few spans fewer than _BAND exponents, so it is one band, summed
-    with no mask.  The cap of 2**26 terms per call keeps each band's
-    int64 half sums exact (see _band_sum).  Sums of the returned ints are
-    exact too, and int true division by 2**_SUM_SCALE rounds the total
-    correctly, as math.fsum does (a zero total is +0.0).
+    The frexp exponents are cut into bands of _BAND from the least nonzero
+    magnitude's up, and _band_sum sums each band exactly.  An array spanning
+    fewer than _BAND exponents, as every Euler window of hl_constant past the
+    first few and most quadrature blocks, is one band, summed with no sort.
+    A wider one is sorted once by band, a radix sort on a uint8 key, so each
+    term is read once whatever the span.  The cap of 2**26 terms per call
+    keeps each band's int64 half sums exact (see _band_sum).  Sums of the
+    returned ints are exact too, and int true division by 2**_SUM_SCALE
+    rounds the total correctly, as math.fsum does (a zero total is +0.0).
 
     >>> _exact_sum(np.array([1e100, 1.0, -1e100])) == 2**_SUM_SCALE
     True
@@ -220,13 +219,17 @@ def _exact_sum(terms: np.ndarray) -> int:
     if not top:
         return 0
     lo = math.frexp(float(mag.min()) or float(mag.min(where=mag > 0, initial=top)))[1]
+    if math.frexp(top)[1] - lo < _BAND:
+        return _band_sum(terms, lo, out=mag) << (lo + _SUM_SCALE - 53)
+    # exponents span under 2**11, so band indices fit a uint8; a zero (exponent 0) adds nothing in any band
+    band = ((np.frexp(mag)[1] - lo) // _BAND).clip(0).astype(np.uint8)
+    ends = np.cumsum(np.bincount(band)).tolist()
+    terms = terms[np.argsort(band, kind="stable")]  # a copy, so each band is summed in place
     total = 0
-    while math.frexp(top)[1] - lo >= _BAND:
-        band = mag < 2.0 ** (lo + _BAND - 1)  # |x| < 2**e exactly when x's exponent is at most e
-        total += _band_sum(terms[band], lo) << (lo + _SUM_SCALE - 53)
-        terms, mag = terms[~band], mag[~band]
-        lo = math.frexp(float(mag.min()))[1]
-    return total + (_band_sum(terms, lo, out=mag) << (lo + _SUM_SCALE - 53))
+    for e, start, end in zip(range(lo, lo + _BAND * len(ends), _BAND), [0, *ends], ends):
+        if end > start:
+            total += _band_sum(terms[start:end], e, out=terms[start:end]) << (e + _SUM_SCALE - 53)
+    return total
 
 
 @dataclass(frozen=True)
@@ -242,15 +245,13 @@ class HlConstant:
 def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
     """Product over primes p <= truncation of (1-1/p)^(-m) * (1-omega(p)/p).
 
-    omega(p) = k at every prime dividing none of the family's exceptional
-    integers (_exceptional, found once): a segment whose least prime exceeds
-    them all takes omega = k at once, and only the others run _omega, which
-    counts the exceptional primes one at a time.  The primes come in
-    segments (arith.prime_segments), so memory stays flat in the truncation;
-    each segment's log factors, formed in place, go into one exact sum
-    (_exact_sum), rounded once at the end, so the result depends neither on
-    the segment size nor on how the primes were sieved.  A truncation
-    above arith.PRIME_CAP raises ResourceLimitError before any sieving;
+    omega(p) is closed-form at all but finitely many primes (see _omega),
+    which counts only the exceptional primes one at a time, and a window
+    past them all at once.  The primes come in segments (arith.prime_segments),
+    so memory stays flat in the truncation; each segment's log factors, formed
+    in place, go into one exact sum (_exact_sum), rounded once at the end, so
+    the result depends neither on the segment size nor on how the primes were
+    sieved.  A truncation above arith.PRIME_CAP raises ResourceLimitError before any sieving;
     that cap, below 2**32, also keeps every product in _mod_primes inside
     uint64.
 
@@ -269,16 +270,15 @@ def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
     report = check_sh(fam)
     if not report.ok:
         raise ValueError(f"family fails admissibility checks: {report}")
-    k, exceptional = _exceptional(fam)
-    reach = max(map(abs, exceptional))
     total = 0
     for primes in arith.prime_segments(2, truncation):
         p = primes.astype(float)
-        # -m * log1p(-1/p) + log1p(-omega/p), operation for operation, in two buffers
+        # -m * log1p(-1/p) + log1p(-omega/p), operation for operation, in two buffers:
+        # each fresh window-sized temporary costs its page faults
         terms = np.divide(-1.0, p)
         np.log1p(terms, out=terms)
         terms *= -fam.m
-        np.divide(-k if int(primes[0]) > reach else -_omega(fam, primes), p, out=p)
+        np.divide(-_omega(fam, primes), p, out=p)
         terms += np.log1p(p, out=p)
         total += _exact_sum(terms)
     value = math.exp(total / 2**_SUM_SCALE)

@@ -367,7 +367,7 @@ class TestExactSumAgainstTheExactInteger:
             assert bhc._exact_sum(arr) / 2**bhc._SUM_SCALE == math.fsum(arr.tolist())
 
     def test_zeros_of_both_signs(self):
-        for arr in ([0.0], [-0.0], [-0.0, 0.0, -0.0], [0.0, 3.5, -0.0, -1e-300, 0.0], [-0.0, 5e-324]):
+        for arr in ([0.0], [-0.0], [-0.0, 0.0, -0.0], [0.0, 3.5, -0.0, -1e-300, 0.0], [-0.0, 5e-324], [0.0, 1e3, -0.0, -1e200]):
             arr = np.array(arr)
             assert bhc._exact_sum(arr) == _exact_reference(arr), arr
 
@@ -410,17 +410,28 @@ class TestSegmentedConstant:
     @pytest.mark.parametrize("truncation", [10**4, 10**6])
     def test_omega_skip_at_the_window_boundary(self, truncation, monkeypatch):
         # 2**9 t per window puts 1999, the pair's one exceptional prime above 2,
-        # in the second odd window: only the windows up to it may run _omega
+        # in the second odd window: only the windows up to it may test divisibility
         fam = CLOSED_FORM_FAMS["linear pair, resultant 1999"]
         monkeypatch.setattr(arith, "_PRIME_SEGMENT", 2**9)
         segments = list(arith.prime_segments(2, truncation))
         assert 1999 in segments[2].tolist() and segments[3][0] > 1999
-        windows = []
-        real = bhc._omega
-        monkeypatch.setattr(bhc, "_omega", lambda fam, primes: windows.append(primes) or real(fam, primes))
+        windows, tested = [], set()
+        real_segments, real_mod = arith.prime_segments, bhc._mod_primes
+        monkeypatch.setattr(arith, "prime_segments", lambda lo, hi: (windows.append(w) or w for w in real_segments(lo, hi)))
+        monkeypatch.setattr(bhc, "_mod_primes", lambda n, primes: tested.add(len(windows)) or real_mod(n, primes))
         got = bhc.hl_constant(fam, truncation).value
-        assert [w.tolist() for w in windows] == [s.tolist() for s in segments[:3]]
+        assert [w.tolist() for w in windows] == [s.tolist() for s in segments]
+        assert tested == {1, 2, 3}
         assert got.hex() == _one_array_constant(fam, truncation).hex()
+
+    @pytest.mark.parametrize("truncation", [786435, 786436])
+    def test_an_empty_last_window(self, truncation):
+        # the last window of 2**17 t holds only 786435 = 5 * 157287 (and 786436 is even)
+        last = list(arith.prime_segments(2, truncation))[-1]
+        assert len(last) == 0
+        assert bhc._omega(FAMS["a"], last).tolist() == []
+        got = bhc.hl_constant(FAMS["a"], truncation).value
+        assert got.hex() == _one_array_constant(FAMS["a"], truncation).hex()
 
     def test_estimate_workload_frozen_bit_for_bit(self):
         # perfbench's estimate workload, bhc a --x 1e9 --trunc 1e7: the banded
