@@ -40,7 +40,7 @@ _WHEEL, _WHEEL_MIN = 210, 2**20
 # strike_form has every prime with at most this many hits in its window (J)
 # strike in one vector round, and each shorter prime by a strided slice,
 # splitting the sieving primes by size against the window as Oliveira e
-# Silva, Herzog and Pardi (Math. Comp. 83, 2014) do.
+# Silva, Herzog and Pardi (Math. Comp. 83, 2014) do; factor_counts does not.
 _VECTOR_HITS = 64
 
 # Strong-pseudoprime witnesses covering every n < 2**64 (the seven-base set
@@ -223,23 +223,24 @@ def strike_form(mask: np.ndarray, lo: int, a: int, b: int, primes: np.ndarray, r
     for s, q in zip(start[:k].tolist(), primes[:k].tolist()):
         mask[s::q] = False
     if k < primes.size:
-        mask[_hits(start[k:], primes[k:], mask.size)] = False
+        mask[_hits(start[k:], primes[k:], mask.size)[0]] = False
 
 
-def _hits(start: np.ndarray, step: np.ndarray, n: int) -> np.ndarray:
-    """Every s + i*q below n, i >= 0, for each s < n in start and q in step: the
-    strides repeated, each prime's first stride replaced by the gap from the
-    previous prime's last hit, and summed up.
+def _hits(start: np.ndarray, step: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, count): every s + i*q below n, i >= 0, for each s < n in start and q in
+    step, and how many for each q.  idx is the strides repeated, each q's first
+    stride replaced by the gap from the previous q's last hit, and summed up.  The
+    int64 cast is exact: a q is at most a sieved value, below (PRIME_CAP + 1)**2 < 2**63.
 
-    >>> _hits(np.array([1, 0], dtype=np.uint64), np.array([4, 7], dtype=np.uint64), 10).tolist()
-    [1, 5, 9, 0, 7]
+    >>> [x.tolist() for x in _hits(np.array([1, 0], dtype=np.uint64), np.array([4, 7], dtype=np.uint64), 10)]
+    [[1, 5, 9, 0, 7], [3, 2]]
     """
     s, q = start.astype(np.int64), step.astype(np.int64)
     count = (n - 1 - s) // q + 1
     last = s + (count - 1) * q
     idx = np.repeat(q, count)
-    idx[np.cumsum(count) - count] = s - np.append(0, last[:-1])  # at each prime's first hit
-    return np.cumsum(idx, out=idx)
+    idx[np.cumsum(count) - count] = s - np.append(0, last[:-1])  # at each q's first hit
+    return np.cumsum(idx, out=idx), count
 
 
 def wheel_classes(forms, lo: int, hi: int) -> tuple[int, list[int]]:
@@ -312,9 +313,10 @@ def factor_counts(a: int, b: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndar
     root of its value, so it is one more prime.  The roots mod q come from
     _roots, and the first multiple of q**e from the one of q**(e - 1) by a
     Hensel step; a window with none has none of q**(e + 1) either, so the
-    powers of q stop there.  As in strike_form, powers shorter than the
-    window strike a strided slice each and the rest, with at most one hit
-    each, strike together (ufunc.at, since two of them can hit one t).
+    powers of q stop there.  Each level strikes all its powers in one round
+    of ufunc.at on _hits (two powers can hit one t), so a window costs about
+    its number of hits, n*log log of its values.  Numpy-typed scalars keep
+    ufunc.at on its indexed fast path: a Python int is some 30 times slower.
 
     >>> [w.tolist() for w in factor_counts(1, 0, 1, 12)]
     [[0, 1, 1, 2, 1, 2, 1, 3, 2, 2, 1, 3], [1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6]]
@@ -332,28 +334,19 @@ def factor_counts(a: int, b: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndar
     q, inv, off = _roots(a, first, n, prime_array(math.isqrt(top)))
     qe, e = q, 1  # off: offset of the first multiple of qe
     while q.size:
-        k = int(np.searchsorted(qe, n))  # qe ascends with q
-        for s, m, p in zip(off[:k].tolist(), qe[:k].tolist(), q[:k].tolist()):
-            hit = slice(s, None, m)
-            omega[hit] += 1
-            tau[hit] = tau[hit] // e * (e + 1)
-            residual[hit] //= np.uint64(p)
-        if k < q.size:
-            hit = off[k:]
-            np.add.at(omega, hit, 1)
-            np.floor_divide.at(tau, hit, e)  # each hit's tau holds a factor e for its own q
-            np.multiply.at(tau, hit, e + 1)
-            np.floor_divide.at(residual, hit, q[k:])
+        hit, count = _hits(off, qe, n)
+        np.add.at(omega, hit, np.int8(1))
+        np.floor_divide.at(tau, hit, np.int32(e))  # each hit's tau holds a factor e for its own q
+        np.multiply.at(tau, hit, np.int32(e + 1))
+        np.floor_divide.at(residual, hit, np.repeat(q, count))
         # Hensel: the value at off is a multiple w of qe, and off + qe*c is
         # a multiple of qe*q when w/qe + a*c = 0 mod q.
-        room = qe <= np.uint64(top) // q
-        q, inv, qe, off = q[room], inv[room], qe[room], off[room]
         w = (off * np.uint64(a) + np.uint64(first)) // qe % q
         off = off + qe * ((q - w) % q * inv % q)
+        keep = (qe <= np.uint64(top) // q) & (off < n)  # off may wrap where qe*q passes top
         qe = qe * q
         e += 1
-        near = off < n
-        q, inv, qe, off = q[near], inv[near], qe[near], off[near]
+        q, inv, qe, off = q[keep], inv[keep], qe[keep], off[keep]
     rest = residual > 1
     omega[rest] += 1
     tau[rest] *= 2

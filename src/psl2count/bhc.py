@@ -19,6 +19,7 @@ is 12*t + 5; a = 0 gives a constant member.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,7 +367,7 @@ def check_x(fam: PolynomialFamily, x: float) -> int:
 
     Cheap, so a caller can refuse a bad x before building the constant.
     """
-    if not math.isfinite(x):
+    if not abs(x) <= sys.float_info.max:  # also an int past the float range, which math.isfinite cannot take
         raise ValueError(f"x must be finite, got {x}")
     a = integration_lower_limit(fam)
     if x <= a:

@@ -15,6 +15,7 @@ abort (a cap or out of memory), 4 internal error (traceback on stderr), 141
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -501,6 +502,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        # python -u: a raw write cut short by a closing pipe drops the rest unreported; a buffered one raises
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(sys.stdout.buffer), sys.stdout.encoding, sys.stdout.errors, line_buffering=True)
     status = main(sys.argv[1:])
     import gc  # here, so that importing cli loads nothing more
     gc.freeze()  # the exit's last full collection then skips every object alive now

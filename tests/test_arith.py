@@ -392,15 +392,35 @@ class TestFactorCounts:
 
     @pytest.mark.parametrize("form", FACTOR_FORMS)
     def test_windows_near_2_44_and_2_50(self, form):
-        # prime powers past the window length strike together, and two of
-        # them can hit one t
+        # random windows, where most prime powers have at most one hit; then
+        # windows from a multiple of 11**2 of 121 and 122 t, where it has
+        # exactly one and two hits; then 100 t around a t where 13**2 and
+        # 17**2, both longer than the window, hit together
         a, b = form
         rng = random.Random(f"factor-counts-high-{form}")
         for k in (44, 50):
             lo = 2**k // a - rng.randint(0, 10**6)
-            hi = lo + rng.randint(0, 1000)
-            omega, tau = arith.factor_counts(a, b, lo, hi)
-            assert [omega.tolist(), tau.tolist()] == list(_plain_counts(a, b, lo, hi)), (lo, hi)
+            windows = [(lo, lo + rng.randint(0, 1000))]
+            for m, n, before in ((11**2, 121, 0), (11**2, 122, 0), (13**2 * 17**2, 100, rng.randint(0, 99))):
+                t = lo + (-(a * lo + b) * pow(a, -1, m)) % m  # the first t from lo with m | a*t + b
+                windows.append((t - before, t - before + n - 1))
+            for lo, hi in windows:
+                omega, tau = arith.factor_counts(a, b, lo, hi)
+                assert [omega.tolist(), tau.tolist()] == list(_plain_counts(a, b, lo, hi)), (lo, hi)
+
+    def test_hb_window_near_1e11_matches_its_pieces(self):
+        # one 2**17-t window of 18t + 1 with p = 72t + 5 near 10**11, as
+        # heathbrown.scan_hb strikes it, against its 2**10-t and 2**13-t
+        # windows, and 300 seeded t of it against factorize
+        lo = 10**11 // 72
+        n = 2**17
+        whole = [w.tolist() for w in arith.factor_counts(18, 1, lo, lo + n - 1)]
+        for size in (2**10, 2**13):
+            pieces = [arith.factor_counts(18, 1, t, t + size - 1) for t in range(lo, lo + n, size)]
+            assert [np.concatenate(w).tolist() for w in zip(*pieces)] == whole, size
+        for i in random.Random("factor-counts-1e11").sample(range(n), 300):
+            f = arith.factorize(18 * (lo + i) + 1)
+            assert (whole[0][i], whole[1][i]) == (f.big_omega(), f.tau()), i
 
     def test_validation(self):
         for a, b, lo, hi in (
@@ -424,9 +444,10 @@ class TestFactorCounts:
 
 class TestStrikeSplit:
     """Windows of n = q - 1, q and q + 1 t (of one class, for the wheel)
-    where a base prime (power) q has its first root at offset 0.  Below n, q
-    strikes a strided slice and can hit offsets 0 and q; from n on it has at
-    most one hit and strikes with the rest at once."""
+    where a base prime (power) q has its first root at offset 0, so q hits
+    offsets 0 and q, or only 0.  In strike_form, below n, q strikes a
+    strided slice; from n on it strikes with the rest at once.
+    factor_counts does not split: every power strikes in one round."""
 
     @pytest.mark.parametrize("w", [1, 210])
     @pytest.mark.parametrize("form", [(1, 0), (2, 1), (12, 5)])

@@ -592,6 +592,11 @@ class TestEstimate:
                 bhc.check_x(FAMS["a"], x)
             with pytest.raises(ValueError, match="overflows"):
                 bhc.estimate_E(FAMS["a"], x, hc)
+        for x in (math.inf, -math.inf, math.nan, 10**400, -10**400):  # an int past the float range is infinite too
+            with pytest.raises(ValueError, match="x must be finite"):
+                bhc.check_x(FAMS["a"], x)
+            with pytest.raises(ValueError, match="x must be finite"):
+                bhc.estimate_E(FAMS["a"], x, hc)
 
     def test_desk_scale_prediction(self):
         # committed brute-force counts at t_max = 10**6

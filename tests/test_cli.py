@@ -581,22 +581,28 @@ class TestPlumbing:
     def test_reader_closing_the_pipe_early_ends_quietly(self):
         # about 140 kB of csv and 530 kB of json, written in chunks: more than
         # a pipe holds, so the writer is still blocked on a full pipe when the
-        # reader closes its end
+        # reader closes its end, and that write may come back short.  With
+        # PYTHONUNBUFFERED set, stdout has no buffered layer of its own that
+        # would write the rest and meet the closed pipe.
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        for fmt, first in (("csv", b"p,"), ("json", b'{"')):
-            proc = subprocess.Popen(
-                [sys.executable, "-c", "from psl2count.cli import entry; entry()",
-                 "hb", "--limit", "2e6", "--format", fmt],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-            )
-            try:
-                assert os.read(proc.stdout.fileno(), 2) == first
-                proc.stdout.close()
-                _, err = proc.communicate(timeout=120)
-            finally:
-                proc.kill()
-            assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141, fmt
-            assert err == b"", fmt
+        for unbuffered in (True, False):
+            env.pop("PYTHONUNBUFFERED", None)
+            if unbuffered:
+                env["PYTHONUNBUFFERED"] = "1"
+            for fmt, first in (("csv", b"p,"), ("json", b'{"')):
+                proc = subprocess.Popen(
+                    [sys.executable, "-c", "from psl2count.cli import entry; entry()",
+                     "hb", "--limit", "2e6", "--format", fmt],
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                )
+                try:
+                    assert os.read(proc.stdout.fileno(), 2) == first
+                    proc.stdout.close()
+                    _, err = proc.communicate(timeout=120)
+                finally:
+                    proc.kill()
+                assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141, (fmt, unbuffered)
+                assert err == b"", (fmt, unbuffered)
 
     def test_memory_error_is_a_resource_abort(self, monkeypatch):
         def exhausted(prof):

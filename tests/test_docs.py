@@ -41,3 +41,20 @@ def test_no_assert_statements_in_the_package():
     found = [f"{path.name}:{node.lineno}" for path in sorted(pathlib.Path(psl2count.__file__).parent.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _bare_ufunc_at_values(source: str) -> list[int]:
+    """The lines of the ufunc.at(a, indices, b) calls in source whose b is a bare literal, name or arithmetic."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "at" and len(node.args) > 2
+            and isinstance(node.args[2], (ast.Constant, ast.Name, ast.BinOp, ast.UnaryOp))]
+
+
+def test_ufunc_at_values_are_numpy_typed():
+    # a Python scalar takes ufunc.at off its indexed fast path, some 30 times
+    # slower: every value is built by numpy, as np.int32(e) or np.repeat(q, count)
+    found = [f"{path.name}:{line}" for path in sorted(pathlib.Path(psl2count.__file__).parent.rglob("*.py"))
+             for line in _bare_ufunc_at_values(path.read_text())]
+    assert found == []
+    calls = "np.add.at(w, i, 1)\nnp.add.at(w, i, e)\nnp.add.at(w, i, -e + 1)\nnp.add.at(w, i, np.int8(1))\n"
+    assert _bare_ufunc_at_values(calls) == [1, 2, 3]
