@@ -24,8 +24,8 @@ U64_MAX = 2**64 - 1
 # would be a 46 MB uint64 array.
 PRIME_CAP = 10**8
 
-# t per window of prime_segments (p = 2t + 1) and of heathbrown.scan_hb, where
-# it makes a 1 MiB uint64 residual per form.  Measured through
+# t per window of prime_segments (p = 2t + 1), and at most that per segment of
+# heathbrown.map_hb, where it makes a 1 MiB uint64 residual per form.  Measured through
 # bhc.hl_constant on case a, 2 cores, at 2**16, 2**17 and 2**18: the traced
 # peak at a truncation of 10**7 is 0.8, 1.6 and 3.0 MiB (ru_maxrss of the
 # whole bhc command 31.9, 32.1 and 34.4 MiB), and 10**8 takes 0.61, 0.59
@@ -34,7 +34,7 @@ _PRIME_SEGMENT = 2**17
 
 # sieve_forms sieves a window of at least _WHEEL_MIN t by classes mod
 # _WHEEL = 2*3*5*7, and a shorter one as its one class mod 1.  prime_segments
-# and heathbrown windows (2**17 t) are shorter; a scan block is not.
+# and heathbrown windows (at most 2**17 t) are shorter; a scan block is not.
 _WHEEL, _WHEEL_MIN = 210, 2**20
 
 # strike_form has every prime with at most this many hits in its window (J)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import arith
+from . import arith, runner
 
 
 @dataclass(frozen=True)
@@ -243,16 +243,34 @@ class HlConstant:
     tail_bound: float
 
 
-def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
+def _log_window(fam: PolynomialFamily, lo: int, hi: int) -> int:
+    """The exact sum (_exact_sum) of the log factors of the primes in [lo, hi], formed in place."""
+    total = 0
+    for primes in arith.prime_segments(lo, hi):
+        p = primes.astype(float)
+        # -m * log1p(-1/p) + log1p(-omega/p), operation for operation, in two buffers:
+        # each fresh window-sized temporary costs its page faults
+        terms = np.divide(-1.0, p)
+        np.log1p(terms, out=terms)
+        terms *= -fam.m
+        np.divide(-_omega(fam, primes), p, out=p)
+        terms += np.log1p(p, out=p)
+        total += _exact_sum(terms)
+    return total
+
+
+def hl_constant(fam: PolynomialFamily, truncation: int, *, jobs: int = 1) -> HlConstant:
     """Product over primes p <= truncation of (1-1/p)^(-m) * (1-omega(p)/p).
 
     omega(p) is closed-form at all but finitely many primes (see _omega),
     which counts only the exceptional primes one at a time, and a window
-    past them all at once.  The primes come in segments (arith.prime_segments),
-    so memory stays flat in the truncation; each segment's log factors, formed
-    in place, go into one exact sum (_exact_sum), rounded once at the end, so
-    the result depends neither on the segment size nor on how the primes were
-    sieved.  A truncation above arith.PRIME_CAP raises ResourceLimitError before any sieving;
+    past them all at once.  The primes come in windows of 2 * arith._PRIME_SEGMENT
+    integers, each one segment of arith.prime_segments, so memory stays flat
+    in the truncation, and runner.run shares the windows out over jobs
+    processes.  Each window's log factors go into one exact sum (_log_window),
+    and the windows' integers are added and rounded once at the end, so the
+    result depends neither on the window size, nor on how the primes were
+    sieved, nor on jobs.  A truncation above arith.PRIME_CAP raises ResourceLimitError before any sieving;
     that cap, below 2**32, also keeps every product in _mod_primes inside
     uint64.
 
@@ -271,18 +289,9 @@ def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
     report = check_sh(fam)
     if not report.ok:
         raise ValueError(f"family fails admissibility checks: {report}")
-    total = 0
-    for primes in arith.prime_segments(2, truncation):
-        p = primes.astype(float)
-        # -m * log1p(-1/p) + log1p(-omega/p), operation for operation, in two buffers:
-        # each fresh window-sized temporary costs its page faults
-        terms = np.divide(-1.0, p)
-        np.log1p(terms, out=terms)
-        terms *= -fam.m
-        np.divide(-_omega(fam, primes), p, out=p)
-        terms += np.log1p(p, out=p)
-        total += _exact_sum(terms)
-    value = math.exp(total / 2**_SUM_SCALE)
+    width = 2 * arith._PRIME_SEGMENT
+    windows = [(fam, lo, min(lo + width - 1, truncation)) for lo in range(2, truncation + 1, width)]  # those of prime_segments(2, truncation)
+    value = math.exp(sum(runner.run(_log_window, windows, jobs)) / 2**_SUM_SCALE)
     tail = value * fam.m * (fam.m - 1) / (truncation * math.log(truncation))
     return HlConstant(value=value, truncation=truncation, tail_bound=tail)
 

@@ -324,7 +324,7 @@ def cmd_bhc(args) -> int:
     q_scan = None if args.q_file is None else _read_q_file(args.q_file, args.case)
     fam = search.case_spec(args.case).polys
     bhc.check_x(fam, args.x)  # refuse a bad x before sieving for the Euler product
-    constant = bhc.hl_constant(fam, args.trunc)
+    constant = bhc.hl_constant(fam, args.trunc, jobs=search.default_jobs())
     est = bhc.estimate_E(fam, float(args.x), constant)
 
     out = {
@@ -362,48 +362,60 @@ def cmd_bhc(args) -> int:
 
 
 _HB_COLUMNS = ("p", "omega_minus", "omega_plus", "i", "c", "s", "n")
-_HB_CHUNK = 2**14  # rows per write: bounds the Python objects alive at once
+
+# Per format: a row's p part, the template of its tail (Omega(p -+ 1), i, c, s, n) and the text between rows.
+_HB_ROWS = {
+    "json": ('{"p": %d', "".join(f', "{name}": %d' for name in _HB_COLUMNS[1:]) + "}", ", "),
+    "csv": ("%d", ",%d" * 6 + "\n", ""),
+    "table": ("  p=%-10d", " Omega(p-1)=%d Omega(p+1)=%d i=%d c=%d s=%d n=%d\n", ""),
+}
 
 
-def _write_rows(columns, template: str, sep: str) -> None:
-    """Write template % row for each row of the int64 columns, with sep between rows.
+def _hb_rows(found: heathbrown.HbScan, bounds, fmt: str, cap: int | None) -> tuple[int, int, str]:
+    """(rows, rows past the bounds, the text of the first cap rows) of one segment of hb.
 
-    The columns become Python ints _HB_CHUNK rows at a time, so no list
-    over all rows is ever built.
+    Rows share few tails (166 distinct among the 27,077 rows to 1e7), so each
+    distinct tail is formatted once and joined to every p that has it.
     """
-    for lo in range(0, len(columns[0]), _HB_CHUNK):
-        rows = zip(*(c[lo : lo + _HB_CHUNK].tolist() for c in columns))
-        sys.stdout.write((sep if lo else "") + sep.join(map(template.__mod__, rows)))
+    head, tail, sep = _HB_ROWS[fmt]
+    tails = np.column_stack((found.omega_minus, found.omega_plus, *invariants.counts(found.profile)))
+    violations = int(np.count_nonzero((tails[:, 2:] > bounds).any(axis=1)))
+    tails = tails[:cap]
+    # one int per tail, exactly: ravel_multi_index raises where the tails' box would pass intp
+    key = np.ravel_multi_index(tuple(tails.T), tuple(tails.max(axis=0, initial=0) + 1))
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    texts = [tail % row for row in map(tuple, tails[first].tolist())]
+    return len(found), violations, sep.join([head % p + texts[j] for p, j in zip(found.p[:cap].tolist(), which.tolist())])
 
 
 def cmd_hb(args) -> int:
     if args.show < 0:
         raise ValueError("--show must be at least 0")
-    found = heathbrown.scan_hb(args.limit)
     bounds = heathbrown.derive_upper_bounds()
-    quad = invariants.counts(found.profile)
-    violations = int(np.count_nonzero((np.column_stack(quad) > bounds).any(axis=1)))
-    columns = (found.p, found.omega_minus, found.omega_plus, *quad)
+    cap = args.show if args.format == "table" else None
+    parts = heathbrown.map_hb(args.limit, lambda found: _hb_rows(found, bounds, args.format, cap),
+                              jobs=search.default_jobs())
+    total = sum(n for n, _, _ in parts)
+    violations = sum(v for _, v, _ in parts)
+    texts = [text for _, _, text in parts if text]
 
-    # Every check is done: from here on only output, so a failure never leaves partial JSON.
+    # Every segment has passed its checks: from here on only output, so a failure never leaves partial JSON.
     if args.format == "json":
         # the bytes of json.dumps(out) over the whole dict, with its ", " and ": " separators
         head = json.dumps({"limit": args.limit, "bounds": dict(zip("icsn", bounds))})
         sys.stdout.write(head[:-1] + ', "candidates": [')
-        template = "{" + ", ".join(f'"{name}": %d' for name in _HB_COLUMNS) + "}"
-        _write_rows(columns, template, ", ")
+        for j, text in enumerate(texts):
+            sys.stdout.write(", " + text if j else text)
         sys.stdout.write("]}\n")
     elif args.format == "csv":
         sys.stdout.write(",".join(_HB_COLUMNS) + "\n")
-        _write_rows(columns, ",".join(["%d"] * len(_HB_COLUMNS)) + "\n", "")
+        sys.stdout.writelines(texts)
     else:
-        print(f"primes p = 5 mod 72 with few factors around them, p <= {args.limit}: {len(found)}")
+        print(f"primes p = 5 mod 72 with few factors around them, p <= {args.limit}: {total}")
         print("bounds: i<={} c<={} s<={} n<={}".format(*bounds))
-        for r in zip(*(c[: args.show].tolist() for c in columns)):
-            print(f"  p={r[0]:<10} Omega(p-1)={r[1]} Omega(p+1)={r[2]} "
-                  f"i={r[3]} c={r[4]} s={r[5]} n={r[6]}")
-        if len(found) > args.show:
-            print(f"  ... {len(found) - args.show} more (use --show)")
+        sys.stdout.writelines("".join(texts).splitlines(keepends=True)[: args.show])
+        if total > args.show:
+            print(f"  ... {total - args.show} more (use --show)")
     if violations:
         print(f"{violations} candidates exceed the derived bounds", file=sys.stderr)
         return EXIT_MISMATCH

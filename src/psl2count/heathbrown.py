@@ -13,17 +13,20 @@ p + 1 = 6(12t + 1) with both linear forms prime to 6: one factor-count
 sieve per form gives Omega(p -+ 1) and the divisor counts of (p -+ 1)/2
 for a whole segment of t at once, and the exact prime sieve picks the t
 where p is prime.  The result is columnar, one int64 array per quantity,
-so that the bounds check downstream runs on whole columns.  qualifies() is
-the one-prime reference path, by factorisation.
+so that the bounds check downstream runs on whole columns.  map_hb shares
+the segments out over worker processes (runner.run), and each worker can
+reduce its own segment, as hb's rows are formatted where they are sieved.
+qualifies() is the one-prime reference path, by factorisation.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import arith, invariants
+from . import arith, invariants, runner
 
 HB_MODULUS = 72
 HB_RESIDUE = 5
@@ -77,47 +80,67 @@ class HbScan:
         return len(self.p)
 
 
-def scan_hb(limit: int) -> HbScan:
-    """All qualifying primes up to limit, ascending.
+def scan_segment(lo: int, hi: int) -> HbScan:
+    """The qualifying primes p = 72t + 5 with t in [lo, hi], ascending.
 
-    Equal to qualifies(p) for every prime p = 5 mod 72 up to limit that
-    qualifies, without factoring any p -+ 1 one at a time: t runs in
-    segments of arith._PRIME_SEGMENT, and arith.factor_counts sieves 18t + 1
-    and 12t + 1 over each.  Every candidate's profile must show k = 0, l = 1 and
+    arith.factor_counts sieves 18t + 1 and 12t + 1 over the segment, and
+    arith.sieve_forms gives the t where p is prime, so no p -+ 1 is factored
+    one at a time.  Every candidate's profile must show k = 0, l = 1 and
     sigma = 0; the congruence forces that, so a violation means a bug and
-    raises.  A limit whose sieve needs base primes past arith.PRIME_CAP
-    raises ResourceLimitError before the first segment.
+    raises.
+    """
+    # p - 1 = 4(18t + 1) and p + 1 = 6(12t + 1): Omega(4) = Omega(6) = 2,
+    # and tau((p -+ 1)/2) = 2 tau(18t + 1 | 12t + 1), as 2 and 3 are prime to both forms.
+    odd_minus, tau_minus = arith.factor_counts(18, 1, lo, hi)
+    odd_plus, tau_plus = arith.factor_counts(12, 1, lo, hi)
+    idx = arith.sieve_forms([(HB_MODULUS, HB_RESIDUE)], lo, hi)  # offsets of the t with p prime
+    om = odd_minus[idx].astype(np.int64) + 2
+    op = odd_plus[idx].astype(np.int64) + 2
+    keep = (om + op <= HB_TOTAL_LIMIT) & (om <= HB_SIDE_LIMIT) & (op <= HB_SIDE_LIMIT)
+    idx = idx[keep]
+    p = HB_MODULUS * (idx.astype(np.int64) + lo) + HB_RESIDUE
+    prof = invariants.assemble_profile(p, 2 * tau_plus[idx].astype(np.int64), 2 * tau_minus[idx].astype(np.int64))
+    bad = (prof.k != 0) | (prof.l != 1) | (prof.sigma != 0)
+    if np.count_nonzero(bad):
+        raise AssertionError(
+            f"residue 5 mod 72 must force (k, l, sigma) = (0, 1, 0); p={p[bad][:3].tolist()}")
+    return HbScan(p=p, omega_minus=om[keep], omega_plus=op[keep], profile=prof)
 
-    >>> found = scan_hb(300)
-    >>> len(found), found.p.tolist(), found.omega_plus.tolist()
-    (3, [5, 149, 293], [2, 4, 4])
+
+def map_hb(limit: int, fn, *, jobs: int = 1) -> list:
+    """[fn(scan_segment(lo, hi)) for each segment [lo, hi] of t], in order, over runner.run.
+
+    The segments cover p = 72t + 5 <= limit in equal parts, up to one t,
+    of at most arith._PRIME_SEGMENT t (two of 69,445 and 69,444 t to 1e7).
+    Each fn runs in the process that sieved its segment, so only what fn
+    returns comes back to this one.  A limit whose sieve needs base primes
+    past arith.PRIME_CAP raises ResourceLimitError before any segment.
     """
     if limit < HB_MODULUS + HB_RESIDUE:
         raise ValueError(f"limit below {HB_MODULUS + HB_RESIDUE} cannot contain a candidate beyond p=5")
     t_max = (limit - HB_RESIDUE) // HB_MODULUS
     arith.check_prime_cap(HB_MODULUS * t_max + HB_RESIDUE)
-    segments = []
-    for lo in range(0, t_max + 1, arith._PRIME_SEGMENT):
-        hi = min(lo + arith._PRIME_SEGMENT - 1, t_max)
-        # p - 1 = 4(18t + 1) and p + 1 = 6(12t + 1): Omega(4) = Omega(6) = 2,
-        # and tau((p -+ 1)/2) = 2 tau(18t + 1 | 12t + 1), as 2 and 3 are prime
-        # to both forms.  int16 keeps the sums below clear of int8 overflow.
-        odd_minus, tau_minus = arith.factor_counts(18, 1, lo, hi)
-        odd_plus, tau_plus = arith.factor_counts(12, 1, lo, hi)
-        idx = arith.sieve_forms([(HB_MODULUS, HB_RESIDUE)], lo, hi)  # offsets of the t with p prime
-        om = odd_minus[idx].astype(np.int16) + 2
-        op = odd_plus[idx].astype(np.int16) + 2
-        keep = (om + op <= HB_TOTAL_LIMIT) & (om <= HB_SIDE_LIMIT) & (op <= HB_SIDE_LIMIT)
-        idx = idx[keep]
-        segments.append((idx + lo, om[keep], op[keep], tau_plus[idx], tau_minus[idx]))
-    t, om, op, tau_plus, tau_minus = (np.concatenate(col).astype(np.int64) for col in zip(*segments))
-    p = HB_MODULUS * t + HB_RESIDUE
-    prof = invariants.assemble_profile(p, 2 * tau_plus, 2 * tau_minus)
-    bad = (prof.k != 0) | (prof.l != 1) | (prof.sigma != 0)
-    if np.count_nonzero(bad):
-        raise AssertionError(
-            f"residue 5 mod 72 must force (k, l, sigma) = (0, 1, 0); p={p[bad][:3].tolist()}")
-    return HbScan(p=p, omega_minus=om, omega_plus=op, profile=prof)
+    count = -(-(t_max + 1) // arith._PRIME_SEGMENT)
+    size = -(-(t_max + 1) // count)
+    segments = [(lo, min(lo + size - 1, t_max)) for lo in range(0, t_max + 1, size)]
+    return runner.run(lambda lo, hi: fn(scan_segment(lo, hi)), segments, jobs)
+
+
+def scan_hb(limit: int, *, jobs: int = 1) -> HbScan:
+    """All qualifying primes up to limit, ascending: the segments of map_hb joined.
+
+    Equal to qualifies(p) for every prime p = 5 mod 72 up to limit that
+    qualifies, and the same for every jobs.
+
+    >>> found = scan_hb(300)
+    >>> len(found), found.p.tolist(), found.omega_plus.tolist()
+    (3, [5, 149, 293], [2, 4, 4])
+    """
+    parts = map_hb(limit, lambda found: found, jobs=jobs)
+    names = [f.name for f in dataclasses.fields(invariants.InvariantProfile)]
+    prof = invariants.InvariantProfile(**{n: np.concatenate([getattr(s.profile, n) for s in parts]) for n in names})
+    om, op = (np.concatenate([getattr(s, n) for s in parts]) for n in ("omega_minus", "omega_plus"))
+    return HbScan(p=prof.p, omega_minus=om, omega_plus=op, profile=prof)
 
 
 def derive_upper_bounds() -> tuple[int, int, int, int]:

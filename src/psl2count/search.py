@@ -18,22 +18,21 @@ miss one or more of them, which the attainment flags record.
 Each case is kept as the forms (a, b), value a*t + b, of p, s and r, the
 pair order of arith and bhc, and scanning hands them unchanged to
 arith.sieve_forms, in blocks of t.  Each block's wheel classes are shared
-out over worker processes forked for the block, and the shares' results
-are merged so the scan stays bit-for-bit independent of the process count.
+out over worker processes by runner.run, and the shares' results are
+merged so the scan stays bit-for-bit independent of the process count.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import arith, invariants
+from . import arith, invariants, runner
 from .bhc import PolynomialFamily
+from .runner import default_jobs
 
 CASE_IDS = ("a", "b", "c", "d")
 
@@ -168,81 +167,6 @@ def _scan_block(args, share: tuple[int, int] = (0, 1)) -> tuple[int, int, list[i
     return offsets.size, sz_count, (hits[:hit_cap].astype(np.int64) + lo).tolist()
 
 
-def _forked(fn, calls: list[tuple]) -> list:
-    """[fn(*args) for args in calls]: the first in this process, each other in a child forked for it.
-
-    A child sends back its pickled (True, result), or (False, exception)
-    for an Exception, through a pipe, and leaves by os._exit, so it runs no
-    exit handler and never flushes this process's stdio.  Here the
-    exception is raised again with its own type; a child that ends without
-    a result raises RuntimeError.  Every child is killed, if still running,
-    and reaped on every path, errors and KeyboardInterrupt here included.
-    A fork costs a few ms where a spawned worker imports the package again;
-    the children run only Python and numpy arithmetic, so no lock that
-    another thread holds at the fork is ever taken in them.
-    """
-    import signal  # here, not at the top: every command would pay for it at start-up
-
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    try:
-        for args in calls[1:]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                os.close(read)
-                _child(fn, args, write)
-            os.close(write)
-            children.append((pid, read))
-        results = [fn(*calls[0])]
-        for pid, read in children:
-            with open(read, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            try:
-                ok, value = pickle.loads(data)  # bytes from our own child
-            except Exception:
-                raise RuntimeError(f"scan worker {pid} ended without a result") from None
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        for pid, read in children:
-            os.close(read)
-            os.kill(pid, signal.SIGKILL)  # safe on an ended child: its pid stays its own until reaped
-            os.waitpid(pid, 0)
-
-
-def _child(fn, args, write: int):
-    """In a forked child: send fn(*args) down the pipe write, as _forked reads it, and exit."""
-    code = 1
-    try:
-        try:
-            payload = pickle.dumps((True, fn(*args)))
-        except Exception as exc:
-            payload = pickle.dumps((False, exc))  # if exc cannot be pickled, the child ends without a result
-        with open(write, "wb") as pipe:
-            pipe.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _progress_line(case_id: str, done: int, t_max: int, started: float) -> str:
-    """One progress line: t done, the mean rate so far and the time left at it.
-
-    >>> _progress_line("a", 5, 10, time.monotonic() - 2.0)
-    'scan a: t 5/10, 2.5e0 t/s, ETA 2 s'
-    """
-    rate = done / max(time.monotonic() - started, 1e-9)
-    mantissa, exponent = f"{rate:.1e}".split("e")
-    return f"scan {case_id}: t {done}/{t_max}, {mantissa}e{int(exponent)} t/s, ETA {(t_max - done) / rate:.0f} s"
-
-
 def scan(
     spec: CaseSpec,
     t_max: int,
@@ -254,10 +178,10 @@ def scan(
     """Count prime triples for t in [1, t_max] and record hits.
 
     q_count is exact regardless of hit_cap.  Each block's wheel classes
-    (arith.wheel_classes) are split into one share per worker: this process
-    sieves share 0, and a child forked for the block each of the others.
-    workers is the least of jobs, default_jobs() and the block's classes
-    (at least 1), and 1 where os.fork is missing.  The shares' counts are
+    (arith.wheel_classes) are split into one share per worker, run by
+    runner.run: this process sieves share 0, and a child forked for the
+    block each of the others.  workers is the least of jobs, default_jobs()
+    and the block's classes (at least 1).  The shares' counts are
     summed and their hit ts merged, and blocks are merged in order, so the
     result is identical for every jobs value.  A hit_cap above MAX_HITS or a t_max
     whose base primes would pass arith.PRIME_CAP raises ResourceLimitError
@@ -280,18 +204,17 @@ def scan(
     q_count = 0
     sz_count = 0
     hit_ts: list[int] = []
-    max_workers = min(jobs, default_jobs()) if hasattr(os, "fork") else 1
     started = time.monotonic()
     for lo in range(1, t_max + 1, _BLOCK):
         hi = min(lo + _BLOCK - 1, t_max)
-        workers = min(max_workers, max(1, len(arith.wheel_classes(forms, lo, hi)[1])))  # share 0 holds the special t
+        workers = min(jobs, default_jobs(), max(1, len(arith.wheel_classes(forms, lo, hi)[1])))  # share 0 holds the special t
         args = (spec.case_id, lo, hi, hit_cap)
-        shares = _forked(_scan_block, [(args, (k, workers)) for k in range(workers)])
+        shares = runner.run(_scan_block, [(args, (k, workers)) for k in range(workers)], workers)
         q_count += sum(q for q, _, _ in shares)
         sz_count += sum(sz for _, sz, _ in shares)
         hit_ts.extend(sorted(t for _, _, ts in shares for t in ts)[: hit_cap - len(hit_ts)])
         if progress:
-            print(_progress_line(spec.case_id, hi, t_max, started), file=sys.stderr)
+            print(runner.progress_line(f"scan {spec.case_id}", hi, t_max, started), file=sys.stderr)
     hits = tuple(_make_hit(spec, t) for t in hit_ts)
     return SearchSummary(
         case_id=spec.case_id,
@@ -300,7 +223,3 @@ def scan(
         sigma_alpha_zero_count=sz_count,
         hits=hits,
     )
-
-
-def default_jobs() -> int:
-    return os.cpu_count() or 1

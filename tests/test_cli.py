@@ -455,7 +455,8 @@ class TestHbCommand:
     @pytest.mark.parametrize("chunk", [1, 7])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_chunk_size_leaves_stdout_unchanged(self, chunk, fmt, monkeypatch):
-        monkeypatch.setattr(cli, "_HB_CHUNK", chunk)
+        # one chunk of rows per segment of t, most of them empty at 1 and 7 t
+        monkeypatch.setattr(arith, "_PRIME_SEGMENT", chunk)
         assert run(["hb", "--limit", "100000", "--format", fmt])[1] == self._reference(10**5, fmt)
 
     @pytest.mark.parametrize("show", [0, 3, -1, 10**6])

@@ -380,6 +380,7 @@ class TestClassSplit:
                 "search.scan(search.case_spec('a'), 3 * 10**6, jobs=3)\n"
                 "print(' after')\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("PYTHONUNBUFFERED", None)  # else stdout holds nothing to flush
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout) == (0, "before after\n"), done.stderr
 
