@@ -259,18 +259,16 @@ def _log_window(fam: PolynomialFamily, lo: int, hi: int) -> int:
     return total
 
 
-def hl_constant(fam: PolynomialFamily, truncation: int, *, jobs: int = 1) -> HlConstant:
+def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
     """Product over primes p <= truncation of (1-1/p)^(-m) * (1-omega(p)/p).
 
     omega(p) is closed-form at all but finitely many primes (see _omega),
     which counts only the exceptional primes one at a time, and a window
-    past them all at once.  The primes come in windows of 2 * arith._PRIME_SEGMENT
-    integers, each one segment of arith.prime_segments, so memory stays flat
-    in the truncation, and runner.run shares the windows out over jobs
-    processes.  Each window's log factors go into one exact sum (_log_window),
-    and the windows' integers are added and rounded once at the end, so the
-    result depends neither on the window size, nor on how the primes were
-    sieved, nor on jobs.  A truncation above arith.PRIME_CAP raises ResourceLimitError before any sieving;
+    past them all at once.  runner.run shares the windows of
+    arith.prime_segments out over every core, so memory stays flat in
+    the truncation; the windows' exact sums (_log_window) are added and
+    rounded once at the end, so the result depends neither on the window
+    size, nor on the sieve, nor on the number of cores.  A truncation above arith.PRIME_CAP raises ResourceLimitError before any sieving;
     that cap, below 2**32, also keeps every product in _mod_primes inside
     uint64.
 
@@ -291,7 +289,7 @@ def hl_constant(fam: PolynomialFamily, truncation: int, *, jobs: int = 1) -> HlC
         raise ValueError(f"family fails admissibility checks: {report}")
     width = 2 * arith._PRIME_SEGMENT
     windows = [(fam, lo, min(lo + width - 1, truncation)) for lo in range(2, truncation + 1, width)]  # those of prime_segments(2, truncation)
-    value = math.exp(sum(runner.run(_log_window, windows, jobs)) / 2**_SUM_SCALE)
+    value = math.exp(sum(runner.run(_log_window, windows, runner.default_jobs())) / 2**_SUM_SCALE)
     tail = value * fam.m * (fam.m - 1) / (truncation * math.log(truncation))
     return HlConstant(value=value, truncation=truncation, tail_bound=tail)
 

@@ -14,14 +14,12 @@ sieve per form gives Omega(p -+ 1) and the divisor counts of (p -+ 1)/2
 for a whole segment of t at once, and the exact prime sieve picks the t
 where p is prime.  The result is columnar, one int64 array per quantity,
 so that the bounds check downstream runs on whole columns.  map_hb shares
-the segments out over worker processes (runner.run), and each worker can
-reduce its own segment, as hb's rows are formatted where they are sieved.
+the segments out over runner.run, and each worker reduces its own segment.
 qualifies() is the one-prime reference path, by factorisation.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,11 +108,10 @@ def scan_segment(lo: int, hi: int) -> HbScan:
 def map_hb(limit: int, fn, *, jobs: int = 1) -> list:
     """[fn(scan_segment(lo, hi)) for each segment [lo, hi] of t], in order, over runner.run.
 
-    The segments cover p = 72t + 5 <= limit in equal parts, up to one t,
-    of at most arith._PRIME_SEGMENT t (two of 69,445 and 69,444 t to 1e7).
-    Each fn runs in the process that sieved its segment, so only what fn
-    returns comes back to this one.  A limit whose sieve needs base primes
-    past arith.PRIME_CAP raises ResourceLimitError before any segment.
+    The segments cover p = 72t + 5 <= limit in equal parts of at most
+    arith._PRIME_SEGMENT t (69,445 and 69,444 t to 1e7); each fn runs where
+    its segment was sieved.  A limit whose sieve needs base primes past
+    arith.PRIME_CAP raises ResourceLimitError before any segment.
     """
     if limit < HB_MODULUS + HB_RESIDUE:
         raise ValueError(f"limit below {HB_MODULUS + HB_RESIDUE} cannot contain a candidate beyond p=5")
@@ -126,19 +123,15 @@ def map_hb(limit: int, fn, *, jobs: int = 1) -> list:
     return runner.run(lambda lo, hi: fn(scan_segment(lo, hi)), segments, jobs)
 
 
-def scan_hb(limit: int, *, jobs: int = 1) -> HbScan:
-    """All qualifying primes up to limit, ascending: the segments of map_hb joined.
-
-    Equal to qualifies(p) for every prime p = 5 mod 72 up to limit that
-    qualifies, and the same for every jobs.
+def scan_hb(limit: int) -> HbScan:
+    """All qualifying primes up to limit, ascending, as qualifies(p) finds them: map_hb's segments joined.
 
     >>> found = scan_hb(300)
     >>> len(found), found.p.tolist(), found.omega_plus.tolist()
     (3, [5, 149, 293], [2, 4, 4])
     """
-    parts = map_hb(limit, lambda found: found, jobs=jobs)
-    names = [f.name for f in dataclasses.fields(invariants.InvariantProfile)]
-    prof = invariants.InvariantProfile(**{n: np.concatenate([getattr(s.profile, n) for s in parts]) for n in names})
+    parts = map_hb(limit, lambda found: found)
+    prof = invariants.InvariantProfile(*map(np.concatenate, zip(*(vars(s.profile).values() for s in parts))))
     om, op = (np.concatenate([getattr(s, n) for s in parts]) for n in ("omega_minus", "omega_plus"))
     return HbScan(p=prof.p, omega_minus=om, omega_plus=op, profile=prof)
 

@@ -1,10 +1,7 @@
-"""One ordered runner over forked worker processes.
-
-run(fn, calls, jobs) is [fn(*args) for args in calls], shared out over at
-most jobs processes, this one included: the search's block shares, the
-Heath-Brown scan's segments and the Euler product's windows all go
-through it.  A fork costs a few ms where a spawned worker imports the
-package again, and fn needs no pickling, so it may be a closure.
+"""One ordered runner over forked worker processes, for the search's block
+shares, the Heath-Brown scan's segments and the Euler product's windows.
+A fork costs a few ms where a spawned worker imports the package again,
+and fn needs no pickling, so it may be a closure.
 """
 
 from __future__ import annotations
@@ -21,18 +18,16 @@ def default_jobs() -> int:
 def run(fn, calls: list[tuple], jobs: int = 1) -> list:
     """[fn(*args) for args in calls], in call order, on w = min(jobs, default_jobs(), len(calls)) processes.
 
-    Call i runs here when i = 0 mod w, and else in child i mod w, forked
-    at the start for all the calls of its residue: w - 1 forks in all, and
-    none for w = 1 or where os.fork is missing.  A child sends back each
-    pickled (True, result), or (False, exception) for an Exception, down a
-    pipe as soon as it is done, and leaves by os._exit after its last call,
-    so it runs no exit handler and never flushes this process's stdio.
-    Here the results are taken in call order: the first failing call's
-    exception is raised again with its own type, and a child that ends
-    without a result raises RuntimeError.  Every child is killed, if still
-    running, and reaped on every path, errors and KeyboardInterrupt here
-    included.  The children run only Python and numpy arithmetic, so no
-    lock that another thread holds at the fork is ever taken in them.
+    Worker k runs calls[k::w]: worker 0 is this process, and each other a
+    child forked for its share, w - 1 forks in all and none where os.fork
+    is missing.  A child sends back its share's pickled (True, results), or
+    (False, exception) for an Exception, through a pipe, and leaves by
+    os._exit, so it runs no exit handler and never flushes this process's
+    stdio.  Here the exception is raised again with its own type; a child
+    that ends without a result raises RuntimeError.  Every child is killed,
+    if still running, and reaped on every path, errors and KeyboardInterrupt
+    here included.  The children run only Python and numpy arithmetic, so
+    no lock that another thread holds at the fork is ever taken in them.
     """
     w = min(jobs, default_jobs(), len(calls)) if hasattr(os, "fork") else 1
     if w <= 1:
@@ -54,19 +49,16 @@ def run(fn, calls: list[tuple], jobs: int = 1) -> list:
                 _child(fn, calls[k::w], write)
             os.close(write)
             children.append((pid, open(read, "rb")))
-        results = []
-        for i, args in enumerate(calls):
-            if i % w == 0:
-                results.append(fn(*args))
-                continue
-            pid, pipe = children[i % w - 1]
+        results = [None] * len(calls)
+        results[::w] = [fn(*args) for args in calls[::w]]
+        for k, (pid, pipe) in enumerate(children, 1):
             try:
                 ok, value = pickle.load(pipe)  # bytes from our own child
             except Exception:
                 raise RuntimeError(f"worker {pid} ended without a result") from None
             if not ok:
                 raise value
-            results.append(value)
+            results[k::w] = value
         return results
     finally:
         for pid, pipe in children:
@@ -76,17 +68,15 @@ def run(fn, calls: list[tuple], jobs: int = 1) -> list:
 
 
 def _child(fn, calls: list[tuple], write: int):
-    """In a forked child: send fn(*args) for each of calls down the pipe write, as run reads them, and exit."""
+    """In a forked child: send [fn(*args) for args in calls] down the pipe write, as run reads it, and exit."""
     code = 1
     try:
+        try:
+            result = (True, [fn(*args) for args in calls])
+        except Exception as exc:
+            result = (False, exc)
         with open(write, "wb") as pipe:
-            for args in calls:
-                try:
-                    result = (True, fn(*args))
-                except Exception as exc:
-                    result = (False, exc)
-                pickle.dump(result, pipe)  # if exc cannot be pickled, the child ends without a result
-                pipe.flush()  # run reads each result as soon as it is done
+            pickle.dump(result, pipe)  # if exc cannot be pickled, the child ends without a result
         code = 0
     finally:
         os._exit(code)

@@ -1,6 +1,7 @@
 """Density constants, admissibility checks and the main-term integral."""
 
 import math
+import os
 import random
 import time
 import tracemalloc
@@ -326,6 +327,7 @@ def _summed_arrays(monkeypatch, run):
     seen = []
     real = bhc._exact_sum
     monkeypatch.setattr(bhc, "_exact_sum", lambda terms: seen.append(terms.copy()) or real(terms))
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)  # one process: a forked worker's calls never reach seen
     run()
     monkeypatch.undo()
     return seen
@@ -416,6 +418,7 @@ class TestSegmentedConstant:
         segments = list(arith.prime_segments(2, truncation))
         assert 1999 in segments[2].tolist() and segments[3][0] > 1999
         windows, tested = [], set()
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)  # one process: a forked worker's windows never reach these spies
         real_segments, real_mod = arith.prime_segments, bhc._mod_primes
         monkeypatch.setattr(arith, "prime_segments", lambda lo, hi: (windows.append(w) or w for w in real_segments(lo, hi)))
         monkeypatch.setattr(bhc, "_mod_primes", lambda n, primes: tested.add(len(windows)) or real_mod(n, primes))

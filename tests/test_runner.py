@@ -82,16 +82,6 @@ class TestRun:
             runner.run(fail_at_4, [(x,) for x in range(9)], 3)  # call 4 runs in child 1
         _assert_no_child_left()
 
-    def test_first_failing_call_wins(self):
-        def fail(x):
-            if x in (2, 3):
-                raise ValueError(f"call {x}")
-            return x
-
-        with pytest.raises(ValueError, match="call 2"):
-            runner.run(fail, [(x,) for x in range(6)], 3)
-        _assert_no_child_left()
-
     def test_child_without_a_result_is_a_runtime_error(self):
         def vanish_at_2(x):
             if x == 2:
@@ -100,23 +90,6 @@ class TestRun:
 
         with pytest.raises(RuntimeError, match="without a result"):
             runner.run(vanish_at_2, [(x,) for x in range(6)], 3)
-        _assert_no_child_left()
-
-    def test_results_come_back_as_they_are_done(self, tmp_path):
-        # child 1 runs calls 1 and 4, and call 4 waits for the file that call 3,
-        # here, writes only once results 1 and 2 have been read
-        flag = tmp_path / "flag"
-
-        def wait_at_4(x):
-            if x == 3:
-                flag.touch()
-            for _ in range(100 if x == 4 else 0):
-                if flag.exists():
-                    break
-                time.sleep(0.05)
-            return x != 4 or flag.exists()
-
-        assert runner.run(wait_at_4, [(x,) for x in range(6)], 3) == [True] * 6
         _assert_no_child_left()
 
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
@@ -169,17 +142,6 @@ class TestHbJobs:
         assert _stdout(argv) == want
         _assert_no_child_left()
 
-    def test_scan_independent_of_jobs(self, cores, monkeypatch):
-        monkeypatch.setattr(arith, "_PRIME_SEGMENT", 2**10)
-        cores(3)
-        want = heathbrown.scan_hb(10**6)
-        for jobs in (2, 3):
-            found = heathbrown.scan_hb(10**6, jobs=jobs)
-            columns = (found.p, found.omega_minus, found.omega_plus, found.profile.delta, found.profile.epsilon)
-            assert [c.tolist() for c in columns] == [
-                c.tolist() for c in (want.p, want.omega_minus, want.omega_plus, want.profile.delta, want.profile.epsilon)]
-        _assert_no_child_left()
-
     def test_a_failing_segment_leaves_stdout_empty(self, cores, monkeypatch, capsys):
         cores(2)
         scan_segment = heathbrown.scan_segment
@@ -213,19 +175,19 @@ class TestHlConstantJobs:
     @pytest.mark.parametrize("truncation", [10**5, 10**7])
     def test_constant_independent_of_jobs(self, case_id, truncation, cores):
         fam = search.case_spec(case_id).polys
-        cores(3)
         got = set()
         for jobs in (1, 2, 3):
-            hc = bhc.hl_constant(fam, truncation, jobs=jobs)
+            cores(jobs)
+            hc = bhc.hl_constant(fam, truncation)
             got.add((hc.value.hex(), hc.tail_bound.hex()))
             _assert_no_child_left()
         assert len(got) == 1
 
     def test_one_window_forks_nothing(self, cores, forks):
         cores(3)
-        bhc.hl_constant(search.case_spec("a").polys, 2 * arith._PRIME_SEGMENT, jobs=3)
+        bhc.hl_constant(search.case_spec("a").polys, 2 * arith._PRIME_SEGMENT)
         assert forks == []
-        bhc.hl_constant(search.case_spec("a").polys, 2 * arith._PRIME_SEGMENT + 2, jobs=3)
+        bhc.hl_constant(search.case_spec("a").polys, 2 * arith._PRIME_SEGMENT + 2)
         assert len(forks) == 1
 
 
