@@ -336,7 +336,8 @@ def factor_counts(a: int, b: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndar
     while q.size:
         hit, count = _hits(off, qe, n)
         np.add.at(omega, hit, np.int8(1))
-        np.floor_divide.at(tau, hit, np.int32(e))  # each hit's tau holds a factor e for its own q
+        if e > 1:  # each hit's tau holds a factor e for its own q; at e = 1 the division is by one
+            np.floor_divide.at(tau, hit, np.int32(e))
         np.multiply.at(tau, hit, np.int32(e + 1))
         np.floor_divide.at(residual, hit, np.repeat(q, count))
         # Hensel: the value at off is a multiple w of qe, and off + qe*c is

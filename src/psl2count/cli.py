@@ -15,6 +15,7 @@ abort (a cap or out of memory), 4 internal error (traceback on stderr), 141
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -64,7 +65,7 @@ def _int_arg(text: str) -> int:
     significant = digits.strip("0")  # the value is significant * 10**scale
     scale = int(exp or 0) - len(frac) + len(digits) - len(digits.rstrip("0"))
     if significant and (scale < 0 or len(significant) + scale > 309):  # checked before 10**scale is built
-        raise argparse.ArgumentTypeError(f"expected an integer of at most 309 digits, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer{'' if scale < 0 else ' of at most 309 digits'}, got {text!r}")
     return int(sign + significant) * 10**scale if significant else 0
 
 
@@ -497,7 +498,7 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
     except BrokenPipeError:
-        # Point stdout at devnull so the interpreter's final flush cannot fail again.
+        # Point stdout at devnull so the flush on the way out cannot fail again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
@@ -514,12 +515,18 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """Run main on the command line, flush stdio and end by os._exit, with no
+    finalisation (about 3 ms) and no atexit handler (the package has none);
+    under a profiler or tracer, or after a failed flush, end by sys.exit."""
     if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
         # python -u: a raw write cut short by a closing pipe drops the rest unreported; a buffered one raises
         sys.stdout = io.TextIOWrapper(io.BufferedWriter(sys.stdout.buffer), sys.stdout.encoding, sys.stdout.errors, line_buffering=True)
     status = main(sys.argv[1:])
-    import gc  # here, so that importing cli loads nothing more
-    gc.freeze()  # the exit's last full collection then skips every object alive now
+    if sys.getprofile() is None and sys.gettrace() is None:  # cProfile, pdb and coverage write their data at exit
+        with contextlib.suppress(Exception):  # a failed flush is retried and reported by the exit below, as before
+            sys.stdout.flush()  # --help leaves main by SystemExit, before main's own flush
+            sys.stderr.flush()
+            os._exit(status)
     sys.exit(status)
 
 

@@ -24,16 +24,14 @@ def run(fn, calls: list[tuple], jobs: int = 1) -> list:
     (False, exception) for an Exception, through a pipe, and leaves by
     os._exit, so it runs no exit handler and never flushes this process's
     stdio.  Here the exception is raised again with its own type; a child
-    that ends without a result raises RuntimeError.  Every child is killed,
-    if still running, and reaped on every path, errors and KeyboardInterrupt
-    here included.  The children run only Python and numpy arithmetic, so
-    no lock that another thread holds at the fork is ever taken in them.
+    that ends without a result raises RuntimeError.  Every child is reaped,
+    and SIGKILLed first only on a failure (KeyboardInterrupt here included).
+    The children run only Python and numpy arithmetic, so no lock that
+    another thread holds at the fork is ever taken in them.
     """
     w = min(jobs, default_jobs(), len(calls)) if hasattr(os, "fork") else 1
     if w <= 1:
         return [fn(*args) for args in calls]
-    import signal  # here, not at the top: every command would pay for it at start-up
-
     children = []  # (pid, read end of its pipe)
     try:
         for k in range(1, w):
@@ -60,10 +58,14 @@ def run(fn, calls: list[tuple], jobs: int = 1) -> list:
                 raise value
             results[k::w] = value
         return results
+    except BaseException:
+        import signal  # here, not at the top: only a failure needs it
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)  # safe on an ended child: its pid stays its own until reaped
+        raise
     finally:
         for pid, pipe in children:
             pipe.close()
-            os.kill(pid, signal.SIGKILL)  # safe on an ended child: its pid stays its own until reaped
             os.waitpid(pid, 0)
 
 

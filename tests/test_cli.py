@@ -248,11 +248,16 @@ class TestSearchCommand:
         code, _, err = run(["invariants", "9007199254740993e0"])
         assert code == 2 and "got 9007199254740993" in err
 
-    @pytest.mark.parametrize("text", ["1.5", "inf", "nan", "1e999999999", "1e-999999999", "e5", "."])
+    @pytest.mark.parametrize("text", ["1.5", "inf", "nan", "1e999999999", "1e-999999999", "e5", ".",
+                                      "2.5", "1.50", "1e-3", "1e400"])
     def test_non_integers_are_usage_errors(self, text):
         start = time.perf_counter()
-        assert run(["search", "a", "--t-max", text])[0] == 2
+        code, out, err = run(["search", "a", "--t-max", text])
         assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        # only a value too long to read names the digits; a fraction is just not an integer
+        want = "an integer of at most 309 digits" if text in ("1e999999999", "1e400") else "an integer"
+        assert err.rstrip().endswith(f"expected {want}, got {text!r}"), err
 
     def test_only_shown_hits_are_built(self, monkeypatch):
         caps = []
@@ -513,13 +518,46 @@ class TestPlumbing:
         assert callable(cli.entry)
 
     def test_entry_exits_with_the_status_of_main(self):
-        # entry() freezes the collector before it exits; output and status stay main's
+        # entry() flushes stdio and ends by os._exit; output and status stay
+        # main's.  Without PYTHONUNBUFFERED, stdout to a pipe is block-buffered,
+        # and --help leaves main by SystemExit before main's own flush.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), COLUMNS="80")
+        cases = [["invariants", "53", "--format", "csv"], ["census", "67", "--oracle"], ["--help"],
+                 ["search", "--help"], *(["hb", "--limit", "1e6", "--format", fmt] for fmt in ("json", "csv", "table"))]
+        for argv in cases:
+            code, out, _ = run(argv, env={"COLUMNS": "80"})
+            if "--help" in argv:
+                assert code == 0 and out.startswith("usage: psl2count"), argv
+            for unbuffered in (True, False):
+                env.pop("PYTHONUNBUFFERED", None)
+                if unbuffered:
+                    env["PYTHONUNBUFFERED"] = "1"
+                proc = subprocess.run([sys.executable, "-c", "from psl2count.cli import entry; entry()", *argv],
+                                      capture_output=True, text=True, env=env, timeout=120)
+                assert (proc.returncode, proc.stdout) == (code, out), (argv, unbuffered, proc.stderr)
+        assert run(["invariants", "53", "--format", "csv"])[1] == "53,4,4,0,1,0,0,17,18,6,12\n"
+        assert run(["census", "67", "--oracle"])[:2] == (2, "")
+
+    def test_profiler_still_writes_its_data(self, tmp_path):
+        # under a profiler entry() ends by sys.exit, so cProfile's own exit path runs
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        for argv, code, out in ((["invariants", "53", "--format", "csv"], 0, "53,4,4,0,1,0,0,17,18,6,12\n"),
-                                (["census", "67", "--oracle"], 2, "")):
-            proc = subprocess.run([sys.executable, "-c", "from psl2count.cli import entry; entry()", *argv],
-                                  capture_output=True, text=True, env=env, timeout=120)
-            assert (proc.returncode, proc.stdout) == (code, out), (argv, proc.stderr)
+        stats = tmp_path / "census.prof"
+        proc = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(stats), "-m", "psl2count.cli", "census", "5"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "i=" in proc.stdout and stats.stat().st_size > 0
+
+    @pytest.mark.parametrize("traced", [True, False])
+    def test_exit_handlers_run_only_under_a_tracer(self, traced):
+        code = ("import atexit, os, sys\n"
+                f"if {traced}: sys.settrace(lambda *args: None)\n"
+                "atexit.register(os.write, 2, b'exit handler\\n')\n"
+                "from psl2count.cli import entry; entry()")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code, "invariants", "53", "--format", "csv"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "53,4,4,0,1,0,0,17,18,6,12\n")
+        assert proc.stderr == ("exit handler\n" if traced else "")
 
     def test_traced_layers_resolve(self):
         # the benchmark's traced run wraps each (module, attribute) of

@@ -106,6 +106,21 @@ class TestRun:
         assert time.monotonic() - start < 30
         _assert_no_child_left()
 
+    def test_success_sends_no_signal(self):
+        # a child that has sent its result is exiting: it is reaped, not killed,
+        # and only a failure loads the signal module
+        code = ("import contextlib, io, os, sys; os.cpu_count = lambda: 2\n"
+                "forks, kills, fork, kill = [], [], os.fork, os.kill\n"
+                "os.fork = lambda: forks.append(1) or fork()\n"
+                "os.kill = lambda *args: kills.append(args) or kill(*args)\n"
+                "from psl2count import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    status = cli.main(['hb', '--limit', '1e7', '--format', 'json'])\n"
+                "print(status, len(forks), kills, 'signal' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0 1 [] False\n", "")
+
     def test_children_run_no_exit_handler_and_never_flush_stdio(self):
         # stdout to a pipe is block-buffered, so a child that flushed it on
         # its way out would repeat the text not yet written
