@@ -17,8 +17,12 @@ Subgroups are found by cyclic extension (Neubuser 1960; Holt, Eick and
 O'Brien, Handbook of Computational Group Theory, on subgroup lattices):
 each class representative is joined only with cyclic subgroups of
 prime-power order, one per orbit of its normaliser, and its joins are
-closed in batched searches.  Each class keeps the orbit and normaliser
-found on admission, so classify only reads them.
+closed in batched searches.  The lattice is walked one level at a time,
+and from p = 13 on runner.run shares each level's representatives out over
+every core: the workers pick seeds and close joins, and this process
+admits the new joins in call order, forming their normalisers and orbits,
+so the result is the same at any number of cores.  Each class keeps the
+orbit and normaliser found on admission, so classify only reads them.
 """
 
 from __future__ import annotations
@@ -30,13 +34,14 @@ from math import gcd
 
 import numpy as np
 
-from . import arith
+from . import arith, runner
 from .arith import ResourceLimitError
 from .invariants import ClassCensus, ClassEntry
 
-MAX_P = 61  # the largest p build_psl2 accepts: 113460 elements, `census 61 --oracle` 2.3 min at 175 MiB
+MAX_P = 61  # the largest p build_psl2 accepts: 113460 elements, `census 61 --oracle` 49 s at 175 MiB on 2 cores
 _MAX_SUBGROUPS = 10**6  # enumerate_subgroups refuses a working set past this many subgroups
 _PRODUCT_BLOCK = 2**14  # products formed at once; a larger batch goes in blocks of whole rows
+_SHARED_ORDER = 1000  # enumerate_subgroups forks from this group order (p >= 13); below it forks cost more than they save
 
 
 @dataclass(frozen=True)
@@ -290,9 +295,22 @@ def enumerate_subgroups(group: PermGroup) -> list[Subgroup]:
     outside H are powers of x and cannot all lie in H.  For n in N(H) the
     join <H, n g n^-1> is the conjugate n <H, g> n^-1, which the orbit of
     <H, g> already holds.
+
+    The lattice is walked one level at a time, level k + 1 holding the
+    classes first met as joins of level k, and runner.run shares each level
+    out over every core once the group has _SHARED_ORDER elements.  A
+    worker picks each H's seeds and closes their joins, and sends back the
+    member keys of those not yet found; this process admits them in call
+    order, forming each one's normaliser and orbit.  A level goes in order
+    of normaliser order, least first: a small N(H) leaves many seed orbits
+    to join, so the costly calls lead and the interleaved shares carry
+    similar loads.  Every call sees the subgroups found before its level
+    began, and only this process admits, so the subgroups, their class ids
+    and normaliser orders do not depend on the number of cores.
     """
     n = group.order
     orders = group.element_orders()
+    group.inverses()  # formed once here, not again in every worker
 
     # seed_id[x] is the least generator of <x> when |x| is a prime power,
     # else -1; the generators of <x> are its powers x^k with k prime to |x|
@@ -308,20 +326,19 @@ def enumerate_subgroups(group: PermGroup) -> list[Subgroup]:
 
     found: dict[bytes, int] = {}  # member key -> class id
     normaliser_orders: list[int] = []  # by class id
-    worklist: list[tuple[np.ndarray, tuple[int, ...], np.ndarray]] = []
+    g_key = _member_key(x)
 
-    def admit(mask: np.ndarray, gens: tuple[int, ...]) -> None:
+    def admit(mask: np.ndarray, gens: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
         normaliser = _normaliser(group, mask, gens)
         found.update(dict.fromkeys(_conjugacy_orbit(group, mask, normaliser),
                                    len(normaliser_orders)))
         normaliser_orders.append(int(np.count_nonzero(normaliser)))
         if len(found) > _MAX_SUBGROUPS:
             raise ResourceLimitError(f"subgroup working set exceeded {_MAX_SUBGROUPS}")
-        worklist.append((mask, gens, normaliser))
+        return mask, gens, normaliser
 
-    admit(x == group.identity, ())
-    while worklist:
-        mask, gens, normaliser = worklist.pop()
+    def new_joins(mask: np.ndarray, gens: tuple[int, ...], normaliser: np.ndarray) -> dict[bytes, int]:
+        """Member key -> seed of the joins <H, g> not yet found, g one seed per N(H)-orbit."""
         outside = seeds[~mask[seeds]]
         # N(H) permutes the seeds outside H by conjugation; keep the least
         # seed of each orbit.  Conjugation by all of N(H) reaches each
@@ -341,11 +358,31 @@ def enumerate_subgroups(group: PermGroup) -> list[Subgroup]:
                 break
             least = lower
         picked = outside[lower == np.arange(outside.size)]
+        joins: dict[bytes, int] = {}
         # joins close in batches of at most 16 * _PRODUCT_BLOCK member flags
         for part in _row_blocks(picked.size, n // 16):
-            for g, join in zip(picked[part].tolist(), _joins(group, mask, gens, picked[part])):
-                if _member_key(np.flatnonzero(join)) not in found:
-                    admit(join, gens + (g,))
+            rows = _joins(group, mask, gens, picked[part])
+            sizes = np.count_nonzero(rows, axis=1).tolist()
+            for g, join, size in zip(picked[part].tolist(), rows, sizes):
+                if size == n and g_key in found:
+                    continue  # the row is G, already found: no key needed
+                key = _member_key(np.flatnonzero(join))
+                if key not in found:
+                    joins.setdefault(key, g)
+        return joins
+
+    jobs = runner.default_jobs() if n >= _SHARED_ORDER else 1
+    level = [admit(x == group.identity, ())]
+    while level:
+        level.sort(key=lambda rep: np.count_nonzero(rep[2]))
+        next_level = []
+        for (_, gens, _), joins in zip(level, runner.run(new_joins, level, jobs)):
+            for key, g in joins.items():
+                if key not in found:
+                    join = np.zeros(n, dtype=bool)
+                    join[np.frombuffer(key, dtype=np.int32)] = True
+                    next_level.append(admit(join, gens + (g,)))
+        level = next_level
 
     subs = [
         Subgroup(tuple(np.frombuffer(key, dtype=np.int32).tolist()), class_id,

@@ -1,5 +1,7 @@
 """One ordered runner over forked worker processes, for the search's block
-shares, the Heath-Brown scan's segments and the Euler product's windows.
+shares, the Heath-Brown scan's segments, the Euler product's windows and
+the oracle's class representatives, one level of the subgroup lattice at a
+time.
 A fork costs a few ms where a spawned worker imports the package again,
 and fn needs no pickling, so it may be a closure.
 """

@@ -1,6 +1,6 @@
-"""The ordered forked runner, and its users hb and the Euler product: results
-independent of the number of processes, errors with their own types, and no
-child left behind on any path."""
+"""The ordered forked runner, and its users hb, the Euler product and the
+oracle: results independent of the number of processes, errors with their
+own types, and no child left behind on any path."""
 
 import contextlib
 import hashlib
@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from psl2count import arith, bhc, cli, heathbrown, runner, search
+from psl2count import arith, bhc, cli, heathbrown, oracle, runner, search
 
 
 def _assert_no_child_left():
@@ -204,6 +204,56 @@ class TestHlConstantJobs:
         assert forks == []
         bhc.hl_constant(search.case_spec("a").polys, 2 * arith._PRIME_SEGMENT + 2)
         assert len(forks) == 1
+
+
+class TestOracleJobs:
+    @pytest.mark.parametrize("p", [7, 13, 19])
+    def test_subgroups_independent_of_jobs(self, p, cores):
+        group = oracle.build_psl2(p)
+        got = []
+        for jobs in (1, 2, 3):
+            cores(jobs)
+            got.append(oracle.enumerate_subgroups(group))  # members, class_id and normaliser_order
+            _assert_no_child_left()
+        assert got[0] == got[1] == got[2]
+
+    def test_forks_only_from_the_shared_order(self, cores, forks):
+        group = oracle.build_psl2(13)
+        cores(1)
+        oracle.enumerate_subgroups(group)
+        assert forks == []
+        cores(2)
+        oracle.enumerate_subgroups(group)
+        assert len(forks) == 2  # one per level of more than one class: 1, 4 and 11 classes
+        assert oracle.build_psl2(11).order < oracle._SHARED_ORDER <= group.order
+        oracle.enumerate_subgroups(oracle.build_psl2(11))
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("cap", [20, 500])
+    def test_cap_still_raises(self, cap, cores, forks, monkeypatch):
+        # p = 13 holds 275 subgroups up to its first level and 942 in all, so
+        # a cap of 500 is passed only after that level was shared out
+        monkeypatch.setattr(oracle, "_MAX_SUBGROUPS", cap)
+        cores(2)
+        with pytest.raises(arith.ResourceLimitError, match=f"exceeded {cap}"):
+            oracle.enumerate_subgroups(oracle.build_psl2(13))
+        assert len(forks) == (cap == 500)
+        _assert_no_child_left()
+
+    def test_child_error_keeps_its_type(self, cores, forks, monkeypatch):
+        here, joins = os.getpid(), oracle._joins
+
+        def fail_in_a_child(*args):
+            if os.getpid() != here:
+                raise AssertionError("join failed in a child")
+            return joins(*args)
+
+        monkeypatch.setattr(oracle, "_joins", fail_in_a_child)
+        cores(2)
+        with pytest.raises(AssertionError, match="join failed in a child"):
+            oracle.enumerate_subgroups(oracle.build_psl2(13))
+        assert len(forks) == 1
+        _assert_no_child_left()
 
 
 def _hb_digest(jobs: int) -> str:
