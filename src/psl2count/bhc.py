@@ -12,8 +12,8 @@ Hardy-Littlewood product over primes of
 the product modulo p.  The integral is bracketed by midpoint and
 trapezoid sums (integrate_bracket), so its error comes with a bound.
 
-Each member is a pair (a, b) for a*t + b, the pair order of arith, so (12, 5)
-is 12*t + 5; a = 0 gives a constant member.
+Each member is a pair (a, b) for a*t + b with a >= 1, the pair order of
+arith, so (12, 5) is 12*t + 5.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import arith, runner
 
 @dataclass(frozen=True)
 class PolynomialFamily:
-    """A finite family of constant or linear integer polynomials, each a pair (a, b) for a*t + b."""
+    """A finite family of linear integer polynomials, each a pair (a, b) for a*t + b with a >= 1."""
 
     polys: tuple[tuple[int, int], ...]
 
@@ -39,8 +39,8 @@ class PolynomialFamily:
         for coeffs in self.polys:
             if len(coeffs) != 2:
                 raise ValueError(f"members are coefficient pairs (a, b) for a*t + b, got {coeffs}")
-            if not any(coeffs):
-                raise ValueError("zero polynomial in family")
+            if coeffs[0] < 1:
+                raise ValueError(f"leading coefficients must be positive, got {coeffs}")
             if any(abs(c) > arith.U64_MAX for c in coeffs):
                 raise ValueError("coefficients must fit in 64 bits")
 
@@ -60,50 +60,23 @@ def family(*polys: tuple[int, int]) -> PolynomialFamily:
     return PolynomialFamily(tuple(tuple(c) for c in polys))
 
 
-@dataclass(frozen=True)
-class ShReport:
-    """Outcome of the three admissibility checks for a polynomial family."""
+def check_sh(fam: PolynomialFamily) -> int | None:
+    """The least fixed prime divisor of the family product, or None when it has none.
 
-    leading_positive: bool
-    all_irreducible: bool
-    no_fixed_prime_divisor: bool
-    failing_prime: int | None
-
-    @property
-    def ok(self) -> bool:
-        return self.leading_positive and self.all_irreducible and self.no_fixed_prime_divisor
-
-
-def check_sh(fam: PolynomialFamily) -> ShReport:
-    """Admissibility checks: leading signs, irreducibility, fixed divisors.
-
-    Members are constant or linear: linear polynomials are irreducible, and
-    constants fail (they take a single value).  A constant member's leading
-    coefficient is its value b.
-
+    Every member is linear with a positive leading coefficient, so irreducible.
     A prime q is a fixed divisor of the product when the product vanishes
     at every residue, omega_roots(fam, q) == q.  That can only arise from
     q at most m (the m members have at most m roots mod q between them
     unless one vanishes identically) or from q dividing both coefficients
     of one member, so those two finite sets of candidates decide the
-    matter.  The smallest offender is reported.
+    matter.
     """
-    positive = all((a or b) > 0 for a, b in fam.polys)
-    irreducible = all(a != 0 for a, _ in fam.polys)
-
     candidates = set(arith.prime_array(fam.m).tolist())
     for coeffs in fam.polys:
         content = math.gcd(*coeffs)
         if content > 1:
             candidates.update(q for q, _ in arith.factorize(content).factors)
-    failing = next((q for q in sorted(candidates) if omega_roots(fam, q) == q), None)
-
-    return ShReport(
-        leading_positive=positive,
-        all_irreducible=irreducible,
-        no_fixed_prime_divisor=failing is None,
-        failing_prime=failing,
-    )
+    return next((q for q in sorted(candidates) if omega_roots(fam, q) == q), None)
 
 
 def omega_roots(fam: PolynomialFamily, p: int) -> int:
@@ -125,8 +98,8 @@ def omega_roots(fam: PolynomialFamily, p: int) -> int:
 
 
 def _primitive(a: int, b: int) -> tuple[int, int]:
-    """The linear member a*t + b divided by its content, with a positive leading coefficient."""
-    content = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
+    """The member a*t + b divided by its content."""
+    content = math.gcd(a, b)
     return a // content, b // content
 
 
@@ -149,18 +122,18 @@ def _omega(fam: PolynomialFamily, primes: np.ndarray) -> np.ndarray:
     """omega(p) for every p in a uint64 array of primes below 2**32.
 
     Let g_1, ..., g_k be the distinct primitive parts a_i*t + b_i of the
-    linear members, each with a_i > 0.  At a prime dividing no member's
-    leading coefficient and no resultant a_i*b_j - a_j*b_i, no member
-    vanishes mod p and the g_i have k distinct roots, so omega(p) = k.
+    members.  At a prime dividing no member's leading coefficient and no
+    resultant a_i*b_j - a_j*b_i, no member vanishes mod p and the g_i have
+    k distinct roots, so omega(p) = k.
     Only those finitely many exceptional primes are counted by omega_roots.
     Distinct g_i are not proportional, so every resultant is nonzero.
     An array whose least prime exceeds every exceptional |n|, as every
     Euler window of hl_constant past the first few, takes omega = k at once.
     """
-    linear = sorted({_primitive(a, b) for a, b in fam.polys if a})
-    exceptional = [a or b for a, b in fam.polys]  # a constant member's leading coefficient is b
-    exceptional += [a_i * b_j - a_j * b_i for i, (a_i, b_i) in enumerate(linear) for a_j, b_j in linear[:i]]
-    omega = np.full(len(primes), len(linear), dtype=np.int64)
+    primitive = sorted({_primitive(a, b) for a, b in fam.polys})
+    exceptional = [a for a, _ in fam.polys]
+    exceptional += [a_i * b_j - a_j * b_i for i, (a_i, b_i) in enumerate(primitive) for a_j, b_j in primitive[:i]]
+    omega = np.full(len(primes), len(primitive), dtype=np.int64)
     if not len(primes) or int(primes[0]) > max(map(abs, exceptional)):
         return omega
     exact = np.zeros(len(primes), dtype=bool)
@@ -284,9 +257,9 @@ def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
         raise arith.ResourceLimitError(
             f"truncation {truncation} exceeds the cap {arith.PRIME_CAP} on the Euler product's primes"
         )
-    report = check_sh(fam)
-    if not report.ok:
-        raise ValueError(f"family fails admissibility checks: {report}")
+    failing = check_sh(fam)
+    if failing is not None:
+        raise ValueError(f"the family product has the fixed prime divisor {failing}")
     width = 2 * arith._PRIME_SEGMENT
     windows = [(fam, lo, min(lo + width - 1, truncation)) for lo in range(2, truncation + 1, width)]  # those of prime_segments(2, truncation)
     value = math.exp(sum(runner.run(_log_window, windows, runner.default_jobs())) / 2**_SUM_SCALE)
@@ -357,15 +330,10 @@ class BhcEstimate:
 
 
 def integration_lower_limit(fam: PolynomialFamily) -> int:
-    """Smallest integer t >= 0 at which every family value is at least 2.
-
-    That is the least t with every rising member a*t + b at least 2, t >= ceil((2 - b)/a),
-    if the constant and falling members, which never grow, are at least 2 there.
+    """Smallest integer t >= 0 at which every family value is at least 2: every
+    member rises, so that is the least t >= ceil((2 - b)/a) for every (a, b).
     """
-    t = max([0] + [-((b - 2) // a) for a, b in fam.polys if a > 0])
-    if any(v < 2 for v in fam.values(t)):
-        raise ValueError(f"no t >= 0 at which every value of the family {fam.polys} is at least 2")
-    return t
+    return max(0, *(-((b - 2) // a) for a, b in fam.polys))
 
 
 def check_x(fam: PolynomialFamily, x: float) -> int:

@@ -25,7 +25,7 @@ import traceback
 
 import numpy as np
 
-from . import arith, bhc, heathbrown, invariants, oracle, search
+from . import arith, bhc, heathbrown, invariants, oracle, runner, search
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -274,7 +274,7 @@ def cmd_search(args) -> int:
     if args.show_hits < 0:
         raise ValueError("--show-hits must be at least 0")
     spec = search.case_spec(args.case)
-    jobs = args.threads if args.threads is not None else search.default_jobs()
+    jobs = args.threads if args.threads is not None else runner.default_jobs()
     summary = search.scan(
         spec,
         args.t_max,
@@ -394,8 +394,7 @@ def cmd_hb(args) -> int:
         raise ValueError("--show must be at least 0")
     bounds = heathbrown.derive_upper_bounds()
     cap = args.show if args.format == "table" else None
-    parts = heathbrown.map_hb(args.limit, lambda found: _hb_rows(found, bounds, args.format, cap),
-                              jobs=search.default_jobs())
+    parts = heathbrown.map_hb(args.limit, lambda found: _hb_rows(found, bounds, args.format, cap))
     total = sum(n for n, _, _ in parts)
     violations = sum(v for _, v, _ in parts)
     texts = [text for _, _, text in parts if text]

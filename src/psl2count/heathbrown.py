@@ -105,8 +105,8 @@ def scan_segment(lo: int, hi: int) -> HbScan:
     return HbScan(p=p, omega_minus=om[keep], omega_plus=op[keep], profile=prof)
 
 
-def map_hb(limit: int, fn, *, jobs: int = 1) -> list:
-    """[fn(scan_segment(lo, hi)) for each segment [lo, hi] of t], in order, over runner.run.
+def map_hb(limit: int, fn) -> list:
+    """[fn(scan_segment(lo, hi)) for each segment [lo, hi] of t], in order, over runner.run on every core.
 
     The segments cover p = 72t + 5 <= limit in equal parts of at most
     arith._PRIME_SEGMENT t (69,445 and 69,444 t to 1e7); each fn runs where
@@ -120,7 +120,7 @@ def map_hb(limit: int, fn, *, jobs: int = 1) -> list:
     count = -(-(t_max + 1) // arith._PRIME_SEGMENT)
     size = -(-(t_max + 1) // count)
     segments = [(lo, min(lo + size - 1, t_max)) for lo in range(0, t_max + 1, size)]
-    return runner.run(lambda lo, hi: fn(scan_segment(lo, hi)), segments, jobs)
+    return runner.run(lambda lo, hi: fn(scan_segment(lo, hi)), segments, runner.default_jobs())
 
 
 def scan_hb(limit: int) -> HbScan:

@@ -1,12 +1,14 @@
 """Scans for prime triples (p, s, r) that drive the subgroup-class counts down.
 
-The minimising shapes require (p + 1)/2 and (p - 1)/2 to split as a small
-fixed factor times a prime, which confines p to four linear progressions:
+The minimising shapes are splits: (p + 1)/2 = m+ * s and (p - 1)/2 = m- * r
+with s and r prime and m+, m- coprime.  split_forms derives the linear forms
+of p, s and r from (m+, m-), and the four cases are four rows of it:
 
-  case a:  p = 12t + 5,   (p+1)/2 = 3s with s = 2t + 1,  (p-1)/2 = 2r with r = 3t + 1
-  case b:  p = 12t + 7,   (p+1)/2 = 2s with s = 3t + 2,  (p-1)/2 = 3r with r = 2t + 1
-  case c:  p = 12t + 11,  (p+1)/2 = 6s with s = t + 1,   (p-1)/2 = r  with r = 6t + 5
-  case d:  p = 12t + 1,   (p+1)/2 = s  with s = 6t + 1,  (p-1)/2 = 6r with r = t
+  case  (m+, m-)   p         s        r
+  a     (3, 2)     12t + 5   2t + 1   3t + 1
+  b     (2, 3)     12t + 7   3t + 2   2t + 1
+  c     (6, 1)     12t + 11  t + 1    6t + 5
+  d     (1, 6)     12t + 1   6t + 1   t
 
 A t where all three values are prime is counted; it is recorded as a hit
 when additionally s and r avoid 2 and 3, so that |G| = 12 p s r is a
@@ -24,6 +26,7 @@ merged so the scan stays bit-for-bit independent of the process count.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -32,22 +35,31 @@ import numpy as np
 
 from . import arith, invariants, runner
 from .bhc import PolynomialFamily
-from .runner import default_jobs
 
-CASE_IDS = ("a", "b", "c", "d")
+# Per case: the split (m+, m-) with (p + 1)/2 = m+ * s and (p - 1)/2 = m- * r.
+CASES = {"a": (3, 2), "b": (2, 3), "c": (6, 1), "d": (1, 6)}
+CASE_IDS = tuple(CASES)
 
 TARGET_COUNTS = (17, 18, 6, 12)
 
-# Per case: the forms (a, b), value a*t + b, of p, s and r, in that order.
-_CASE_FORMS = {
-    "a": ((12, 5), (2, 1), (3, 1)),
-    "b": ((12, 7), (3, 2), (2, 1)),
-    "c": ((12, 11), (1, 1), (6, 5)),
-    "d": ((12, 1), (6, 1), (1, 0)),
-}
-
 # At most this many hits are built, about 1 KB each: a cap of 10**6 is about 1 GiB.
 MAX_HITS = 10**6
+
+
+def split_forms(m_plus: int, m_minus: int) -> tuple[tuple[int, int], ...]:
+    """The forms (a, b), value a*t + b, of p, s and r with (p + 1)/2 = m_plus * s
+    and (p - 1)/2 = m_minus * r for every t.
+
+    p = 2 m_plus m_minus t + p0, where p0 is the least value in [1, 2 m_plus m_minus]
+    with 2 m_plus | p0 + 1 and 2 m_minus | p0 - 1 (one exists, by the Chinese
+    remainder theorem, exactly when m_plus and m_minus are coprime); then
+    s = m_minus t + (p0 + 1)/(2 m_plus) and r = m_plus t + (p0 - 1)/(2 m_minus).
+    """
+    if min(m_plus, m_minus) < 1 or math.gcd(m_plus, m_minus) != 1:
+        raise ValueError(f"a split needs coprime m+, m- >= 1, got ({m_plus}, {m_minus})")
+    n = 2 * m_plus * m_minus
+    p0 = next(p for p in range(2 * m_plus - 1, n + 1, 2 * m_plus) if (p - 1) % (2 * m_minus) == 0)
+    return (n, p0), (m_minus, (p0 + 1) // (2 * m_plus)), (m_plus, (p0 - 1) // (2 * m_minus))
 
 
 @dataclass(frozen=True)
@@ -62,20 +74,10 @@ class CaseSpec:
 
 
 def case_spec(case_id: str) -> CaseSpec:
-    """Build a CaseSpec and check its split identities for every t.
-
-    With p = a_p*t + b_p and m = a_m*t + b_m, (p -+ 1)/2 = mult * m holds for
-    every t exactly when a_p = 2*mult*a_m and b_p -+ 1 = 2*mult*b_m.
-    """
-    if case_id not in CASE_IDS:
+    """The case's forms of p, s and r, from split_forms of its row in CASES."""
+    if case_id not in CASES:
         raise ValueError(f"case must be one of {CASE_IDS}, got {case_id!r}")
-    forms = _CASE_FORMS[case_id]
-    (a_p, b_p), *halves = forms
-    for sign, role, (a_m, b_m) in zip((1, -1), "sr", halves):
-        mult = a_p // (2 * a_m)
-        if (a_p, b_p + sign) != (2 * mult * a_m, 2 * mult * b_m):
-            raise AssertionError(f"case {case_id}: (p{sign:+d})/2 = {mult}*{role} fails")
-    return CaseSpec(case_id, PolynomialFamily(forms))
+    return CaseSpec(case_id, PolynomialFamily(split_forms(*CASES[case_id])))
 
 
 @dataclass(frozen=True)
@@ -118,14 +120,14 @@ class SearchSummary:
 
 
 def _make_hit(spec: CaseSpec, t: int) -> TripleHit:
-    """The hit at t, its profile in closed form: (p + 1)/2 = mult_plus * s and
-    (p - 1)/2 = mult_minus * r, mult = a_p/(2 a_m), with s and r primes of at
-    least 5, prime to the multipliers (which divide 6), so delta = 2 tau(mult_plus)
-    and epsilon = 2 tau(mult_minus).  verify_attainment factors p -+ 1 instead.
+    """The hit at t, its profile in closed form: (p + 1)/2 = m+ * s and
+    (p - 1)/2 = m- * r with s and r primes of at least 5, prime to m+ and m-
+    (which divide 6), so delta = 2 tau(m+) and epsilon = 2 tau(m-).
+    verify_attainment factors p -+ 1 instead.
     """
-    (a_p, _), (a_s, _), (a_r, _) = spec.polys.polys
+    m_plus, m_minus = CASES[spec.case_id]
     p, s, r = spec.polys.values(t)
-    prof = invariants.assemble_profile(p, 2 * arith.tau(a_p // (2 * a_s)), 2 * arith.tau(a_p // (2 * a_r)))
+    prof = invariants.assemble_profile(p, 2 * arith.tau(m_plus), 2 * arith.tau(m_minus))
     attains = tuple(got == want for got, want in zip(invariants.counts(prof), TARGET_COUNTS))
     return TripleHit(spec.case_id, t, p, s, r, prof, attains)
 
@@ -148,7 +150,7 @@ _BLOCK = 210 * 2**20  # t per block of scan: 2**20 t per class of the wheel in a
 
 
 def _scan_block(args, share: tuple[int, int] = (0, 1)) -> tuple[int, int, list[int]]:
-    """Scan [lo, hi] for one case; returns (q_count, sz_count, hit ts).
+    """Scan [lo, hi] along the forms of p, s and r; returns (q_count, sz_count, hit ts).
 
     One arith.sieve_forms call, on the share (k, m) of its wheel classes,
     gives the offsets of the prime triples.  The values grow with t, so the
@@ -156,8 +158,7 @@ def _scan_block(args, share: tuple[int, int] = (0, 1)) -> tuple[int, int, list[i
     3, and the first hit_cap become hit ts.  p mod 40 follows from t mod 40,
     and so does sigma = alpha = 0.
     """
-    case_id, lo, hi, hit_cap = args
-    forms = _CASE_FORMS[case_id]
+    forms, lo, hi, hit_cap = args
     (a_p, b_p), *halves = forms
     offsets = arith.sieve_forms(forms, lo, hi, share=share)
     t_hit = max((3 - b) // a + 1 for a, b in halves)
@@ -180,7 +181,7 @@ def scan(
     q_count is exact regardless of hit_cap.  Each block's wheel classes
     (arith.wheel_classes) are split into one share per worker, run by
     runner.run: this process sieves share 0, and a child forked for the
-    block each of the others.  workers is the least of jobs, default_jobs()
+    block each of the others.  workers is the least of jobs, runner.default_jobs()
     and the block's classes (at least 1).  The shares' counts are
     summed and their hit ts merged, and blocks are merged in order, so the
     result is identical for every jobs value.  A hit_cap above MAX_HITS or a t_max
@@ -190,7 +191,9 @@ def scan(
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    if 12 * t_max + 11 > arith.U64_MAX:
+    forms = spec.polys.polys
+    top = max(a * t_max + b for a, b in forms)
+    if top > arith.U64_MAX:
         raise ValueError("t_max too large for 64-bit polynomial values")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -198,8 +201,7 @@ def scan(
         raise ValueError("hit_cap must be at least 0")
     if hit_cap > MAX_HITS:
         raise arith.ResourceLimitError(f"hit_cap {hit_cap} exceeds the cap {MAX_HITS} on the hits built")
-    forms = spec.polys.polys
-    arith.check_prime_cap(max(a * t_max + b for a, b in forms))
+    arith.check_prime_cap(top)
 
     q_count = 0
     sz_count = 0
@@ -207,8 +209,8 @@ def scan(
     started = time.monotonic()
     for lo in range(1, t_max + 1, _BLOCK):
         hi = min(lo + _BLOCK - 1, t_max)
-        workers = min(jobs, default_jobs(), max(1, len(arith.wheel_classes(forms, lo, hi)[1])))  # share 0 holds the special t
-        args = (spec.case_id, lo, hi, hit_cap)
+        workers = min(jobs, runner.default_jobs(), max(1, len(arith.wheel_classes(forms, lo, hi)[1])))  # share 0 holds the special t
+        args = (forms, lo, hi, hit_cap)
         shares = runner.run(_scan_block, [(args, (k, workers)) for k in range(workers)], workers)
         q_count += sum(q for q, _, _ in shares)
         sz_count += sum(sz for _, sz, _ in shares)

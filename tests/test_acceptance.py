@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from psl2count import arith, bhc, heathbrown, invariants, oracle, search
+from psl2count import arith, bhc, heathbrown, invariants, oracle, runner, search
 
 
 def _line(name: str, ok: bool, detail: str) -> None:
@@ -142,7 +142,7 @@ def test_07_prediction_vs_actual_desk_scale():
     problems = []
     for case_id, want in frozen.items():
         spec = search.case_spec(case_id)
-        got = search.scan(spec, 10**6, jobs=search.default_jobs()).q_count
+        got = search.scan(spec, 10**6, jobs=runner.default_jobs()).q_count
         if got != want:
             problems.append(f"Q_{case_id}(1e6)={got} != {want}")
         est = bhc.estimate_E(spec.polys, 10**6, bhc.hl_constant(spec.polys, 10**5))
@@ -163,7 +163,7 @@ def test_07x_prediction_vs_actual_1e9():
     problems = []
     for case_id, (want_q, want_pct) in frozen.items():
         spec = search.case_spec(case_id)
-        got = search.scan(spec, 10**9, jobs=search.default_jobs(), progress=True).q_count
+        got = search.scan(spec, 10**9, jobs=runner.default_jobs(), progress=True).q_count
         if got != want_q:
             problems.append(f"Q_{case_id}(1e9)={got} != {want_q}")
         est = bhc.estimate_E(spec.polys, 10**9, bhc.hl_constant(spec.polys, 10**7))

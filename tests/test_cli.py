@@ -291,6 +291,17 @@ class TestSearchCommand:
         assert out == ""
         assert err.startswith("psl2count: resource cap hit: ResourceLimitError")
 
+    @pytest.mark.parametrize("case_id", search.CASE_IDS)
+    def test_64_bit_bound_reads_the_case_forms(self, case_id):
+        # at t = floor((2**64 - 2)/12) case d's largest value, 12t + 1, still fits in
+        # 64 bits, so only its base primes pass a cap (3); 12t + 5, 12t + 7 and
+        # 12t + 11 do not fit (2), and at t + 1 no case fits
+        t = (2**64 - 2) // 12
+        code, out, err = run(["search", case_id, "--t-max", str(t)])
+        assert (code, out) == (3 if case_id == "d" else 2, "")
+        assert ("resource cap hit" if case_id == "d" else "64-bit") in err
+        assert run(["search", case_id, "--t-max", str(t + 1)])[0] == 2
+
     def test_oversized_hit_cap_is_a_resource_abort(self, monkeypatch):
         # refused before any sieving: each built hit takes about 1 KB
         def no_sieve(*args):

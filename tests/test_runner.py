@@ -22,7 +22,7 @@ def _assert_no_child_left():
 
 @pytest.fixture
 def cores(monkeypatch):
-    """A function that makes os.cpu_count(), and so search.default_jobs(), report n."""
+    """A function that makes os.cpu_count(), and so runner.default_jobs(), report n."""
     return lambda n: monkeypatch.setattr(os, "cpu_count", lambda: n)
 
 

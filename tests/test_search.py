@@ -1,5 +1,6 @@
 """Prime-triple scans: frozen counts, hit semantics and determinism."""
 
+import math
 import os
 import random
 import subprocess
@@ -8,9 +9,10 @@ import tracemalloc
 
 import pytest
 
-from psl2count import arith, cli, invariants, search
+from psl2count import arith, bhc, cli, invariants, search
 
 SPECS = {c: search.case_spec(c) for c in search.CASE_IDS}
+FORMS = {c: spec.polys.polys for c, spec in SPECS.items()}  # the arguments of search._scan_block
 
 # brute-force counts committed once; any change is a regression
 FROZEN_Q_1E3 = {"a": 13, "b": 21, "c": 16, "d": 20}
@@ -19,7 +21,7 @@ FROZEN_Q_1E4 = {"a": 64, "b": 82}
 
 class TestCaseSpec:
     def test_polynomials(self):
-        # the forms (a, b), value a*t + b, of p, s and r
+        # the forms (a, b), value a*t + b, of p, s and r, from split_forms of each row of CASES
         assert SPECS["a"].polys.polys == ((12, 5), (2, 1), (3, 1))
         assert SPECS["b"].polys.polys == ((12, 7), (3, 2), (2, 1))
         assert SPECS["c"].polys.polys == ((12, 11), (1, 1), (6, 5))
@@ -42,16 +44,54 @@ class TestCaseSpec:
         with pytest.raises(ValueError):
             search.case_spec("e")
 
-    def test_wrong_multiplier_raises(self, monkeypatch):
-        # the multiplier a_p/(2 a_m) is right, b is not: 12t + 6 = 2*3*(2t + 3) fails,
-        # and so does 12t + 4 = 2*2*(3t + 2)
-        p, s, r = search._CASE_FORMS["a"]
-        monkeypatch.setitem(search._CASE_FORMS, "a", (p, (2, 3), r))
-        with pytest.raises(AssertionError, match=r"\(p\+1\)/2 = 3\*s"):
-            search.case_spec("a")
-        monkeypatch.setitem(search._CASE_FORMS, "a", (p, s, (3, 2)))
-        with pytest.raises(AssertionError, match=r"\(p-1\)/2 = 2\*r"):
-            search.case_spec("a")
+    def test_wrong_multiplier_raises(self):
+        # a split needs coprime m+, m- >= 1: (2, 4), (6, 3) and (3, 3) share a
+        # factor, and the others have a multiplier below 1
+        for pair in ((2, 4), (6, 3), (3, 3), (0, 1), (1, 0), (-1, 6), (3, -2)):
+            with pytest.raises(ValueError, match="coprime"):
+                search.split_forms(*pair)
+
+
+class TestSplitFamily:
+    def test_identities_and_least_p0(self):
+        for m_plus in range(1, 40):
+            for m_minus in range(1, 40):
+                if math.gcd(m_plus, m_minus) != 1:
+                    continue
+                (a_p, p0), (a_s, s0), (a_r, r0) = search.split_forms(m_plus, m_minus)
+                assert a_p == 2 * m_plus * m_minus and 1 <= p0 <= a_p
+                assert p0 == min(p for p in range(1, a_p + 1)
+                                 if (p + 1) % (2 * m_plus) == 0 and (p - 1) % (2 * m_minus) == 0)
+                for t in (0, 1, 7):
+                    p = a_p * t + p0
+                    assert (p + 1, p - 1) == (2 * m_plus * (a_s * t + s0), 2 * m_minus * (a_r * t + r0))
+
+    def test_admissible_exactly_when_six_divides(self):
+        pairs = [(mp, mm) for mp in range(1, 401) for mm in range(1, 400 // mp + 1) if math.gcd(mp, mm) == 1]
+        assert len(pairs) == 1771  # the sum of 2**omega(n) over n <= 400
+        for pair in pairs:
+            failing = bhc.check_sh(bhc.PolynomialFamily(search.split_forms(*pair)))
+            assert (failing is None) == (pair[0] * pair[1] % 6 == 0), (pair, failing)
+
+    def test_closed_form_counts_on_every_triple(self):
+        # s and r primes above every prime of m+ m-: tau((p + 1)/2) = 2 tau(m+)
+        # and tau((p - 1)/2) = 2 tau(m-), so the counts depend on the pair alone
+        triples = 0
+        for m_plus in range(1, 61):
+            for m_minus in range(1, 60 // m_plus + 1):
+                if math.gcd(m_plus, m_minus) != 1 or m_plus * m_minus % 6:
+                    continue
+                forms = search.split_forms(m_plus, m_minus)
+                floor = max(q for q, _ in arith.factorize(m_plus * m_minus).factors)
+                delta, epsilon = 2 * arith.tau(m_plus), 2 * arith.tau(m_minus)
+                for t in arith.sieve_forms(forms, 0, 2 * 10**4).tolist():  # offsets from t = 0
+                    p, s, r = (a * t + b for a, b in forms)
+                    if min(s, r) <= floor:
+                        continue
+                    triples += 1
+                    want = invariants.counts(invariants.assemble_profile(p, delta, epsilon))
+                    assert invariants.counts(invariants.profile(p)) == want, (m_plus, m_minus, p)
+        assert triples == 6124
 
 
 class TestScanCounts:
@@ -134,7 +174,7 @@ class TestExactSieve(WheelMin):
         for _ in range(10):
             lo = rng.randint(1, 10**9)
             hi = lo + rng.randint(0, 3000)
-            got = search._scan_block((case_id, lo, hi, 10**6))
+            got = search._scan_block((FORMS[case_id], lo, hi, 10**6))
             assert got == _plain_block(SPECS[case_id], lo, hi), (case_id, lo, hi)
 
     @pytest.mark.parametrize("case_id", search.CASE_IDS)
@@ -142,7 +182,7 @@ class TestExactSieve(WheelMin):
         # Values equal to a sieving prime must survive, and r = t = 1 in
         # case d must not.
         for lo in range(1, 61):
-            got = search._scan_block((case_id, lo, 300, 10**6))
+            got = search._scan_block((FORMS[case_id], lo, 300, 10**6))
             assert got == _plain_block(SPECS[case_id], lo, 300), (case_id, lo)
 
 
@@ -156,7 +196,7 @@ class TestWheel(WheelMin):
         special = [t for t in range(8) if any(spec.value(x, t) in (2, 3, 5, 7) for x in "psr")]
         assert special
         for t in special:
-            assert search._scan_block((case_id, t, t, 10)) == _plain_block(spec, t, t), (case_id, t)
+            assert search._scan_block((FORMS[case_id], t, t, 10)) == _plain_block(spec, t, t), (case_id, t)
 
     @pytest.mark.parametrize("case_id", search.CASE_IDS)
     def test_windows_near_1e12_match_plain_loop(self, case_id):
@@ -164,7 +204,7 @@ class TestWheel(WheelMin):
         for _ in range(10):
             lo = 10**12 + rng.randint(0, 10**9)
             hi = lo + rng.randint(0, 3000)
-            got = search._scan_block((case_id, lo, hi, 10**6))
+            got = search._scan_block((FORMS[case_id], lo, hi, 10**6))
             assert got == _plain_block(SPECS[case_id], lo, hi), (case_id, lo, hi)
 
     @pytest.mark.parametrize("case_id", search.CASE_IDS)
@@ -173,9 +213,9 @@ class TestWheel(WheelMin):
         # the default threshold the wheel against the one class mod 1
         lo = 10**9 + 7
         hi = lo + 2**20 + 999
-        parts = [search._scan_block((case_id, b, min(b + 2**19 - 1, hi), 10**6)) for b in range(lo, hi + 1, 2**19)]
+        parts = [search._scan_block((FORMS[case_id], b, min(b + 2**19 - 1, hi), 10**6)) for b in range(lo, hi + 1, 2**19)]
         expect = (sum(q for q, _, _ in parts), sum(sz for _, sz, _ in parts), [t for _, _, ts in parts for t in ts])
-        assert search._scan_block((case_id, lo, hi, 10**6)) == expect
+        assert search._scan_block((FORMS[case_id], lo, hi, 10**6)) == expect
 
     @pytest.mark.parametrize("case_id", search.CASE_IDS)
     def test_block_sizes_around_the_wheel(self, case_id, monkeypatch):
@@ -207,7 +247,7 @@ def test_scan_block_memory():
     # 10**8 t or value arrays over the survivors
     tracemalloc.start()
     try:
-        search._scan_block(("a", 1, 10**8, 10))
+        search._scan_block((FORMS["a"], 1, 10**8, 10))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
