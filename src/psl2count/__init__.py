@@ -9,7 +9,7 @@ often such triples occur, and a scan for the primes relevant to the
 conditional upper-bound argument.
 """
 
-from .arith import Factorization, big_omega, divisors, factorize, is_prime, primes_in_range, tau, two_adic_valuation
+from .arith import big_omega, divisors, factorize, is_prime, primes_in_range, tau, two_adic_valuation
 from .invariants import (
     ClassCensus,
     ClassEntry,
@@ -27,7 +27,6 @@ from .bhc import BhcEstimate, HlConstant, PolynomialFamily, check_sh, estimate_E
 from .heathbrown import HbCandidate, HbScan, derive_upper_bounds, qualifies, scan_hb
 
 __all__ = [
-    "Factorization",
     "is_prime",
     "factorize",
     "tau",

@@ -11,7 +11,6 @@ in this module accepts larger arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,35 +83,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization n = prod(p**e) with factors sorted by prime."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def tau(self) -> int:
-        out = 1
-        for _, e in self.factors:
-            out *= e + 1
-        return out
-
-    def big_omega(self) -> int:
-        return sum(e for _, e in self.factors)
-
-    def divisors(self) -> list[int]:
-        divs = [1]
-        for p, e in self.factors:
-            pk = 1
-            ext = []
-            for _ in range(e):
-                pk *= p
-                ext.extend(d * pk for d in divs)
-            divs.extend(ext)
-        divs.sort()
-        return divs
 
 
 def check_prime_cap(top: int) -> None:
@@ -429,13 +399,13 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # unreachable for n < 2**64
 
 
-def factorize(n: int) -> Factorization:
-    """Factor a positive 64-bit integer.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Factor a positive 64-bit integer into its (prime, exponent) pairs, sorted by prime.
 
     Trial division peels small primes, Brent's rho splits what remains.
-    factorize(1) has an empty factor tuple.
+    factorize(1) is the empty tuple.
 
-    >>> factorize(18).factors
+    >>> factorize(18)
     ((2, 1), (3, 2))
     """
     if n < 1 or n > U64_MAX:
@@ -459,22 +429,34 @@ def factorize(n: int) -> Factorization:
         d = _brent_rho(v)
         stack.append(d)
         stack.append(v // d)
-    return Factorization(n, tuple(sorted(counts.items())))
+    return tuple(sorted(counts.items()))
 
 
 def tau(n: int) -> int:
     """Number of positive divisors of n."""
-    return factorize(n).tau()
+    out = 1
+    for _, e in factorize(n):
+        out *= e + 1
+    return out
 
 
 def big_omega(n: int) -> int:
     """Number of prime factors of n counted with multiplicity."""
-    return factorize(n).big_omega()
+    return sum(e for _, e in factorize(n))
 
 
 def divisors(n: int) -> list[int]:
     """Sorted list of all positive divisors of n."""
-    return factorize(n).divisors()
+    divs = [1]
+    for p, e in factorize(n):
+        pk = 1
+        ext = []
+        for _ in range(e):
+            pk *= p
+            ext.extend(d * pk for d in divs)
+        divs.extend(ext)
+    divs.sort()
+    return divs
 
 
 def two_adic_valuation(n):

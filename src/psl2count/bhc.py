@@ -75,7 +75,7 @@ def check_sh(fam: PolynomialFamily) -> int | None:
     for coeffs in fam.polys:
         content = math.gcd(*coeffs)
         if content > 1:
-            candidates.update(q for q, _ in arith.factorize(content).factors)
+            candidates.update(q for q, _ in arith.factorize(content))
     return next((q for q in sorted(candidates) if omega_roots(fam, q) == q), None)
 
 

@@ -34,8 +34,6 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a reader that stopped
 
-ORACLE_CAP = oracle.MAX_P
-
 PROGRESS_THRESHOLD = 10**7  # scans at least this long report blocks on stderr
 
 
@@ -195,9 +193,9 @@ def _print_census(cen: invariants.ClassCensus, fmt: str) -> None:
 def cmd_census(args) -> int:
     p = args.p
     if args.oracle and p < 3:
-        raise ValueError(f"brute-force census needs 3 <= p <= {ORACLE_CAP}, got {p}")
-    if args.oracle and p > ORACLE_CAP:
-        raise ValueError(f"brute-force census is capped at p <= {ORACLE_CAP}")
+        raise ValueError(f"brute-force census needs 3 <= p <= {oracle.MAX_P}, got {p}")
+    if args.oracle and p > oracle.MAX_P:
+        raise ValueError(f"brute-force census is capped at p <= {oracle.MAX_P}")
     if p == 3 and not args.oracle:
         raise ValueError("census formulas require p >= 5; use --oracle for p = 3")
 
@@ -441,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen = sub.add_parser("census", help="subgroup-class catalogue for one prime")
     p_cen.add_argument("p", type=_int_arg)
     _add(p_cen, "--oracle", action="store_true", default=False,
-         help=f"also run the brute-force census and diff it (p <= {ORACLE_CAP})")
+         help=f"also run the brute-force census and diff it (p <= {oracle.MAX_P})")
     _add_format(p_cen)
     p_cen.set_defaults(func=cmd_census)
 

@@ -60,13 +60,11 @@ class Subgroup:
 
 @dataclass(frozen=True)
 class OracleClass:
-    """One conjugacy class of subgroups, with orbit and normaliser data."""
+    """One conjugacy class of subgroups: its representative, which carries the
+    normaliser order, and its isomorphism-type label."""
 
     representative: Subgroup
-    class_size: int
-    normaliser_order: int
     label: str
-    excluded_from_census: bool  # true for the trivial subgroup and G itself
 
 
 def _key(degree: int, img0, img1, img_inf):
@@ -314,7 +312,7 @@ def enumerate_subgroups(group: PermGroup) -> list[Subgroup]:
 
     # seed_id[x] is the least generator of <x> when |x| is a prime power,
     # else -1; the generators of <x> are its powers x^k with k prime to |x|
-    prime_power = [o for o in sorted(set(orders.tolist())) if len(arith.factorize(o).factors) == 1]
+    prime_power = [o for o in sorted(set(orders.tolist())) if len(arith.factorize(o)) == 1]
     x = np.arange(n)
     seed_id = x
     power = x
@@ -471,15 +469,7 @@ def classify(group: PermGroup, subs: list[Subgroup]) -> list[OracleClass]:
             raise AssertionError("class size times normaliser order must equal |G|")
         mask = np.zeros(group.order, dtype=bool)
         mask[list(sub.members)] = True
-        classes.append(
-            OracleClass(
-                representative=sub,
-                class_size=size,
-                normaliser_order=sub.normaliser_order,
-                label=_label_subgroup(group, mask),
-                excluded_from_census=sub.order in (1, group.order),
-            )
-        )
+        classes.append(OracleClass(representative=sub, label=_label_subgroup(group, mask)))
     return classes
 
 
@@ -489,25 +479,17 @@ def oracle_census(p: int) -> ClassCensus:
     subs = enumerate_subgroups(group)
     classes = classify(group, subs)
 
-    by_label: dict[str, list[OracleClass]] = {}
+    by_label: dict[str, list[Subgroup]] = {}
     for cls in classes:
-        if not cls.excluded_from_census:
-            by_label.setdefault(cls.label, []).append(cls)
+        if cls.representative.order not in (1, group.order):  # the trivial subgroup and G are not counted
+            by_label.setdefault(cls.label, []).append(cls.representative)
 
     entries = []
-    for label, group_classes in by_label.items():
-        rep = group_classes[0]
-        self_norm = rep.normaliser_order == rep.representative.order
-        for other in group_classes[1:]:
-            if (other.normaliser_order == other.representative.order) != self_norm:
-                raise AssertionError(f"classes labelled {label} disagree on self-normalisation")
-        entries.append(
-            ClassEntry(
-                label=label,
-                order=rep.representative.order,
-                num_classes=len(group_classes),
-                self_normalising=self_norm,
-            )
-        )
+    for label, reps in by_label.items():
+        self_norm = {h.normaliser_order == h.order for h in reps}
+        if len(self_norm) > 1:
+            raise AssertionError(f"classes labelled {label} disagree on self-normalisation")
+        entries.append(ClassEntry(label=label, order=reps[0].order, num_classes=len(reps),
+                                  self_normalising=self_norm.pop()))
     entries.sort(key=lambda entry: (entry.order, entry.label))
     return ClassCensus(p, tuple(entries))

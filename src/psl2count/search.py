@@ -11,11 +11,12 @@ of p, s and r from (m+, m-), and the four cases are four rows of it:
   d     (1, 6)     12t + 1   6t + 1   t
 
 A t where all three values are prime is counted; it is recorded as a hit
-when additionally s and r avoid 2 and 3, so that |G| = 12 p s r is a
-product of six primes with the split parameters at their minima.  In cases
-(a) and (b) every hit with p > 37 attains the least possible counts
-(i, c, s, n) = (17, 18, 6, 12); smaller p and the other two cases can
-miss one or more of them, which the attainment flags record.
+when additionally s and r pass the largest prime of m+ m-, so that
+|G| = 2 m+ m- p s r with s and r prime to m+ m-, and the profile follows
+from (m+, m-) alone.  In cases (a) and (b) every hit with p > 37 attains
+the least possible counts (i, c, s, n) = (17, 18, 6, 12); smaller p and
+the other two cases can miss one or more of them, which the attainment
+flags record.
 
 Each case is kept as the forms (a, b), value a*t + b, of p, s and r, the
 pair order of arith and bhc, and scanning hands them unchanged to
@@ -82,7 +83,7 @@ def case_spec(case_id: str) -> CaseSpec:
 
 @dataclass(frozen=True)
 class TripleHit:
-    """A t where p, s, r are all prime and s, r >= 5."""
+    """A t where p, s, r are all prime, s and r past every prime of the case's m+ m-."""
 
     case_id: str
     t: int
@@ -93,9 +94,9 @@ class TripleHit:
     attains: tuple[bool, bool, bool, bool]
 
     def __post_init__(self):
-        order = self.p * (self.p * self.p - 1) // 2
-        if order != 12 * self.p * self.s * self.r:
-            raise AssertionError(f"|G| != 12psr at t={self.t}")
+        m_plus, m_minus = CASES[self.case_id]
+        if self.p * (self.p * self.p - 1) // 2 != 2 * m_plus * m_minus * self.p * self.s * self.r:
+            raise AssertionError(f"|G| != 2 m+ m- psr at t={self.t}")
 
 
 @dataclass(frozen=True)
@@ -121,9 +122,9 @@ class SearchSummary:
 
 def _make_hit(spec: CaseSpec, t: int) -> TripleHit:
     """The hit at t, its profile in closed form: (p + 1)/2 = m+ * s and
-    (p - 1)/2 = m- * r with s and r primes of at least 5, prime to m+ and m-
-    (which divide 6), so delta = 2 tau(m+) and epsilon = 2 tau(m-).
-    verify_attainment factors p -+ 1 instead.
+    (p - 1)/2 = m- * r with s and r primes past every prime of m+ m-, so
+    delta = 2 tau(m+) and epsilon = 2 tau(m-).  verify_attainment factors
+    p -+ 1 instead.
     """
     m_plus, m_minus = CASES[spec.case_id]
     p, s, r = spec.polys.values(t)
@@ -135,14 +136,14 @@ def _make_hit(spec: CaseSpec, t: int) -> TripleHit:
 def verify_attainment(hit: TripleHit) -> tuple[bool, bool, bool, bool]:
     """Recompute the four counts for a hit from scratch and compare to the minima.
 
-    For cases (a) and (b) with s and r prime and at least 7, both square
-    parts and both exceptional embeddings are forced, so sigma = alpha = 0
-    is asserted along the way.
+    With s and r prime and at least 7, p -+ 1 = 2 m+ s, 2 m- r fix p mod 8
+    and mod 5 by the split alone, so sigma = [4 | m+ m-] and
+    alpha = [5 | m+ m-] are asserted along the way.
     """
+    m = math.prod(CASES[hit.case_id])
     prof = invariants.profile(hit.p)
-    if hit.case_id in ("a", "b") and hit.s >= 7 and hit.r >= 7:
-        if prof.sigma != 0 or prof.alpha != 0:
-            raise AssertionError(f"sigma/alpha nonzero at p={hit.p}")
+    if min(hit.s, hit.r) >= 7 and (prof.sigma, prof.alpha) != (m % 4 == 0, m % 5 == 0):
+        raise AssertionError(f"sigma/alpha at p={hit.p} differ from those of the split {CASES[hit.case_id]}")
     return tuple(got == want for got, want in zip(invariants.counts(prof), TARGET_COUNTS))
 
 
@@ -153,15 +154,17 @@ def _scan_block(args, share: tuple[int, int] = (0, 1)) -> tuple[int, int, list[i
     """Scan [lo, hi] along the forms of p, s and r; returns (q_count, sz_count, hit ts).
 
     One arith.sieve_forms call, on the share (k, m) of its wheel classes,
-    gives the offsets of the prime triples.  The values grow with t, so the
-    hits (s and r above 3) are the triples from the first t where both pass
-    3, and the first hit_cap become hit ts.  p mod 40 follows from t mod 40,
-    and so does sigma = alpha = 0.
+    gives the offsets of the prime triples.  The slopes of s and r are m-
+    and m+, and the values grow with t, so the hits (s and r past the
+    largest prime of m+ m-) are the triples from the first t where both
+    pass it, and the first hit_cap become hit ts.  p mod 40 follows from
+    t mod 40, and so does sigma = alpha = 0.
     """
     forms, lo, hi, hit_cap = args
     (a_p, b_p), *halves = forms
     offsets = arith.sieve_forms(forms, lo, hi, share=share)
-    t_hit = max((3 - b) // a + 1 for a, b in halves)
+    floor = max(q for q, _ in arith.factorize(math.prod(a for a, _ in halves)))
+    t_hit = max((floor - b) // a + 1 for a, b in halves)
     hits = offsets[np.searchsorted(offsets, t_hit - lo) :]
     zero = np.array([invariants.sigma_alpha(a_p * (lo + c) + b_p) == (0, 0) for c in range(40)])  # t = lo + c mod 40
     sz_count = int(np.count_nonzero(zero[hits % 40]))

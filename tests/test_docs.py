@@ -58,3 +58,23 @@ def test_ufunc_at_values_are_numpy_typed():
     assert found == []
     calls = "np.add.at(w, i, 1)\nnp.add.at(w, i, e)\nnp.add.at(w, i, -e + 1)\nnp.add.at(w, i, np.int8(1))\n"
     assert _bare_ufunc_at_values(calls) == [1, 2, 3]
+
+
+# Fields kept although no package code reads them:
+UNREAD_FIELDS = {
+    "HbCandidate.qualifies",  # the per-prime reference's verdict, read by its tests
+    "BhcEstimate.quadrature_error",  # the integration error, for the printed error budget of E(x)
+}
+
+
+def test_every_record_field_is_read():
+    # a field that no package code reads as an attribute is a second copy of
+    # a value or a value nothing uses
+    trees = [ast.parse(path.read_text()) for path in sorted(pathlib.Path(psl2count.__file__).parent.rglob("*.py"))]
+    fields = {f"{node.name}.{item.target.id}" for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef)
+              and any(ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list)
+              for item in node.body if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert {f for f in fields if f.split(".")[1] not in read} == UNREAD_FIELDS

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -408,31 +409,35 @@ class TestEnumeration:
 class TestClassify:
     def test_class_count_p7(self):
         classes = _classes(7)
-        proper = [c for c in classes if not c.excluded_from_census]
+        proper = [c for c in classes if 1 < c.representative.order < _group(7).order]
         assert len(classes) == 15
         assert len(proper) == 13
 
     def test_orbit_stabiliser(self):
         g = _group(7)
-        for cls in _classes(g.p):
-            assert cls.class_size * cls.normaliser_order == g.order
+        sizes = Counter(sub.class_id for sub in _subgroups(g.p))
+        reps = [c.representative for c in _classes(g.p)]
+        assert sorted(sizes) == sorted(h.class_id for h in reps)
+        for h in reps:
+            assert sizes[h.class_id] * h.normaliser_order == g.order
 
     def test_normaliser_of_metacyclic(self):
         g = _group(5)
         cls = [c for c in _classes(g.p) if c.label == "E5:C2"]
         assert len(cls) == 1
-        assert cls[0].normaliser_order == 10  # equals its own order
+        assert cls[0].representative.normaliser_order == 10  # equals its own order
 
     def test_p7_self_normalising_multiset(self):
         sn = sorted(
             c.label
             for c in _classes(7)
-            if not c.excluded_from_census and c.normaliser_order == c.representative.order
+            if 1 < c.representative.order < _group(7).order
+            and c.representative.normaliser_order == c.representative.order
         )
         assert sn == ["D3", "D4", "E7:C3", "S4", "S4"]
 
     def test_p7_pairs(self):
-        labels = [c.label for c in _classes(7) if not c.excluded_from_census]
+        labels = [c.label for c in _classes(7) if 1 < c.representative.order < _group(7).order]
         assert labels.count("A4") == 2
         assert labels.count("S4") == 2
         assert labels.count("D2") == 2
@@ -447,7 +452,7 @@ class TestClassify:
     def test_d2_classes_not_self_normalising(self):
         for cls in _classes(7):
             if cls.label == "D2":
-                assert cls.normaliser_order > cls.representative.order
+                assert cls.representative.normaliser_order > cls.representative.order
 
 
 class TestCensusAgreement:

@@ -82,7 +82,7 @@ class TestSplitFamily:
                 if math.gcd(m_plus, m_minus) != 1 or m_plus * m_minus % 6:
                     continue
                 forms = search.split_forms(m_plus, m_minus)
-                floor = max(q for q, _ in arith.factorize(m_plus * m_minus).factors)
+                floor = max(q for q, _ in arith.factorize(m_plus * m_minus))
                 delta, epsilon = 2 * arith.tau(m_plus), 2 * arith.tau(m_minus)
                 for t in arith.sieve_forms(forms, 0, 2 * 10**4).tolist():  # offsets from t = 0
                     p, s, r = (a * t + b for a, b in forms)
@@ -135,8 +135,9 @@ class TestScanCounts:
             search.scan(SPECS["a"], 100, hit_cap=search.MAX_HITS + 1)
 
 
-def _plain_block(spec, lo, hi):
-    """Reference for search._scan_block: a plain primality loop over t."""
+def _plain_block(spec, lo, hi, floor=3):
+    """Reference for search._scan_block: a plain primality loop over t, whose
+    hits have s and r past floor, the largest prime of m+ m-."""
     q_count = sz_count = 0
     hit_ts = []
     for t in range(lo, hi + 1):
@@ -144,7 +145,7 @@ def _plain_block(spec, lo, hi):
         if not (arith.is_prime(p) and arith.is_prime(s) and arith.is_prime(r)):
             continue
         q_count += 1
-        if s in (2, 3) or r in (2, 3):
+        if min(s, r) <= floor:
             continue
         prof = invariants.profile(p)
         if prof.sigma == 0 and prof.alpha == 0:
@@ -184,6 +185,16 @@ class TestExactSieve(WheelMin):
         for lo in range(1, 61):
             got = search._scan_block((FORMS[case_id], lo, 300, 10**6))
             assert got == _plain_block(SPECS[case_id], lo, 300), (case_id, lo)
+
+    @pytest.mark.parametrize("pair", [(3, 10), (15, 2)])
+    def test_split_family_hits_start_past_its_largest_prime(self, pair):
+        # 5 divides m+ m-, so the hits start past 5: at t = 1 (3, 10) has
+        # the triple (101, 17, 5) and at t = 2 (15, 2) has (149, 5, 37)
+        forms = search.split_forms(*pair)
+        spec = search.CaseSpec(f"{pair}", bhc.PolynomialFamily(forms))
+        for lo in range(1, 61):
+            got = search._scan_block((forms, lo, 300, 10**6))
+            assert got == _plain_block(spec, lo, 300, floor=5), (pair, lo)
 
 
 class TestWheel(WheelMin):
@@ -280,6 +291,19 @@ class TestHits:
                 if h.p > 37:
                     assert all(h.attains), (case_id, h.t, h.p)
                     assert search.verify_attainment(h) == (True, True, True, True)
+
+    @pytest.mark.parametrize("case_id,first", [("c", (4, 59, 5, 29)), ("d", (5, 61, 31, 5))])
+    def test_first_hit_cases_c_and_d(self, case_id, first):
+        h = search.scan(SPECS[case_id], 10**3).hits[0]
+        assert (h.t, h.p, h.s, h.r) == first
+
+    @pytest.mark.parametrize("case_id", ["c", "d"])
+    def test_verify_attainment_matches_flags_c_and_d(self, case_id):
+        # (m+, m-) = (6, 1) and (1, 6): sigma = alpha = 0 is asserted on every hit with s, r >= 7
+        hits = search.scan(SPECS[case_id], 10**4).hits
+        assert hits
+        for h in hits:
+            assert search.verify_attainment(h) == h.attains, (case_id, h.t)
 
     def test_case_c_flags(self):
         hits = search.scan(SPECS["c"], 10**4).hits
