@@ -267,6 +267,8 @@ def cmd_verify_table(args) -> int:
 # ---------------------------------------------------------------------------
 # search
 
+_CASE = "{a,b,c,d,M+:M-}"  # the case names search.split_of reads
+
 
 def cmd_search(args) -> int:
     if args.show_hits < 0:
@@ -319,9 +321,9 @@ def _read_q_file(path: str, case: str) -> tuple[int, object]:
 
 
 def cmd_bhc(args) -> int:
-    # the scan file is checked before anything is computed or printed
-    q_scan = None if args.q_file is None else _read_q_file(args.q_file, args.case)
+    # the case and the scan file are checked before anything is computed or printed
     fam = search.case_spec(args.case).polys
+    q_scan = None if args.q_file is None else _read_q_file(args.q_file, args.case)
     bhc.check_x(fam, args.x)  # refuse a bad x before sieving for the Euler product
     constant = bhc.hl_constant(fam, args.trunc)
     est = bhc.estimate_E(fam, float(args.x), constant)
@@ -452,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify_table)
 
     p_sea = sub.add_parser("search", help="scan a linear progression for prime triples")
-    p_sea.add_argument("case", choices=tuple(search.CASE_IDS))
+    p_sea.add_argument("case", metavar=_CASE, help="case a-d, or a split M+:M- with (p + 1)/2 = M+ s and (p - 1)/2 = M- r, such as 4:3")
     _add(p_sea, "--t-max", type=_int_arg, required=True, help="scan t in [1, t_max]")
     _add(p_sea, "--threads", type=_int_arg, default=None,
          help="worker processes, capped at the machine parallelism (the default); result independent of it")
@@ -462,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p_sea)
 
     p_bhc = sub.add_parser("bhc", help="predicted prime-triple count E(x) for one case")
-    p_bhc.add_argument("case", choices=tuple(search.CASE_IDS))
+    p_bhc.add_argument("case", metavar=_CASE, help="a case or a split M+:M-, as for search")
     _add(p_bhc, "--x", type=float, required=True, help="upper end of the integral")
     _add(p_bhc, "--trunc", type=_int_arg, default=10**7,
          help="truncation point P of the constant's Euler product")

@@ -2,7 +2,7 @@
 
 The minimising shapes are splits: (p + 1)/2 = m+ * s and (p - 1)/2 = m- * r
 with s and r prime and m+, m- coprime.  split_forms derives the linear forms
-of p, s and r from (m+, m-), and the four cases are four rows of it:
+of p, s and r from (m+, m-).  A case is named M+:M- or by a row of CASES:
 
   case  (m+, m-)   p         s        r
   a     (3, 2)     12t + 5   2t + 1   3t + 1
@@ -11,11 +11,11 @@ of p, s and r from (m+, m-), and the four cases are four rows of it:
   d     (1, 6)     12t + 1   6t + 1   t
 
 A t where all three values are prime is counted; it is recorded as a hit
-when additionally s and r pass the largest prime of m+ m-, so that
-|G| = 2 m+ m- p s r with s and r prime to m+ m-, and the profile follows
-from (m+, m-) alone.  In cases (a) and (b) every hit with p > 37 attains
-the least possible counts (i, c, s, n) = (17, 18, 6, 12); smaller p and
-the other two cases can miss one or more of them, which the attainment
+when additionally s and r pass the largest prime of m+ m- (1 for 1:1), so
+that |G| = 2 m+ m- p s r with s and r prime to m+ m-, and the profile
+follows from (m+, m-) alone.  In cases (a) and (b) every hit with p > 37
+attains the least possible counts (i, c, s, n) = (17, 18, 6, 12); smaller
+p and the other splits can miss one or more of them, which the attainment
 flags record.
 
 Each case is kept as the forms (a, b), value a*t + b, of p, s and r, the
@@ -58,14 +58,24 @@ def split_forms(m_plus: int, m_minus: int) -> tuple[tuple[int, int], ...]:
     """
     if min(m_plus, m_minus) < 1 or math.gcd(m_plus, m_minus) != 1:
         raise ValueError(f"a split needs coprime m+, m- >= 1, got ({m_plus}, {m_minus})")
-    n = 2 * m_plus * m_minus
-    p0 = next(p for p in range(2 * m_plus - 1, n + 1, 2 * m_plus) if (p - 1) % (2 * m_minus) == 0)
-    return (n, p0), (m_minus, (p0 + 1) // (2 * m_plus)), (m_plus, (p0 - 1) // (2 * m_minus))
+    p0 = 2 * m_plus * (pow(m_plus, -1, m_minus) or m_minus) - 1  # k = 1/m_plus mod m_minus in [1, m_minus]
+    return (2 * m_plus * m_minus, p0), (m_minus, (p0 + 1) // (2 * m_plus)), (m_plus, (p0 - 1) // (2 * m_minus))
+
+
+def split_of(name: str) -> tuple[int, int]:
+    """The split (m+, m-) a case name stands for: its row of CASES for a letter,
+    the pair for M+:M- in ASCII digits.  split_forms checks the pair."""
+    plus, colon, minus = name.partition(":")
+    if colon and name.isascii() and plus.isdigit() and minus.isdigit():
+        return int(plus), int(minus)
+    if name not in CASES:
+        raise ValueError(f"case must be one of {', '.join(CASES)} or a split M+:M- such as 4:3, got {name!r}")
+    return CASES[name]
 
 
 @dataclass(frozen=True)
 class CaseSpec:
-    """One of the four linear progressions: the forms of p, s and r, in that order."""
+    """A case's linear progressions: the forms of p, s and r, in that order."""
 
     case_id: str
     polys: PolynomialFamily
@@ -75,10 +85,8 @@ class CaseSpec:
 
 
 def case_spec(case_id: str) -> CaseSpec:
-    """The case's forms of p, s and r, from split_forms of its row in CASES."""
-    if case_id not in CASES:
-        raise ValueError(f"case must be one of {CASE_IDS}, got {case_id!r}")
-    return CaseSpec(case_id, PolynomialFamily(split_forms(*CASES[case_id])))
+    """The forms of p, s and r of a case named a, b, c, d or M+:M-, from split_forms of split_of(case_id)."""
+    return CaseSpec(case_id, PolynomialFamily(split_forms(*split_of(case_id))))
 
 
 @dataclass(frozen=True)
@@ -94,7 +102,7 @@ class TripleHit:
     attains: tuple[bool, bool, bool, bool]
 
     def __post_init__(self):
-        m_plus, m_minus = CASES[self.case_id]
+        m_plus, m_minus = split_of(self.case_id)
         if self.p * (self.p * self.p - 1) // 2 != 2 * m_plus * m_minus * self.p * self.s * self.r:
             raise AssertionError(f"|G| != 2 m+ m- psr at t={self.t}")
 
@@ -126,7 +134,7 @@ def _make_hit(spec: CaseSpec, t: int) -> TripleHit:
     delta = 2 tau(m+) and epsilon = 2 tau(m-).  verify_attainment factors
     p -+ 1 instead.
     """
-    m_plus, m_minus = CASES[spec.case_id]
+    m_plus, m_minus = split_of(spec.case_id)
     p, s, r = spec.polys.values(t)
     prof = invariants.assemble_profile(p, 2 * arith.tau(m_plus), 2 * arith.tau(m_minus))
     attains = tuple(got == want for got, want in zip(invariants.counts(prof), TARGET_COUNTS))
@@ -140,10 +148,10 @@ def verify_attainment(hit: TripleHit) -> tuple[bool, bool, bool, bool]:
     and mod 5 by the split alone, so sigma = [4 | m+ m-] and
     alpha = [5 | m+ m-] are asserted along the way.
     """
-    m = math.prod(CASES[hit.case_id])
+    m = math.prod(split_of(hit.case_id))
     prof = invariants.profile(hit.p)
     if min(hit.s, hit.r) >= 7 and (prof.sigma, prof.alpha) != (m % 4 == 0, m % 5 == 0):
-        raise AssertionError(f"sigma/alpha at p={hit.p} differ from those of the split {CASES[hit.case_id]}")
+        raise AssertionError(f"sigma/alpha at p={hit.p} differ from those of case {hit.case_id}")
     return tuple(got == want for got, want in zip(invariants.counts(prof), TARGET_COUNTS))
 
 
@@ -156,14 +164,14 @@ def _scan_block(args, share: tuple[int, int] = (0, 1)) -> tuple[int, int, list[i
     One arith.sieve_forms call, on the share (k, m) of its wheel classes,
     gives the offsets of the prime triples.  The slopes of s and r are m-
     and m+, and the values grow with t, so the hits (s and r past the
-    largest prime of m+ m-) are the triples from the first t where both
+    largest prime of m+ m-, or 1) are the triples from the first t where both
     pass it, and the first hit_cap become hit ts.  p mod 40 follows from
     t mod 40, and so does sigma = alpha = 0.
     """
     forms, lo, hi, hit_cap = args
     (a_p, b_p), *halves = forms
     offsets = arith.sieve_forms(forms, lo, hi, share=share)
-    floor = max(q for q, _ in arith.factorize(math.prod(a for a, _ in halves)))
+    floor = max((q for q, _ in arith.factorize(math.prod(a for a, _ in halves))), default=1)
     t_hit = max((floor - b) // a + 1 for a, b in halves)
     hits = offsets[np.searchsorted(offsets, t_hit - lo) :]
     zero = np.array([invariants.sigma_alpha(a_p * (lo + c) + b_p) == (0, 0) for c in range(40)])  # t = lo + c mod 40

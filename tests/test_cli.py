@@ -229,6 +229,17 @@ class TestSearchCommand:
     def test_bad_case(self):
         assert run(["search", "e", "--t-max", "10"])[0] == 2
 
+    def test_split_named_by_its_pair(self):
+        # 3:2 is case a under its own label; 1:1's one triple, (5, 3, 2), is at t = 2
+        a = json.loads(run(["search", "a", "--t-max", "1e4", "--format", "json"])[1])
+        code, out, _ = run(["search", "3:2", "--t-max", "1e4", "--format", "json"])
+        assert code == 0 and json.loads(out) == dict(a, case="3:2")
+        code, out, _ = run(["search", "1:1", "--t-max", "100", "--format", "json"])
+        assert code == 0
+        d = json.loads(out)
+        assert (d["case"], d["q_count"]) == ("1:1", 1)
+        assert [(h["t"], h["p"], h["s"], h["r"]) for h in d["first_hits"]] == [(2, 5, 3, 2)]
+
     def test_scientific_notation(self):
         code, out, _ = run(["search", "a", "--t-max", "1e3", "--format", "json"])
         assert json.loads(out)["t_max"] == 1000
@@ -319,6 +330,46 @@ class TestSearchCommand:
 
     def test_negative_hit_counts_are_usage_errors(self):
         assert run(["search", "a", "--t-max", "100", "--show-hits", "-1"])[0] == 2
+
+
+class TestCaseNames:
+    """search and bhc take a case a-d or a split M+:M-; anything else is a usage error."""
+
+    ARGS = {"search": ["--t-max", "100"], "bhc": ["--x", "1e6", "--trunc", "1e4"]}
+
+    @pytest.mark.parametrize("command", ["search", "bhc"])
+    @pytest.mark.parametrize("name", ["e", "3:", ":3", "2:4", "0:3", "3:2:1", "x:y"])
+    def test_bad_name_is_one_usage_line(self, command, name):
+        code, out, err = run([command, name, *self.ARGS[command]])
+        assert (code, out) == (2, ""), err
+        assert len(err.splitlines()) == 1 and err.startswith("psl2count: ") and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("name", ["5:7", "1:1"])
+    def test_bhc_refuses_a_split_with_a_fixed_prime(self, name):
+        code, out, err = run(["bhc", name, *self.ARGS["bhc"]])
+        assert (code, out) == (2, "")
+        assert err == "psl2count: the family product has the fixed prime divisor 2\n"
+
+    def test_help_shows_both_forms(self):
+        assert cli._CASE == "{" + ",".join(search.CASE_IDS) + ",M+:M-}"
+        for command in ("search", "bhc"):
+            code, out, _ = run([command, "--help"], env={"COLUMNS": "80"})
+            assert code == 0 and "{a,b,c,d,M+:M-}" in out, out
+
+    def test_q_file_of_a_split(self, tmp_path):
+        qf = tmp_path / "q43.json"
+        code, out, _ = run(["search", "4:3", "--t-max", "1e6", "--format", "json"])
+        assert code == 0 and json.loads(out)["q_count"] == 1900
+        qf.write_text(out)
+        code, out, err = run(["bhc", "4:3", "--x", "1e6", "--trunc", "1e5", "--q-file", str(qf)])
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == "Q = 1900 at t_max = 1000000, (E - Q)/Q = -0.8878%"
+        code, out, err = run(["bhc", "3:4", "--x", "1e6", "--trunc", "1e5", "--q-file", str(qf)])
+        assert (code, out) == (2, "")
+        assert err == "psl2count: scan file is for case '4:3', estimate is for '3:4'\n"
+        # a name that is no case is reported as such, before the scan file is read
+        code, out, err = run(["bhc", "4:", "--x", "1e6", "--trunc", "1e5", "--q-file", str(qf)])
+        assert (code, out) == (2, "") and err.startswith("psl2count: case must be one of a, b, c, d or a split M+:M-")
 
 
 class TestBhcCommand:

@@ -5,10 +5,12 @@ import doctest
 import importlib
 import pathlib
 import pkgutil
+import shlex
 
 import pytest
 
 import psl2count
+from psl2count import cli, search
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(f"psl2count.{info.name}" for info in pkgutil.iter_modules(psl2count.__path__))
@@ -24,6 +26,25 @@ def test_readme_example():
     result = doctest.testfile(str(README), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def test_readme_commands_parse():
+    # every psl2count line of the usage block parses, with its case read by
+    # split_of, so a renamed flag, subcommand or case breaks this test
+    lines = [line for line in README.read_text().split("\n## CLI\n")[1].split("\n## ")[0].splitlines()
+             if line.startswith("psl2count ")]
+    assert len(lines) >= 15
+    parser = cli.build_parser()
+    cases = set()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        if argv[-2:-1] == [">"]:
+            argv = argv[:-2]
+        args = parser.parse_args(argv)
+        if args.command in ("search", "bhc"):
+            search.split_forms(*search.split_of(args.case))
+            cases.add(args.case)
+    assert {"a", "b", "4:3"} <= cases
 
 
 def test_all_matches_imports():

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -13,6 +14,10 @@ from psl2count import arith, bhc, cli, invariants, search
 
 SPECS = {c: search.case_spec(c) for c in search.CASE_IDS}
 FORMS = {c: spec.polys.polys for c, spec in SPECS.items()}  # the arguments of search._scan_block
+
+# every coprime split (m+, m-) with 6 | m+ m- <= 36, by M+:M- name: 28 of them
+SPLITS = [f"{mp}:{mm}" for mp in range(1, 37) for mm in range(1, 37)
+          if math.gcd(mp, mm) == 1 and mp * mm <= 36 and mp * mm % 6 == 0]
 
 # brute-force counts committed once; any change is a regression
 FROZEN_Q_1E3 = {"a": 13, "b": 21, "c": 16, "d": 20}
@@ -44,6 +49,27 @@ class TestCaseSpec:
         with pytest.raises(ValueError):
             search.case_spec("e")
 
+    @pytest.mark.parametrize("name", ["e", "A", "", "3:", ":3", "3:2:1", "x:y", " 3:2", "3:2 ", "+3:2", "3:-2",
+                                      "3.0:2", "\u00b2:3", "\u0663:2"])
+    def test_names_that_are_no_case(self, name):
+        # neither a letter a-d nor M+:M- in ASCII digits: the message names both forms
+        with pytest.raises(ValueError, match="one of a, b, c, d or a split M\\+:M-"):
+            search.split_of(name)
+
+    @pytest.mark.parametrize("name", ["2:4", "0:3", "3:0", "6:3"])
+    def test_split_names_that_are_no_split(self, name):
+        with pytest.raises(ValueError, match="coprime"):
+            search.case_spec(name)
+
+    def test_split_names(self):
+        assert [search.split_of(c) for c in search.CASE_IDS] == [search.CASES[c] for c in search.CASE_IDS]
+        assert [search.split_of(n) for n in ("4:3", "1:1", "03:10", "15:2")] == [(4, 3), (1, 1), (3, 10), (15, 2)]
+        for c in search.CASE_IDS:
+            # a letter and its split give the same forms, each under its own label
+            pair = search.case_spec("%d:%d" % search.CASES[c])
+            assert (pair.polys, pair.case_id) == (SPECS[c].polys, "%d:%d" % search.CASES[c])
+        assert len(SPLITS) == 28 and {"3:2", "2:3", "6:1", "1:6", "4:3", "3:10"} <= set(SPLITS)
+
     def test_wrong_multiplier_raises(self):
         # a split needs coprime m+, m- >= 1: (2, 4), (6, 3) and (3, 3) share a
         # factor, and the others have a multiplier below 1
@@ -53,6 +79,14 @@ class TestCaseSpec:
 
 
 class TestSplitFamily:
+    def test_large_pairs_are_immediate(self):
+        # p0 comes from an inverse of m+ mod m-, not from a walk of up to m-
+        # steps over [1, 2 m+ m-]; here m+ = -1 mod m-, the walk's longest case
+        start = time.perf_counter()
+        (a_p, p0), _, _ = search.split_forms(10**7, 10**7 + 1)
+        assert time.perf_counter() - start < 0.1
+        assert (a_p, p0) == (2 * 10**7 * (10**7 + 1), 2 * 10**14 - 1)
+
     def test_identities_and_least_p0(self):
         for m_plus in range(1, 40):
             for m_minus in range(1, 40):
@@ -195,6 +229,41 @@ class TestExactSieve(WheelMin):
         for lo in range(1, 61):
             got = search._scan_block((forms, lo, 300, 10**6))
             assert got == _plain_block(spec, lo, 300, floor=5), (pair, lo)
+
+
+class TestSplitScans:
+    """scan on every split of SPLITS, named M+:M-, against the plain loop."""
+
+    @pytest.mark.parametrize("name", SPLITS)
+    def test_scan_matches_plain_loop_at_one_and_two_jobs(self, name, force_wheel_min, monkeypatch):
+        spec = search.case_spec(name)
+        floor = max(q for q, _ in arith.factorize(math.prod(search.split_of(name))))
+        q_count, sz_count, hit_ts = _plain_block(spec, 1, 10**4, floor=floor)
+        assert q_count > 0
+        one = search.scan(spec, 10**4, jobs=1)
+        # the same t through the wheel, its classes shared by two processes, one of them forked
+        force_wheel_min(1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        two = search.scan(spec, 10**4, jobs=2)
+        _assert_no_child_left()
+        assert two == one
+        assert (one.case_id, one.q_count, one.sigma_alpha_zero_count) == (name, q_count, sz_count)
+        assert [h.t for h in one.hits] == hit_ts
+        for h in one.hits:
+            assert search.verify_attainment(h) == h.attains, (name, h.t)
+
+    def test_split_of_a_case_scans_as_the_case(self):
+        a, split = search.scan(SPECS["a"], 10**4), search.scan(search.case_spec("3:2"), 10**4)
+        assert split.case_id == "3:2"
+        assert split.to_json_dict() == dict(a.to_json_dict(), case="3:2")
+
+    def test_one_one_starts_where_s_and_r_reach_two(self):
+        # m+ m- = 1 has no prime: the hits start where s and r pass 1, and the
+        # only triple is (5, 3, 2) at t = 2, as r = t and s = t + 1
+        summary = search.scan(search.case_spec("1:1"), 100)
+        assert (summary.q_count, [(h.t, h.p, h.s, h.r) for h in summary.hits]) == (1, [(2, 5, 3, 2)])
+        assert search._scan_block((search.split_forms(1, 1), 1, 100, 10)) == _plain_block(
+            search.case_spec("1:1"), 1, 100, floor=1)
 
 
 class TestWheel(WheelMin):
