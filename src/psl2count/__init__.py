@@ -9,7 +9,7 @@ often such triples occur, and a scan for the primes relevant to the
 conditional upper-bound argument.
 """
 
-from .arith import big_omega, divisors, factorize, is_prime, primes_in_range, tau, two_adic_valuation
+from .arith import PolynomialFamily, big_omega, divisors, factorize, is_prime, primes_in_range, tau, two_adic_valuation
 from .invariants import (
     ClassCensus,
     ClassEntry,
@@ -23,7 +23,7 @@ from .invariants import (
 )
 from .oracle import OracleClass, PermGroup, ResourceLimitError, Subgroup, build_psl2, classify, enumerate_subgroups, oracle_census
 from .search import CaseSpec, SearchSummary, TripleHit, case_spec, scan, verify_attainment
-from .bhc import BhcEstimate, HlConstant, PolynomialFamily, check_sh, estimate_E, family, hl_constant, omega_roots
+from .bhc import BhcEstimate, HlConstant, check_sh, estimate_E, family, hl_constant, omega_roots
 from .heathbrown import HbCandidate, HbScan, derive_upper_bounds, qualifies, scan_hb
 
 __all__ = [

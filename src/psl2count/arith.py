@@ -1,7 +1,7 @@
-"""Integer arithmetic helpers: primality, factorization, divisor counts, two
-sieves of linear forms with one input check and one root set-up (sieve_forms
-for primes, by a wheel mod 210 or 1 from the window length, and
-factor_counts), and the one source of ranges of primes, prime_segments.
+"""Integer arithmetic helpers: primality, factorization, divisor counts, families of
+linear forms (PolynomialFamily), two sieves of such forms with one input check and one
+root set-up (sieve_forms for primes, by a wheel mod 210 or 1 from the window length,
+and factor_counts), and the one source of ranges of primes, prime_segments.
 
 Everything here is exact and deterministic.  Primality testing uses a fixed
 witness set that is proven correct for all inputs below 2**64, so no function
@@ -11,6 +11,7 @@ in this module accepts larger arguments.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,6 +123,35 @@ def inverse_mod(a: int, primes: np.ndarray) -> np.ndarray:
     if tabled:
         k = k[residue]
     return (k * primes + np.uint64(1)) // np.uint64(a)
+
+
+@dataclass(frozen=True)
+class PolynomialFamily:
+    """A finite family of linear integer polynomials, each a pair (a, b) for a*t + b with a >= 1."""
+
+    polys: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        if not self.polys:
+            raise ValueError("family must contain at least one polynomial")
+        for coeffs in self.polys:
+            if len(coeffs) != 2:
+                raise ValueError(f"members are coefficient pairs (a, b) for a*t + b, got {coeffs}")
+            if coeffs[0] < 1:
+                raise ValueError(f"leading coefficients must be positive, got {coeffs}")
+            if any(abs(c) > U64_MAX for c in coeffs):
+                raise ValueError("coefficients must fit in 64 bits")
+
+    @property
+    def m(self) -> int:
+        return len(self.polys)
+
+    def value(self, index: int, t: int) -> int:
+        a, b = self.polys[index]
+        return a * t + b
+
+    def values(self, t: int) -> tuple[int, ...]:
+        return tuple(self.value(i, t) for i in range(self.m))
 
 
 def _check_forms(forms, lo: int, hi: int) -> int:

@@ -25,35 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith, runner
-
-
-@dataclass(frozen=True)
-class PolynomialFamily:
-    """A finite family of linear integer polynomials, each a pair (a, b) for a*t + b with a >= 1."""
-
-    polys: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if not self.polys:
-            raise ValueError("family must contain at least one polynomial")
-        for coeffs in self.polys:
-            if len(coeffs) != 2:
-                raise ValueError(f"members are coefficient pairs (a, b) for a*t + b, got {coeffs}")
-            if coeffs[0] < 1:
-                raise ValueError(f"leading coefficients must be positive, got {coeffs}")
-            if any(abs(c) > arith.U64_MAX for c in coeffs):
-                raise ValueError("coefficients must fit in 64 bits")
-
-    @property
-    def m(self) -> int:
-        return len(self.polys)
-
-    def value(self, index: int, t: int) -> int:
-        a, b = self.polys[index]
-        return a * t + b
-
-    def values(self, t: int) -> tuple[int, ...]:
-        return tuple(self.value(i, t) for i in range(self.m))
+from .arith import PolynomialFamily
 
 
 def family(*polys: tuple[int, int]) -> PolynomialFamily:

@@ -291,7 +291,7 @@ def cmd_search(args) -> int:
         print(f"case ({summary.case_id}): t in [1, {summary.t_max}]")
         print(f"prime triples: {summary.q_count}")
         print(f"with sigma = alpha = 0: {summary.sigma_alpha_zero_count}")
-        print(f"first {len(summary.hits)} hits (s, r both at least 5):")
+        print(f"first {len(summary.hits)} hits (s, r both at least {spec.least_hit}):")
         for h in summary.hits:
             flags = "".join("icsn"[j] if h.attains[j] else "-" for j in range(4))
             print(f"  t={h.t:<8} p={h.p:<12} s={h.s:<12} r={h.r:<12} attains {flags}")
@@ -302,8 +302,8 @@ def cmd_search(args) -> int:
 # bhc
 
 
-def _read_q_file(path: str, case: str) -> tuple[int, object]:
-    """q_count and t_max of a JSON scan summary for the given case.
+def _read_q_file(path: str, spec: search.CaseSpec, x: float) -> tuple[int, int]:
+    """q_count and t_max of a JSON scan summary of the case's split (a or 3:2 for case a), with t_max = x.
 
     Every bad input raises ValueError naming the scan file: a usage error, not a bug.
     """
@@ -315,18 +315,24 @@ def _read_q_file(path: str, case: str) -> tuple[int, object]:
     q = scan_data.get("q_count") if isinstance(scan_data, dict) else None
     if type(q) is not int or q < 1:  # type(), as a bool is an int too
         raise ValueError(f"scan file {path} has no integer q_count >= 1 at its top level")
-    if scan_data.get("case") != case:
-        raise ValueError(f"scan file is for case {scan_data.get('case')!r}, estimate is for {case!r}")
-    return q, scan_data.get("t_max")
+    case, t_max = scan_data.get("case"), scan_data.get("t_max")
+    split = None
+    with contextlib.suppress(ValueError):  # a string that names no case has no split
+        split = search.split_of(case) if isinstance(case, str) else None
+    if split != spec.split:
+        raise ValueError(f"scan file is for case {case!r}, estimate is for {spec.case_id!r}")
+    if type(t_max) is not int or t_max != x:
+        raise ValueError(f"scan file {path} is for t_max = {t_max!r}, estimate is for x = {_real(x)}")
+    return q, t_max
 
 
 def cmd_bhc(args) -> int:
     # the case and the scan file are checked before anything is computed or printed
-    fam = search.case_spec(args.case).polys
-    q_scan = None if args.q_file is None else _read_q_file(args.q_file, args.case)
-    bhc.check_x(fam, args.x)  # refuse a bad x before sieving for the Euler product
-    constant = bhc.hl_constant(fam, args.trunc)
-    est = bhc.estimate_E(fam, float(args.x), constant)
+    spec = search.case_spec(args.case)
+    q_scan = None if args.q_file is None else _read_q_file(args.q_file, spec, args.x)
+    bhc.check_x(spec.polys, args.x)  # refuse a bad x before sieving for the Euler product
+    constant = bhc.hl_constant(spec.polys, args.trunc)
+    est = bhc.estimate_E(spec.polys, float(args.x), constant)
 
     out = {
         "family": args.case,

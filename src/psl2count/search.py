@@ -11,18 +11,18 @@ of p, s and r from (m+, m-).  A case is named M+:M- or by a row of CASES:
   d     (1, 6)     12t + 1   6t + 1   t
 
 A t where all three values are prime is counted; it is recorded as a hit
-when additionally s and r pass the largest prime of m+ m- (1 for 1:1), so
-that |G| = 2 m+ m- p s r with s and r prime to m+ m-, and the profile
-follows from (m+, m-) alone.  In cases (a) and (b) every hit with p > 37
-attains the least possible counts (i, c, s, n) = (17, 18, 6, 12); smaller
-p and the other splits can miss one or more of them, which the attainment
-flags record.
+when additionally s and r pass the floor, the largest prime of m+ m- (1 for
+1:1), so that |G| = 2 m+ m- p s r with s and r prime to m+ m-, and the
+profile follows from (m+, m-) alone.  In cases (a) and (b) every hit with p > 37
+attains the least possible counts (i, c, s, n) = (17, 18, 6, 12); smaller p and the
+other splits can miss one or more of them, which the attainment flags record.
 
-Each case is kept as the forms (a, b), value a*t + b, of p, s and r, the
-pair order of arith and bhc, and scanning hands them unchanged to
-arith.sieve_forms, in blocks of t.  Each block's wheel classes are shared
-out over worker processes by runner.run, and the shares' results are
-merged so the scan stays bit-for-bit independent of the process count.
+case_spec(name) is the case as one CaseSpec: its label and split and, worked out once,
+the forms (a, b), value a*t + b, of p, s and r (the pair order of arith and bhc), the
+floor and the least hit value, below which no hit's s or r lies (5 in cases a-d).  A
+scan sieves the forms by arith.sieve_forms in blocks of t and keeps the hits past the
+floor; each block's wheel classes are shared out over worker processes by runner.run,
+and the shares' results are merged so the scan is bit-for-bit the same at any process count.
 """
 
 from __future__ import annotations
@@ -30,16 +30,14 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import arith, invariants, runner
-from .bhc import PolynomialFamily
 
 # Per case: the split (m+, m-) with (p + 1)/2 = m+ * s and (p - 1)/2 = m- * r.
 CASES = {"a": (3, 2), "b": (2, 3), "c": (6, 1), "d": (1, 6)}
-CASE_IDS = tuple(CASES)
 
 TARGET_COUNTS = (17, 18, 6, 12)
 
@@ -75,18 +73,27 @@ def split_of(name: str) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class CaseSpec:
-    """A case's linear progressions: the forms of p, s and r, in that order."""
+    """A case: its label, its split (m+, m-) and, worked out once from it, the forms of p, s and r (split_forms
+    checks the pair), the floor (the largest prime of m+ m-, or 1) and the least hit value, the next prime past it."""
 
     case_id: str
-    polys: PolynomialFamily
+    split: tuple[int, int]
+    polys: arith.PolynomialFamily = field(init=False)
+    floor: int = field(init=False)
+    least_hit: int = field(init=False)  # in (floor, 2 floor], by Bertrand's postulate
+
+    def __post_init__(self):
+        object.__setattr__(self, "polys", arith.PolynomialFamily(split_forms(*self.split)))
+        object.__setattr__(self, "floor", max((q for m in self.split for q, _ in arith.factorize(m)), default=1))
+        object.__setattr__(self, "least_hit", next(n for n in range(self.floor + 1, 2 * self.floor + 1) if arith.is_prime(n)))
 
     def value(self, role: str, t: int) -> int:
         return self.polys.value("psr".index(role), t)
 
 
 def case_spec(case_id: str) -> CaseSpec:
-    """The forms of p, s and r of a case named a, b, c, d or M+:M-, from split_forms of split_of(case_id)."""
-    return CaseSpec(case_id, PolynomialFamily(split_forms(*split_of(case_id))))
+    """The case named a, b, c, d or M+:M-, with the split split_of(case_id)."""
+    return CaseSpec(case_id, split_of(case_id))
 
 
 @dataclass(frozen=True)
@@ -129,14 +136,11 @@ class SearchSummary:
 
 
 def _make_hit(spec: CaseSpec, t: int) -> TripleHit:
-    """The hit at t, its profile in closed form: (p + 1)/2 = m+ * s and
-    (p - 1)/2 = m- * r with s and r primes past every prime of m+ m-, so
-    delta = 2 tau(m+) and epsilon = 2 tau(m-).  verify_attainment factors
-    p -+ 1 instead.
+    """The hit at t, its profile in closed form: (p + 1)/2 = m+ * s and (p - 1)/2 = m- * r with s and r
+    primes past the floor, so delta = 2 tau(m+) and epsilon = 2 tau(m-).  verify_attainment factors p -+ 1 instead.
     """
-    m_plus, m_minus = split_of(spec.case_id)
     p, s, r = spec.polys.values(t)
-    prof = invariants.assemble_profile(p, 2 * arith.tau(m_plus), 2 * arith.tau(m_minus))
+    prof = invariants.assemble_profile(p, *(2 * arith.tau(m) for m in spec.split))
     attains = tuple(got == want for got, want in zip(invariants.counts(prof), TARGET_COUNTS))
     return TripleHit(spec.case_id, t, p, s, r, prof, attains)
 
@@ -161,17 +165,15 @@ _BLOCK = 210 * 2**20  # t per block of scan: 2**20 t per class of the wheel in a
 def _scan_block(args, share: tuple[int, int] = (0, 1)) -> tuple[int, int, list[int]]:
     """Scan [lo, hi] along the forms of p, s and r; returns (q_count, sz_count, hit ts).
 
-    One arith.sieve_forms call, on the share (k, m) of its wheel classes,
-    gives the offsets of the prime triples.  The slopes of s and r are m-
-    and m+, and the values grow with t, so the hits (s and r past the
-    largest prime of m+ m-, or 1) are the triples from the first t where both
-    pass it, and the first hit_cap become hit ts.  p mod 40 follows from
-    t mod 40, and so does sigma = alpha = 0.
+    args is (forms, floor, lo, hi, hit_cap), with the case's forms and floor.  One
+    arith.sieve_forms call, on the share (k, m) of its wheel classes, gives the offsets
+    of the prime triples.  The values of s and r grow with t, so the hits (s and r past
+    the floor) are the triples from the first t where both pass it, and the first
+    hit_cap become hit ts.  p mod 40 follows from t mod 40, and so does sigma = alpha = 0.
     """
-    forms, lo, hi, hit_cap = args
+    forms, floor, lo, hi, hit_cap = args
     (a_p, b_p), *halves = forms
     offsets = arith.sieve_forms(forms, lo, hi, share=share)
-    floor = max((q for q, _ in arith.factorize(math.prod(a for a, _ in halves))), default=1)
     t_hit = max((floor - b) // a + 1 for a, b in halves)
     hits = offsets[np.searchsorted(offsets, t_hit - lo) :]
     zero = np.array([invariants.sigma_alpha(a_p * (lo + c) + b_p) == (0, 0) for c in range(40)])  # t = lo + c mod 40
@@ -221,7 +223,7 @@ def scan(
     for lo in range(1, t_max + 1, _BLOCK):
         hi = min(lo + _BLOCK - 1, t_max)
         workers = min(jobs, runner.default_jobs(), max(1, len(arith.wheel_classes(forms, lo, hi)[1])))  # share 0 holds the special t
-        args = (forms, lo, hi, hit_cap)
+        args = (forms, spec.floor, lo, hi, hit_cap)
         shares = runner.run(_scan_block, [(args, (k, workers)) for k in range(workers)], workers)
         q_count += sum(q for q, _, _ in shares)
         sz_count += sum(sz for _, sz, _ in shares)

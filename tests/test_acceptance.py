@@ -231,7 +231,7 @@ def test_09_property_suites(monkeypatch):
             break
 
     # root counts: brute force against the closed form for every small prime
-    for case_id in search.CASE_IDS:
+    for case_id in search.CASES:
         fam = search.case_spec(case_id).polys
         for p in arith.primes_in_range(2, 97):
             brute = sum(any(v % p == 0 for v in fam.values(t)) for t in range(p))

@@ -11,7 +11,7 @@ import pytest
 
 from psl2count import arith, bhc, oracle, search
 
-FAMS = {c: search.case_spec(c).polys for c in search.CASE_IDS}
+FAMS = {c: search.case_spec(c).polys for c in search.CASES}
 
 
 def _brute_omega(fam, p):

@@ -240,6 +240,16 @@ class TestSearchCommand:
         assert (d["case"], d["q_count"]) == ("1:1", 1)
         assert [(h["t"], h["p"], h["s"], h["r"]) for h in d["first_hits"]] == [(2, 5, 3, 2)]
 
+    @pytest.mark.parametrize("case_id,least", [("a", 5), ("b", 5), ("c", 5), ("d", 5), ("1:1", 2), ("3:10", 7)])
+    def test_table_header_shows_the_least_hit_value(self, case_id, least):
+        # the next prime past the largest prime of m+ m- (1 for 1:1), below which no hit's s or r lies
+        code, out, _ = run(["search", case_id, "--t-max", "100"])
+        assert code == 0
+        header = next(line for line in out.splitlines() if line.startswith("first "))
+        assert header.endswith(f" hits (s, r both at least {least}):"), header
+        hits = [re.search(r" s=(\d+) +r=(\d+) ", line) for line in out.splitlines() if line.startswith("  t=")]
+        assert hits and min(int(v) for h in hits for v in h.groups()) >= least
+
     def test_scientific_notation(self):
         code, out, _ = run(["search", "a", "--t-max", "1e3", "--format", "json"])
         assert json.loads(out)["t_max"] == 1000
@@ -302,7 +312,7 @@ class TestSearchCommand:
         assert out == ""
         assert err.startswith("psl2count: resource cap hit: ResourceLimitError")
 
-    @pytest.mark.parametrize("case_id", search.CASE_IDS)
+    @pytest.mark.parametrize("case_id", search.CASES)
     def test_64_bit_bound_reads_the_case_forms(self, case_id):
         # at t = floor((2**64 - 2)/12) case d's largest value, 12t + 1, still fits in
         # 64 bits, so only its base primes pass a cap (3); 12t + 5, 12t + 7 and
@@ -351,7 +361,7 @@ class TestCaseNames:
         assert err == "psl2count: the family product has the fixed prime divisor 2\n"
 
     def test_help_shows_both_forms(self):
-        assert cli._CASE == "{" + ",".join(search.CASE_IDS) + ",M+:M-}"
+        assert cli._CASE == "{" + ",".join(search.CASES) + ",M+:M-}"
         for command in ("search", "bhc"):
             code, out, _ = run([command, "--help"], env={"COLUMNS": "80"})
             assert code == 0 and "{a,b,c,d,M+:M-}" in out, out
@@ -370,6 +380,41 @@ class TestCaseNames:
         # a name that is no case is reported as such, before the scan file is read
         code, out, err = run(["bhc", "4:", "--x", "1e6", "--trunc", "1e5", "--q-file", str(qf)])
         assert (code, out) == (2, "") and err.startswith("psl2count: case must be one of a, b, c, d or a split M+:M-")
+
+    def test_q_file_matches_by_split(self, tmp_path):
+        # 3:2 is case a: its scan feeds bhc a as a's own does; a 3:4 scan is no 4:3 scan
+        lines = {}
+        for name in ("a", "3:2"):
+            qf = tmp_path / f"{name.replace(':', '_')}.json"
+            qf.write_text(run(["search", name, "--t-max", "1e6", "--format", "json"])[1])
+            code, out, err = run(["bhc", "a", "--x", "1e6", "--trunc", "1e5", "--q-file", str(qf)])
+            assert code == 0 and err == "", err
+            lines[name] = out.splitlines()[-1]
+        assert lines["3:2"] == lines["a"] and lines["a"].startswith("Q = 2064 at t_max = 1000000, ")
+        qf = tmp_path / "q34.json"
+        qf.write_text(run(["search", "3:4", "--t-max", "1e4", "--format", "json"])[1])
+        code, out, err = run(["bhc", "4:3", "--x", "1e4", "--trunc", "1e4", "--q-file", str(qf)])
+        assert (code, out, err) == (2, "", "psl2count: scan file is for case '3:4', estimate is for '4:3'\n")
+
+    @pytest.mark.parametrize("case", [5, None, ["a"], {"a": 1}, "e", "3:", "2:4", ""])
+    def test_q_file_whose_case_is_no_case(self, tmp_path, case):
+        qf = tmp_path / "scan.json"
+        qf.write_text(json.dumps({"case": case, "t_max": 10**6, "q_count": 2064}))
+        code, out, err = run(["bhc", "a", "--x", "1e6", "--trunc", "1e4", "--q-file", str(qf)])
+        assert (code, out) == (2, "")
+        assert err.startswith("psl2count: scan file is for case ") and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("t_max", [10**6, None, 10**6 + 1, 1e9, "1000000000", True])
+    def test_q_file_t_max_must_be_x(self, tmp_path, t_max):
+        # Q(t_max) against E(x) only at t_max = x; a missing t_max is refused too
+        qf = tmp_path / "scan.json"
+        scan = {"case": "a", "q_count": 2064}
+        if t_max is not None:
+            scan["t_max"] = t_max
+        qf.write_text(json.dumps(scan))
+        code, out, err = run(["bhc", "a", "--x", "1e9", "--trunc", "1e4", "--q-file", str(qf)])
+        assert (code, out) == (2, "")
+        assert err == f"psl2count: scan file {qf} is for t_max = {t_max!r}, estimate is for x = 1000000000\n"
 
 
 class TestBhcCommand:

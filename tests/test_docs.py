@@ -57,6 +57,25 @@ def test_all_matches_imports():
         assert getattr(psl2count, name) is not None, name
 
 
+def _package_imports(source: str) -> set[str]:
+    """The psl2count modules that source imports, relatively or by the package's name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "psl2count"):
+            module = (node.module or "").removeprefix("psl2count").lstrip(".").split(".")[0]
+            found |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("psl2count.")}
+    return found
+
+
+def test_search_does_not_import_bhc():
+    # search takes PolynomialFamily from arith, so a scan need not load bhc
+    assert _package_imports(pathlib.Path(search.__file__).read_text()) == {"arith", "invariants", "runner"}
+    code = "from . import arith\nfrom .bhc import family\nimport psl2count.oracle\nfrom psl2count.heathbrown import qualifies\n"
+    assert _package_imports(code) == {"arith", "bhc", "oracle", "heathbrown"}
+
+
 def test_no_assert_statements_in_the_package():
     # invariants raise explicitly: python -O strips assert statements
     found = [f"{path.name}:{node.lineno}" for path in sorted(pathlib.Path(psl2count.__file__).parent.rglob("*.py"))

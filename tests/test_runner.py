@@ -186,7 +186,7 @@ class TestHbJobs:
 
 
 class TestHlConstantJobs:
-    @pytest.mark.parametrize("case_id", search.CASE_IDS)
+    @pytest.mark.parametrize("case_id", search.CASES)
     @pytest.mark.parametrize("truncation", [10**5, 10**7])
     def test_constant_independent_of_jobs(self, case_id, truncation, cores):
         fam = search.case_spec(case_id).polys

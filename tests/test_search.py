@@ -12,8 +12,8 @@ import pytest
 
 from psl2count import arith, bhc, cli, invariants, search
 
-SPECS = {c: search.case_spec(c) for c in search.CASE_IDS}
-FORMS = {c: spec.polys.polys for c, spec in SPECS.items()}  # the arguments of search._scan_block
+SPECS = {c: search.case_spec(c) for c in search.CASES}
+HEADS = {c: (spec.polys.polys, spec.floor) for c, spec in SPECS.items()}  # the forms and floor of search._scan_block
 
 # every coprime split (m+, m-) with 6 | m+ m- <= 36, by M+:M- name: 28 of them
 SPLITS = [f"{mp}:{mm}" for mp in range(1, 37) for mm in range(1, 37)
@@ -45,6 +45,14 @@ class TestCaseSpec:
                 p, s, r = (spec.value(x, t) for x in "psr")
                 assert p * (p * p - 1) // 2 == 12 * p * s * r, (spec.case_id, t)
 
+    @pytest.mark.parametrize("name,floor,least", [("a", 3, 5), ("b", 3, 5), ("c", 3, 5), ("d", 3, 5), ("1:1", 1, 2),
+                                                  ("3:10", 5, 7), ("15:2", 5, 7), ("7:6", 7, 11), ("1:30", 5, 7)])
+    def test_floor_and_least_hit_value(self, name, floor, least):
+        # the largest prime of m+ m- (1 for 1:1), and the next prime past it
+        spec = search.case_spec(name)
+        assert (spec.split, spec.floor, spec.least_hit) == (search.split_of(name), floor, least)
+        assert spec == search.CaseSpec(name, search.split_of(name))
+
     def test_unknown_case(self):
         with pytest.raises(ValueError):
             search.case_spec("e")
@@ -62,9 +70,9 @@ class TestCaseSpec:
             search.case_spec(name)
 
     def test_split_names(self):
-        assert [search.split_of(c) for c in search.CASE_IDS] == [search.CASES[c] for c in search.CASE_IDS]
+        assert [search.split_of(c) for c in search.CASES] == [search.CASES[c] for c in search.CASES]
         assert [search.split_of(n) for n in ("4:3", "1:1", "03:10", "15:2")] == [(4, 3), (1, 1), (3, 10), (15, 2)]
-        for c in search.CASE_IDS:
+        for c in search.CASES:
             # a letter and its split give the same forms, each under its own label
             pair = search.case_spec("%d:%d" % search.CASES[c])
             assert (pair.polys, pair.case_id) == (SPECS[c].polys, "%d:%d" % search.CASES[c])
@@ -139,7 +147,7 @@ class TestScanCounts:
 
     def test_matches_plain_loop(self):
         from psl2count import arith
-        for case_id in search.CASE_IDS:
+        for case_id in search.CASES:
             spec = SPECS[case_id]
             expect = sum(
                 1 for t in range(1, 401)
@@ -203,21 +211,21 @@ class WheelMin:
 
 
 class TestExactSieve(WheelMin):
-    @pytest.mark.parametrize("case_id", search.CASE_IDS)
+    @pytest.mark.parametrize("case_id", search.CASES)
     def test_random_windows_match_plain_loop(self, case_id):
         rng = random.Random(f"sieve-{case_id}")
         for _ in range(10):
             lo = rng.randint(1, 10**9)
             hi = lo + rng.randint(0, 3000)
-            got = search._scan_block((FORMS[case_id], lo, hi, 10**6))
+            got = search._scan_block((*HEADS[case_id], lo, hi, 10**6))
             assert got == _plain_block(SPECS[case_id], lo, hi), (case_id, lo, hi)
 
-    @pytest.mark.parametrize("case_id", search.CASE_IDS)
+    @pytest.mark.parametrize("case_id", search.CASES)
     def test_low_block_starts_match_plain_loop(self, case_id):
         # Values equal to a sieving prime must survive, and r = t = 1 in
         # case d must not.
         for lo in range(1, 61):
-            got = search._scan_block((FORMS[case_id], lo, 300, 10**6))
+            got = search._scan_block((*HEADS[case_id], lo, 300, 10**6))
             assert got == _plain_block(SPECS[case_id], lo, 300), (case_id, lo)
 
     @pytest.mark.parametrize("pair", [(3, 10), (15, 2)])
@@ -225,9 +233,9 @@ class TestExactSieve(WheelMin):
         # 5 divides m+ m-, so the hits start past 5: at t = 1 (3, 10) has
         # the triple (101, 17, 5) and at t = 2 (15, 2) has (149, 5, 37)
         forms = search.split_forms(*pair)
-        spec = search.CaseSpec(f"{pair}", bhc.PolynomialFamily(forms))
+        spec = search.CaseSpec(f"{pair}", pair)
         for lo in range(1, 61):
-            got = search._scan_block((forms, lo, 300, 10**6))
+            got = search._scan_block((forms, spec.floor, lo, 300, 10**6))
             assert got == _plain_block(spec, lo, 300, floor=5), (pair, lo)
 
 
@@ -262,42 +270,42 @@ class TestSplitScans:
         # only triple is (5, 3, 2) at t = 2, as r = t and s = t + 1
         summary = search.scan(search.case_spec("1:1"), 100)
         assert (summary.q_count, [(h.t, h.p, h.s, h.r) for h in summary.hits]) == (1, [(2, 5, 3, 2)])
-        assert search._scan_block((search.split_forms(1, 1), 1, 100, 10)) == _plain_block(
+        assert search._scan_block((search.split_forms(1, 1), 1, 1, 100, 10)) == _plain_block(
             search.case_spec("1:1"), 1, 100, floor=1)
 
 
 class TestWheel(WheelMin):
     """The special t and the blocks around 210 t, against the plain loop."""
 
-    @pytest.mark.parametrize("case_id", search.CASE_IDS)
+    @pytest.mark.parametrize("case_id", search.CASES)
     def test_special_ts_match_plain_loop(self, case_id):
         # a triple outside the 16 classes has a value equal to 2, 3, 5 or 7
         spec = SPECS[case_id]
         special = [t for t in range(8) if any(spec.value(x, t) in (2, 3, 5, 7) for x in "psr")]
         assert special
         for t in special:
-            assert search._scan_block((FORMS[case_id], t, t, 10)) == _plain_block(spec, t, t), (case_id, t)
+            assert search._scan_block((*HEADS[case_id], t, t, 10)) == _plain_block(spec, t, t), (case_id, t)
 
-    @pytest.mark.parametrize("case_id", search.CASE_IDS)
+    @pytest.mark.parametrize("case_id", search.CASES)
     def test_windows_near_1e12_match_plain_loop(self, case_id):
         rng = random.Random(f"wheel-{case_id}")
         for _ in range(10):
             lo = 10**12 + rng.randint(0, 10**9)
             hi = lo + rng.randint(0, 3000)
-            got = search._scan_block((FORMS[case_id], lo, hi, 10**6))
+            got = search._scan_block((*HEADS[case_id], lo, hi, 10**6))
             assert got == _plain_block(SPECS[case_id], lo, hi), (case_id, lo, hi)
 
-    @pytest.mark.parametrize("case_id", search.CASE_IDS)
+    @pytest.mark.parametrize("case_id", search.CASES)
     def test_long_window_matches_short_blocks(self, case_id):
         # one window past 2**20 t against the same t in blocks below it: at
         # the default threshold the wheel against the one class mod 1
         lo = 10**9 + 7
         hi = lo + 2**20 + 999
-        parts = [search._scan_block((FORMS[case_id], b, min(b + 2**19 - 1, hi), 10**6)) for b in range(lo, hi + 1, 2**19)]
+        parts = [search._scan_block((*HEADS[case_id], b, min(b + 2**19 - 1, hi), 10**6)) for b in range(lo, hi + 1, 2**19)]
         expect = (sum(q for q, _, _ in parts), sum(sz for _, sz, _ in parts), [t for _, _, ts in parts for t in ts])
-        assert search._scan_block((FORMS[case_id], lo, hi, 10**6)) == expect
+        assert search._scan_block((*HEADS[case_id], lo, hi, 10**6)) == expect
 
-    @pytest.mark.parametrize("case_id", search.CASE_IDS)
+    @pytest.mark.parametrize("case_id", search.CASES)
     def test_block_sizes_around_the_wheel(self, case_id, monkeypatch):
         # blocks shorter than, equal to and just past 210 t
         base = search.scan(SPECS[case_id], 2000)
@@ -327,7 +335,7 @@ def test_scan_block_memory():
     # 10**8 t or value arrays over the survivors
     tracemalloc.start()
     try:
-        search._scan_block((FORMS["a"], 1, 10**8, 10))
+        search._scan_block((*HEADS["a"], 1, 10**8, 10))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -350,7 +358,7 @@ class TestHits:
         assert (attaining[0].t, attaining[0].p, attaining[0].s, attaining[0].r) == (14, 173, 29, 43)
 
     def test_small_cofactors_excluded(self):
-        for case_id in search.CASE_IDS:
+        for case_id in search.CASES:
             for h in search.scan(SPECS[case_id], 10**3).hits:
                 assert h.s not in (2, 3) and h.r not in (2, 3), (case_id, h.t)
 
@@ -392,7 +400,7 @@ class TestHits:
         assert capped.hits == full.hits[:3]
         assert capped.q_count == full.q_count
 
-    @pytest.mark.parametrize("case_id", search.CASE_IDS)
+    @pytest.mark.parametrize("case_id", search.CASES)
     def test_closed_form_profiles_match_factoring(self, case_id):
         # every hit up to t = 10**5, against profile(p) by factoring p -+ 1
         hits = search.scan(SPECS[case_id], 10**5, hit_cap=10**6).hits
