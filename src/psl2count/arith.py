@@ -1,7 +1,7 @@
 """Integer arithmetic helpers: primality, factorization, divisor counts, families of
 linear forms (PolynomialFamily), two sieves of such forms with one input check and one
 root set-up (sieve_forms for primes, by a wheel mod 210 or 1 from the window length,
-and factor_counts), and the one source of ranges of primes, prime_segments.
+and factor_counts), the one cut of t, windows, and the one source of primes, prime_segments.
 
 Everything here is exact and deterministic.  Primality testing uses a fixed
 witness set that is proven correct for all inputs below 2**64, so no function
@@ -24,8 +24,8 @@ U64_MAX = 2**64 - 1
 # would be a 46 MB uint64 array.
 PRIME_CAP = 10**8
 
-# t per window of prime_segments (p = 2t + 1), and at most that per segment of
-# heathbrown.map_hb, where it makes a 1 MiB uint64 residual per form.  Measured through
+# The default of windows(), read only here: at most this many t per window of prime_segments (p = 2t + 1),
+# bhc.hl_constant and heathbrown.map_hb, where it makes a 1 MiB uint64 residual per form.  Measured through
 # bhc.hl_constant on case a, 2 cores, at 2**16, 2**17 and 2**18: the traced
 # peak at a truncation of 10**7 is 0.8, 1.6 and 3.0 MiB (ru_maxrss of the
 # whole bhc command 31.9, 32.1 and 34.4 MiB), and 10**8 takes 0.61, 0.59
@@ -354,17 +354,23 @@ def factor_counts(a: int, b: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndar
     return omega, tau
 
 
+def windows(lo: int, hi: int, size: int | None = None):
+    """The fewest windows (a, b) of at most size t (_PRIME_SEGMENT, read at the call, by default) that cover
+    [lo, hi], ascending, lazily and all of one length but the last: the one cut of every walk over t."""
+    n = max(hi - lo + 1, 1)
+    step = -(-n // -(-n // (_PRIME_SEGMENT if size is None else size)))
+    return ((a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step))
+
+
 def prime_segments(lo: int, hi: int):
     """The primes p with lo <= p <= hi, ascending, as uint64 arrays.
 
-    2 first when it is in range, then the odd primes 2t + 1 of one window of
-    _PRIME_SEGMENT values of t per array, each window sieved by sieve_forms
-    with its own base primes, so memory stays flat in the length of the
-    range.  This is the one walk over a range of primes; prime_array and
-    primes_in_range are views of it.  The checks run on the first next():
-    lo > hi or hi past 2**64 raise ValueError, and a window whose base
-    primes would pass PRIME_CAP raises ResourceLimitError before it is
-    sieved.
+    2 first when it is in range, then the odd primes 2t + 1 of one window of windows() per
+    array, equal windows of at most 2**17 t, each sieved by sieve_forms with its own base
+    primes, so memory stays flat in the length of the range.  This is the one walk over a
+    range of primes; prime_array and primes_in_range are views of it.  The checks run on the
+    first next(): lo > hi or hi past 2**64 raise ValueError, and a window whose base primes
+    would pass PRIME_CAP raises ResourceLimitError before it is sieved.
     """
     if lo > hi:
         raise ValueError("prime_segments requires lo <= hi")
@@ -372,10 +378,9 @@ def prime_segments(lo: int, hi: int):
         raise ValueError("prime_segments requires hi < 2**64")
     if lo <= 2 <= hi:
         yield np.array([2], dtype=np.uint64)
-    top = (hi - 1) // 2
-    for t_lo in range(max(lo, 2) // 2, top + 1, _PRIME_SEGMENT):
+    for t_lo, t_hi in windows(max(lo, 2) // 2, (hi - 1) // 2):
         # in place: a suspended generator keeps its locals alive
-        primes = sieve_forms([(2, 1)], t_lo, min(t_lo + _PRIME_SEGMENT - 1, top)).astype(np.uint64)
+        primes = sieve_forms([(2, 1)], t_lo, t_hi).astype(np.uint64)
         primes *= np.uint64(2)
         primes += np.uint64(2 * t_lo + 1)
         yield primes

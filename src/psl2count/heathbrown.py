@@ -108,8 +108,8 @@ def scan_segment(lo: int, hi: int) -> HbScan:
 def map_hb(limit: int, fn) -> list:
     """[fn(scan_segment(lo, hi)) for each segment [lo, hi] of t], in order, over runner.run on every core.
 
-    The segments cover p = 72t + 5 <= limit in equal parts of at most
-    arith._PRIME_SEGMENT t (69,445 and 69,444 t to 1e7); each fn runs where
+    The segments are arith.windows of [0, t_max], p = 72t + 5 <= limit: equal
+    windows of at most 2**17 t (69,445 and 69,444 t to 1e7); each fn runs where
     its segment was sieved.  A limit whose sieve needs base primes past
     arith.PRIME_CAP raises ResourceLimitError before any segment.
     """
@@ -117,10 +117,7 @@ def map_hb(limit: int, fn) -> list:
         raise ValueError(f"limit below {HB_MODULUS + HB_RESIDUE} cannot contain a candidate beyond p=5")
     t_max = (limit - HB_RESIDUE) // HB_MODULUS
     arith.check_prime_cap(HB_MODULUS * t_max + HB_RESIDUE)
-    count = -(-(t_max + 1) // arith._PRIME_SEGMENT)
-    size = -(-(t_max + 1) // count)
-    segments = [(lo, min(lo + size - 1, t_max)) for lo in range(0, t_max + 1, size)]
-    return runner.run(lambda lo, hi: fn(scan_segment(lo, hi)), segments, runner.default_jobs())
+    return runner.run(lambda lo, hi: fn(scan_segment(lo, hi)), list(arith.windows(0, t_max)), runner.default_jobs())
 
 
 def scan_hb(limit: int) -> HbScan:

@@ -159,7 +159,7 @@ def verify_attainment(hit: TripleHit) -> tuple[bool, bool, bool, bool]:
     return tuple(got == want for got, want in zip(invariants.counts(prof), TARGET_COUNTS))
 
 
-_BLOCK = 210 * 2**20  # t per block of scan: 2**20 t per class of the wheel in arith.sieve_forms
+_BLOCK = 210 * 2**20  # at most this many t per block of scan (arith.windows): 2**20 t per class of the wheel in arith.sieve_forms
 
 
 def _scan_block(args, share: tuple[int, int] = (0, 1)) -> tuple[int, int, list[int]]:
@@ -191,20 +191,22 @@ def scan(
 ) -> SearchSummary:
     """Count prime triples for t in [1, t_max] and record hits.
 
-    q_count is exact regardless of hit_cap.  Each block's wheel classes
-    (arith.wheel_classes) are split into one share per worker, run by
-    runner.run: this process sieves share 0, and a child forked for the
-    block each of the others.  workers is the least of jobs, runner.default_jobs()
-    and the block's classes (at least 1).  The shares' counts are
-    summed and their hit ts merged, and blocks are merged in order, so the
-    result is identical for every jobs value.  A hit_cap above MAX_HITS or a t_max
-    whose base primes would pass arith.PRIME_CAP raises ResourceLimitError
-    before the first block.  With progress, each merged block prints the t
-    done, the rate and an ETA on stderr.
+    q_count is exact regardless of hit_cap.  The blocks are the equal windows of
+    at most 210 * 2**20 t of arith.windows.  Each block's wheel classes
+    (arith.wheel_classes) are split into one share per worker, run by runner.run:
+    this process sieves share 0, and a child forked for the block each of the others.
+    workers is the least of jobs, runner.default_jobs() and the block's classes (at
+    least 1).  The shares' counts are summed and their hit ts merged, and blocks are
+    merged in order, so the result is identical for every jobs value.  A hit_cap above
+    MAX_HITS or a t_max whose base primes would pass arith.PRIME_CAP raises
+    ResourceLimitError, and a case with 2 m+ m- >= 2**32 ValueError, before the first
+    block.  With progress, each merged block prints the t done, the rate and an ETA on stderr.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     forms = spec.polys.polys
+    if forms[0][0] >= 2**32:  # the sieve's bound on a leading coefficient
+        raise ValueError(f"case {spec.case_id}: the sieve needs p = a*t + b with a = 2 m+ m- < 2**32, got a = {forms[0][0]}")
     top = max(a * t_max + b for a, b in forms)
     if top > arith.U64_MAX:
         raise ValueError("t_max too large for 64-bit polynomial values")
@@ -220,8 +222,7 @@ def scan(
     sz_count = 0
     hit_ts: list[int] = []
     started = time.monotonic()
-    for lo in range(1, t_max + 1, _BLOCK):
-        hi = min(lo + _BLOCK - 1, t_max)
+    for lo, hi in arith.windows(1, t_max, _BLOCK):
         workers = min(jobs, runner.default_jobs(), max(1, len(arith.wheel_classes(forms, lo, hi)[1])))  # share 0 holds the special t
         args = (forms, spec.floor, lo, hi, hit_cap)
         shares = runner.run(_scan_block, [(args, (k, workers)) for k in range(workers)], workers)

@@ -332,11 +332,14 @@ class TestPrimeSegments:
         (1, 2, 5), (7, 2, 17), (2**10, 2, 4099), (10**9, 10**9 + 7, 10**9 + 7),
     ])
     def test_last_window_of_one_t_holding_a_prime(self, size, lo, hi, monkeypatch):
-        # hi = 2t + 1 with t the first of its window
+        # hi = 2t + 1 with t where a fixed stride of size t would start a last window of
+        # one t; the last of arith.windows' equal windows ends at the prime hi all the same
         monkeypatch.setattr(arith, "_PRIME_SEGMENT", size)
         assert (hi // 2 - max(lo, 2) // 2) % size == 0
+        *_, (a, b) = arith.windows(max(lo, 2) // 2, (hi - 1) // 2)
         windows, got = _checked_windows(lo, hi)
-        assert windows[-1].tolist() == [hi]
+        assert windows[-1].tolist() == [n for n in range(2 * a + 1, 2 * b + 2) if arith.is_prime(n)]
+        assert windows[-1][-1] == hi
         assert got == [n for n in range(lo, hi + 1) if arith.is_prime(n)]
 
     def test_two_leads_in_its_own_array(self):
@@ -353,6 +356,69 @@ class TestPrimeSegments:
         # prime_array joins the windows past the 2**16 table
         for n in (2**16 + 1, LIMIT):
             assert arith.prime_array(n).tolist() == [m for m in range(2, n + 1) if SPF[m] == m]
+
+
+def _hb_segments(t_max, size):
+    """heathbrown.map_hb's own cut of [0, t_max] before arith.windows: the reference for it."""
+    count = -(-(t_max + 1) // size)
+    step = -(-(t_max + 1) // count)
+    return [(lo, min(lo + step - 1, t_max)) for lo in range(0, t_max + 1, step)]
+
+
+class TestWindows:
+    @staticmethod
+    def _check(lo, hi, size):
+        cut = list(arith.windows(lo, hi, size))
+        n = hi - lo + 1
+        assert len(cut) == -(-n // size), (lo, hi, size)
+        assert [a for a, _ in cut] == [lo] * bool(cut) + [b + 1 for _, b in cut[:-1]]  # contiguous, ascending
+        assert [b for _, b in cut[-1:]] == [hi] * bool(cut)
+        lengths = [b - a + 1 for a, b in cut]
+        assert all(1 <= k <= size for k in lengths), (lo, hi, size)
+        assert len(set(lengths[:-1])) <= 1 and lengths[-1:] <= lengths[:1], (lo, hi, size)
+        if n <= 5000:
+            assert [t for a, b in cut for t in range(a, b + 1)] == list(range(lo, hi + 1))
+        return cut
+
+    def test_seeded_ranges(self):
+        rng = random.Random("windows")
+        for _ in range(300):
+            lo = rng.randint(-100, 10**12)
+            n = rng.choice([0, 1, 2, rng.randint(0, 5000), rng.randint(0, 10**9)])
+            for size in (1, rng.randint(1, 6000), rng.randint(1, 2**20), max(n, 1), n + rng.randint(1, 99)):
+                if n <= 10**6 * size:
+                    self._check(lo, lo + n - 1, size)
+
+    def test_no_window_on_an_empty_range(self):
+        for lo in (-5, 0, 1, 10**12):
+            assert self._check(lo, lo - 1, 7) == []
+            assert list(arith.windows(lo, lo - 1)) == []
+
+    def test_one_window_when_size_covers_the_range(self):
+        for n in (1, 2, 9, 2**17):
+            assert self._check(3, n + 2, n) == [(3, n + 2)]
+            assert self._check(3, n + 2, 2 * n + 1) == [(3, n + 2)]
+
+    def test_monkeypatched_segment_is_the_default(self, monkeypatch):
+        assert list(arith.windows(0, 2**18)) == [(0, 87381), (87382, 174763), (174764, 262144)]
+        monkeypatch.setattr(arith, "_PRIME_SEGMENT", 7)
+        assert list(arith.windows(0, 20)) == list(arith.windows(0, 20, 7)) == [(0, 6), (7, 13), (14, 20)]
+
+    def test_an_iterator_over_the_largest_scan(self):
+        # search accepts t_max up to 8.3e14: 3.8 million blocks, never listed
+        n = 8 * 10**14
+        cut = arith.windows(1, n, search._BLOCK)
+        assert iter(cut) is cut and not hasattr(cut, "__len__")
+        step = -(-n // -(-n // search._BLOCK))
+        assert next(cut) == (1, step) and next(cut) == (step + 1, 2 * step)
+
+    def test_hb_segments(self):
+        rng = random.Random("hb-segments")
+        k = arith._PRIME_SEGMENT
+        t_maxes = [0, 1, 138888, *(j * k + d for j in (1, 2, 7) for d in (-2, -1, 0, 1))]
+        for t_max in t_maxes + [rng.randint(0, 10**8) for _ in range(50)]:
+            assert list(arith.windows(0, t_max)) == _hb_segments(t_max, k), t_max
+        assert _hb_segments(138888, k) == [(0, 69444), (69445, 138888)]  # hb --limit 1e7
 
 
 FACTOR_FORMS = ((18, 1), (12, 1), (2, 1), (1, 0))

@@ -360,6 +360,19 @@ class TestCaseNames:
         assert (code, out) == (2, "")
         assert err == "psl2count: the family product has the fixed prime divisor 2\n"
 
+    def test_search_refuses_a_split_past_the_sieve(self):
+        # 2 m+ m- = 2 * 65535 * 65536 >= 2**32: the sieve cannot take p's form, while bhc can
+        code, out, err = run(["search", "65535:65536", "--t-max", "10"])
+        assert (code, out) == (2, "")
+        assert err == "psl2count: case 65535:65536: the sieve needs p = a*t + b with a = 2 m+ m- < 2**32, got a = 8589803520\n"
+        code, out, _ = run(["bhc", "65535:65536", "--x", "1e6", "--trunc", "1000"])
+        assert code == 0 and "652.2478727" in out, out
+
+    def test_search_takes_a_split_just_below_the_sieve_bound(self):
+        assert 2 * 46340 * 46341 < 2**32
+        code, out, err = run(["search", "46340:46341", "--t-max", "10"])
+        assert (code, err) == (0, "") and out.startswith("case (46340:46341): t in [1, 10]\nprime triples: 0\n"), out
+
     def test_help_shows_both_forms(self):
         assert cli._CASE == "{" + ",".join(search.CASES) + ",M+:M-}"
         for command in ("search", "bhc"):

@@ -76,6 +76,36 @@ def test_search_does_not_import_bhc():
     assert _package_imports(code) == {"arith", "bhc", "oracle", "heathbrown"}
 
 
+def _private_reads(source: str) -> list[str]:
+    """The _-prefixed names, dunders aside, that source reads from a psl2count module, by attribute or import."""
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "psl2count"):
+            if (node.module or "").removeprefix("psl2count").lstrip("."):  # from .arith import name
+                found += [f"{node.module}.{alias.name}" for alias in node.names if private(alias.name)]
+            else:
+                modules |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name.startswith("psl2count.")}
+    return found + [f"{ast.unparse(node.value)}.{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and ast.unparse(node.value) in modules and private(node.attr)]
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a _-prefixed name is its module's own choice, such as arith's window size: a read
+    # from another module would make two modules know it
+    found = [f"{path.name}: {name}" for path in sorted(pathlib.Path(psl2count.__file__).parent.rglob("*.py"))
+             for name in _private_reads(path.read_text())]
+    assert found == []
+    code = ("from . import arith\nimport psl2count.bhc as b\nimport psl2count.oracle\nfrom .search import _BLOCK, scan\n"
+            "arith._PRIME_SEGMENT\nb._SUM_SCALE\npsl2count.oracle._MAX\narith.windows\narith.__name__\nself._x\n")
+    assert _private_reads(code) == ["search._BLOCK", "arith._PRIME_SEGMENT", "b._SUM_SCALE", "psl2count.oracle._MAX"]
+
+
 def test_no_assert_statements_in_the_package():
     # invariants raise explicitly: python -O strips assert statements
     found = [f"{path.name}:{node.lineno}" for path in sorted(pathlib.Path(psl2count.__file__).parent.rglob("*.py"))

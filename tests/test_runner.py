@@ -200,9 +200,9 @@ class TestHlConstantJobs:
 
     def test_one_window_forks_nothing(self, cores, forks):
         cores(3)
-        bhc.hl_constant(search.case_spec("a").polys, 2 * arith._PRIME_SEGMENT)
+        bhc.hl_constant(search.case_spec("a").polys, 2 * arith._PRIME_SEGMENT + 2)  # p = 2t + 1 for t in [1, 2**17]
         assert forks == []
-        bhc.hl_constant(search.case_spec("a").polys, 2 * arith._PRIME_SEGMENT + 2)
+        bhc.hl_constant(search.case_spec("a").polys, 2 * arith._PRIME_SEGMENT + 3)  # 2**17 + 1 t: two windows
         assert len(forks) == 1
 
 
