@@ -209,11 +209,11 @@ def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
 
     omega(p) is closed-form at all but finitely many primes (see _omega),
     which counts only the exceptional primes one at a time, and a window
-    past them all at once.  runner.run shares the windows of arith.windows
-    (p = 2t + 1, equal windows of at most 2**17 t) out over every core, so
-    memory stays flat in the truncation; the windows' exact sums (_log_window) are added and
-    rounded once at the end, so the result depends neither on the window
-    size, nor on the sieve, nor on the number of cores.  A truncation above arith.PRIME_CAP raises ResourceLimitError before any sieving;
+    past them all at once.  runner.imap shares the windows of arith.windows
+    (p = 2t + 1, equal windows of at most 2**17 t), read lazily, out over every core,
+    one fork per worker, so memory stays flat in the truncation; the windows' exact
+    sums (_log_window) are added and rounded once at the end, so the result depends
+    neither on the window size, nor on the sieve, nor on the number of cores.  A truncation above arith.PRIME_CAP raises ResourceLimitError before any sieving;
     that cap, below 2**32, also keeps every product in _mod_primes inside
     uint64.
 
@@ -232,8 +232,8 @@ def hl_constant(fam: PolynomialFamily, truncation: int) -> HlConstant:
     failing = check_sh(fam)
     if failing is not None:
         raise ValueError(f"the family product has the fixed prime divisor {failing}")
-    windows = [(fam, 2 * a, 2 * b + 1) for a, b in arith.windows(1, (truncation - 1) // 2)]  # one prime_segments array each
-    value = math.exp(sum(runner.run(_log_window, windows, runner.default_jobs())) / 2**_SUM_SCALE)
+    windows = ((fam, 2 * a, 2 * b + 1) for a, b in arith.windows(1, (truncation - 1) // 2))  # one prime_segments array each
+    value = math.exp(sum(runner.imap(_log_window, windows, runner.default_jobs())) / 2**_SUM_SCALE)
     tail = value * fam.m * (fam.m - 1) / (truncation * math.log(truncation))
     return HlConstant(value=value, truncation=truncation, tail_bound=tail)
 

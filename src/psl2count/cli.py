@@ -400,7 +400,7 @@ def cmd_hb(args) -> int:
         raise ValueError("--show must be at least 0")
     bounds = heathbrown.derive_upper_bounds()
     cap = args.show if args.format == "table" else None
-    parts = heathbrown.map_hb(args.limit, lambda found: _hb_rows(found, bounds, args.format, cap))
+    parts = list(heathbrown.map_hb(args.limit, lambda found: _hb_rows(found, bounds, args.format, cap)))
     total = sum(n for n, _, _ in parts)
     violations = sum(v for _, v, _ in parts)
     texts = [text for _, _, text in parts if text]

@@ -13,8 +13,8 @@ p + 1 = 6(12t + 1) with both linear forms prime to 6: one factor-count
 sieve per form gives Omega(p -+ 1) and the divisor counts of (p -+ 1)/2
 for a whole segment of t at once, and the exact prime sieve picks the t
 where p is prime.  The result is columnar, one int64 array per quantity,
-so that the bounds check downstream runs on whole columns.  map_hb shares
-the segments out over runner.run, and each worker reduces its own segment.
+so that the bounds check downstream runs on whole columns.  map_hb streams the
+segments through runner.imap, one fork per worker; each reduces its own segment.
 qualifies() is the one-prime reference path, by factorisation.
 """
 
@@ -105,19 +105,19 @@ def scan_segment(lo: int, hi: int) -> HbScan:
     return HbScan(p=p, omega_minus=om[keep], omega_plus=op[keep], profile=prof)
 
 
-def map_hb(limit: int, fn) -> list:
-    """[fn(scan_segment(lo, hi)) for each segment [lo, hi] of t], in order, over runner.run on every core.
+def map_hb(limit: int, fn):
+    """fn(scan_segment(lo, hi)) for each segment [lo, hi] of t, in order, yielded by runner.imap on every core.
 
-    The segments are arith.windows of [0, t_max], p = 72t + 5 <= limit: equal
-    windows of at most 2**17 t (69,445 and 69,444 t to 1e7); each fn runs where
+    The segments are arith.windows of [0, t_max], p = 72t + 5 <= limit: equal windows
+    of at most 2**17 t (69,445 and 69,444 t to 1e7), read lazily; each fn runs where
     its segment was sieved.  A limit whose sieve needs base primes past
-    arith.PRIME_CAP raises ResourceLimitError before any segment.
+    arith.PRIME_CAP raises ResourceLimitError here, before any segment.
     """
     if limit < HB_MODULUS + HB_RESIDUE:
         raise ValueError(f"limit below {HB_MODULUS + HB_RESIDUE} cannot contain a candidate beyond p=5")
     t_max = (limit - HB_RESIDUE) // HB_MODULUS
     arith.check_prime_cap(HB_MODULUS * t_max + HB_RESIDUE)
-    return runner.run(lambda lo, hi: fn(scan_segment(lo, hi)), list(arith.windows(0, t_max)), runner.default_jobs())
+    return runner.imap(lambda lo, hi: fn(scan_segment(lo, hi)), arith.windows(0, t_max), runner.default_jobs())
 
 
 def scan_hb(limit: int) -> HbScan:
@@ -127,7 +127,7 @@ def scan_hb(limit: int) -> HbScan:
     >>> len(found), found.p.tolist(), found.omega_plus.tolist()
     (3, [5, 149, 293], [2, 4, 4])
     """
-    parts = map_hb(limit, lambda found: found)
+    parts = list(map_hb(limit, lambda found: found))
     prof = invariants.InvariantProfile(*map(np.concatenate, zip(*(vars(s.profile).values() for s in parts))))
     om, op = (np.concatenate([getattr(s, n) for s in parts]) for n in ("omega_minus", "omega_plus"))
     return HbScan(p=prof.p, omega_minus=om, omega_plus=op, profile=prof)

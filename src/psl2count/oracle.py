@@ -18,11 +18,12 @@ O'Brien, Handbook of Computational Group Theory, on subgroup lattices):
 each class representative is joined only with cyclic subgroups of
 prime-power order, one per orbit of its normaliser, and its joins are
 closed in batched searches.  The lattice is walked one level at a time,
-and from p = 13 on runner.run shares each level's representatives out over
-every core: the workers pick seeds and close joins, and this process
-admits the new joins in call order, forming their normalisers and orbits,
-so the result is the same at any number of cores.  Each class keeps the
-orbit and normaliser found on admission, so classify only reads them.
+and from p = 13 on runner.imap shares each level's representatives out over
+every core, one fork per worker per level: the workers pick seeds and close
+joins, and this process admits the new joins in call order, forming their
+normalisers and orbits, so the result is the same at any number of cores.
+Each class keeps the orbit and normaliser found on admission, so classify
+only reads them.
 """
 
 from __future__ import annotations
@@ -295,7 +296,7 @@ def enumerate_subgroups(group: PermGroup) -> list[Subgroup]:
     <H, g> already holds.
 
     The lattice is walked one level at a time, level k + 1 holding the
-    classes first met as joins of level k, and runner.run shares each level
+    classes first met as joins of level k, and runner.imap shares each level
     out over every core once the group has _SHARED_ORDER elements.  A
     worker picks each H's seeds and closes their joins, and sends back the
     member keys of those not yet found; this process admits them in call
@@ -374,7 +375,7 @@ def enumerate_subgroups(group: PermGroup) -> list[Subgroup]:
     while level:
         level.sort(key=lambda rep: np.count_nonzero(rep[2]))
         next_level = []
-        for (_, gens, _), joins in zip(level, runner.run(new_joins, level, jobs)):
+        for (_, gens, _), joins in zip(level, list(runner.imap(new_joins, level, jobs))):
             for key, g in joins.items():
                 if key not in found:
                     join = np.zeros(n, dtype=bool)

@@ -1,13 +1,13 @@
-"""One ordered runner over forked worker processes, for the search's block
-shares, the Heath-Brown scan's segments, the Euler product's windows and
-the oracle's class representatives, one level of the subgroup lattice at a
-time.
-A fork costs a few ms where a spawned worker imports the package again,
-and fn needs no pickling, so it may be a closure.
+"""One ordered, streaming runner over forked worker processes, for the search's
+block shares, the Heath-Brown scan's segments, the Euler product's windows and
+the oracle's class representatives, one level of the subgroup lattice at a time.
+A fork costs a few ms where a spawned worker imports the package again, and
+fn needs no pickling, so it may be a closure.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import time
@@ -17,23 +17,24 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def run(fn, calls: list[tuple], jobs: int = 1) -> list:
-    """[fn(*args) for args in calls], in call order, on w = min(jobs, default_jobs(), len(calls)) processes.
+def imap(fn, calls, jobs: int = 1):
+    """fn(*args) for args in calls, yielded in call order, on w = min(jobs, default_jobs(), the number of calls) processes.
 
-    Worker k runs calls[k::w]: worker 0 is this process, and each other a
-    child forked for its share, w - 1 forks in all and none where os.fork
-    is missing.  A child sends back its share's pickled (True, results), or
-    (False, exception) for an Exception, through a pipe, and leaves by
-    os._exit, so it runs no exit handler and never flushes this process's
-    stdio.  Here the exception is raised again with its own type; a child
-    that ends without a result raises RuntimeError.  Every child is reaped,
-    and SIGKILLed first only on a failure (KeyboardInterrupt here included).
-    The children run only Python and numpy arithmetic, so no lock that
-    another thread holds at the fork is ever taken in them.
+    calls is any iterable, read lazily, an endless one too.  On the first next(),
+    the first w calls fix w and worker k gets calls k, k + w, ...: worker 0 is this
+    process, and each other a child forked once for its share of the calls it
+    inherited, none where os.fork is missing.  A child sends each result as soon as
+    it is done, pickled as (True, result), or (False, exception) for an Exception,
+    through a pipe that holds it back when full, and leaves by os._exit, so it runs
+    no exit handler and never flushes this process's stdio.  Here the exception is
+    raised again with its own type; a child that ends without a result raises
+    RuntimeError.  Every child is reaped, and SIGKILLed first unless the calls ran
+    out (close() and KeyboardInterrupt here included).  The children run only Python
+    and numpy arithmetic, so no lock that another thread holds at the fork is taken.
     """
-    w = min(jobs, default_jobs(), len(calls)) if hasattr(os, "fork") else 1
-    if w <= 1:
-        return [fn(*args) for args in calls]
+    calls = iter(calls)
+    head = list(itertools.islice(calls, min(jobs, default_jobs()) if hasattr(os, "fork") else 1))
+    w, calls = max(len(head), 1), itertools.chain(head, calls)
     children = []  # (pid, read end of its pipe)
     try:
         for k in range(1, w):
@@ -46,20 +47,21 @@ def run(fn, calls: list[tuple], jobs: int = 1) -> list:
                 raise
             if pid == 0:
                 os.close(read)
-                _child(fn, calls[k::w], write)
+                _child(fn, itertools.islice(calls, k, None, w), write)
             os.close(write)
             children.append((pid, open(read, "rb")))
-        results = [None] * len(calls)
-        results[::w] = [fn(*args) for args in calls[::w]]
-        for k, (pid, pipe) in enumerate(children, 1):
+        for j, args in enumerate(calls):  # this process walks every call, so a child's result is read only if it is due
+            if not j % w:
+                yield fn(*args)
+                continue
+            pid, pipe = children[j % w - 1]
             try:
                 ok, value = pickle.load(pipe)  # bytes from our own child
             except Exception:
                 raise RuntimeError(f"worker {pid} ended without a result") from None
             if not ok:
                 raise value
-            results[k::w] = value
-        return results
+            yield value
     except BaseException:
         import signal  # here, not at the top: only a failure needs it
         for pid, _ in children:
@@ -71,16 +73,17 @@ def run(fn, calls: list[tuple], jobs: int = 1) -> list:
             os.waitpid(pid, 0)
 
 
-def _child(fn, calls: list[tuple], write: int):
-    """In a forked child: send [fn(*args) for args in calls] down the pipe write, as run reads it, and exit."""
+def _child(fn, calls, write: int):
+    """In a forked child: send each fn(*args) for args in calls down the pipe write as it is done, as imap reads them, and exit."""
     code = 1
     try:
-        try:
-            result = (True, [fn(*args) for args in calls])
-        except Exception as exc:
-            result = (False, exc)
         with open(write, "wb") as pipe:
-            pickle.dump(result, pipe)  # if exc cannot be pickled, the child ends without a result
+            try:
+                for args in calls:
+                    pipe.write(pickle.dumps((True, fn(*args))))
+                    pipe.flush()
+            except Exception as exc:
+                pipe.write(pickle.dumps((False, exc)))  # if exc cannot be pickled, the child ends without a result
         code = 0
     finally:
         os._exit(code)

@@ -21,12 +21,14 @@ case_spec(name) is the case as one CaseSpec: its label and split and, worked out
 the forms (a, b), value a*t + b, of p, s and r (the pair order of arith and bhc), the
 floor and the least hit value, below which no hit's s or r lies (5 in cases a-d).  A
 scan sieves the forms by arith.sieve_forms in blocks of t and keeps the hits past the
-floor; each block's wheel classes are shared out over worker processes by runner.run,
-and the shares' results are merged so the scan is bit-for-bit the same at any process count.
+floor; each block's wheel classes are shared out over workers that runner.imap forks once
+per scan, and the shares' results are merged as they arrive, so the scan is bit-for-bit
+the same at any process count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 import time
@@ -192,12 +194,12 @@ def scan(
     """Count prime triples for t in [1, t_max] and record hits.
 
     q_count is exact regardless of hit_cap.  The blocks are the equal windows of
-    at most 210 * 2**20 t of arith.windows.  Each block's wheel classes
-    (arith.wheel_classes) are split into one share per worker, run by runner.run:
-    this process sieves share 0, and a child forked for the block each of the others.
-    workers is the least of jobs, runner.default_jobs() and the block's classes (at
-    least 1).  The shares' counts are summed and their hit ts merged, and blocks are
-    merged in order, so the result is identical for every jobs value.  A hit_cap above
+    at most 210 * 2**20 t of arith.windows, read lazily.  Each block's wheel
+    classes are split into one share per worker, and one runner.imap runs every
+    block's shares: this process sieves share 0, and a child forked once per scan
+    each of the others.  workers is the least of jobs, runner.default_jobs() and
+    the first block's classes (at least 1).  The shares are merged in order as
+    they arrive, so the result is identical for every jobs value.  A hit_cap above
     MAX_HITS or a t_max whose base primes would pass arith.PRIME_CAP raises
     ResourceLimitError, and a case with 2 m+ m- >= 2**32 ValueError, before the first
     block.  With progress, each merged block prints the t done, the rate and an ETA on stderr.
@@ -222,15 +224,17 @@ def scan(
     sz_count = 0
     hit_ts: list[int] = []
     started = time.monotonic()
-    for lo, hi in arith.windows(1, t_max, _BLOCK):
-        workers = min(jobs, runner.default_jobs(), max(1, len(arith.wheel_classes(forms, lo, hi)[1])))  # share 0 holds the special t
-        args = (forms, spec.floor, lo, hi, hit_cap)
-        shares = runner.run(_scan_block, [(args, (k, workers)) for k in range(workers)], workers)
-        q_count += sum(q for q, _, _ in shares)
-        sz_count += sum(sz for _, sz, _ in shares)
-        hit_ts.extend(sorted(t for _, _, ts in shares for t in ts)[: hit_cap - len(hit_ts)])
-        if progress:
-            print(runner.progress_line(f"scan {spec.case_id}", hi, t_max, started), file=sys.stderr)
+    lo, hi = next(arith.windows(1, t_max, _BLOCK))  # every block but the last has its classes
+    workers = min(jobs, runner.default_jobs(), max(1, len(arith.wheel_classes(forms, lo, hi)[1])))  # share 0 holds the special t
+    calls = (((forms, spec.floor, a, b, hit_cap), (k, workers)) for a, b in arith.windows(1, t_max, _BLOCK) for k in range(workers))
+    with contextlib.closing(runner.imap(_scan_block, calls, workers)) as shares:
+        # a block's shares come before its window, so past the last block the runner finds its calls ran out
+        for *block, (_, hi) in zip(*[shares] * workers, arith.windows(1, t_max, _BLOCK)):
+            q_count += sum(q for q, _, _ in block)
+            sz_count += sum(sz for _, sz, _ in block)
+            hit_ts.extend(sorted(t for _, _, ts in block for t in ts)[: hit_cap - len(hit_ts)])
+            if progress:
+                print(runner.progress_line(f"scan {spec.case_id}", hi, t_max, started), file=sys.stderr)
     hits = tuple(_make_hit(spec, t) for t in hit_ts)
     return SearchSummary(
         case_id=spec.case_id,

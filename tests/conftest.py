@@ -1,12 +1,40 @@
 """Shared test set-up: a test marked slow runs only when PSL2COUNT_SLOW=1,
 and the force_wheel_min fixture sends the sieve windows under test through
-the wheel (or past it) while their base primes come the default way."""
+the wheel (or past it) while their base primes come the default way.  For
+the forked runner's users: the cores fixture sets the machine's reported
+cores, forks counts real forks, and _assert_no_child_left checks that every
+child was reaped."""
 
 import os
 
 import pytest
 
 from psl2count import arith
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """A function that makes os.cpu_count(), and so runner.default_jobs(), report n."""
+    return lambda n: monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that called os.fork from now on; the counted fork is real."""
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pids.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
 
 
 def pytest_collection_modifyitems(config, items):

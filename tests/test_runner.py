@@ -5,39 +5,17 @@ own types, and no child left behind on any path."""
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
+from conftest import _assert_no_child_left
 from psl2count import arith, bhc, cli, heathbrown, oracle, runner, search
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def cores(monkeypatch):
-    """A function that makes os.cpu_count(), and so runner.default_jobs(), report n."""
-    return lambda n: monkeypatch.setattr(os, "cpu_count", lambda: n)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids that called os.fork from now on; the counted fork is real."""
-    pids = []
-    fork = os.fork
-
-    def counted_fork():
-        pids.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return pids
 
 
 def _stdout(argv):
@@ -60,7 +38,7 @@ class TestRun:
     def test_results_in_call_order(self, n, forks):
         want = [x * x for x in range(n)]
         for jobs in (1, 2, 3, 10**6):
-            got = runner.run(_pid_and_square, [(x,) for x in range(n)], jobs)
+            got = list(runner.imap(_pid_and_square, [(x,) for x in range(n)], jobs))
             assert [r for _, r in got] == want, jobs
             w = min(jobs, 3, n)
             # call i ran in worker i mod w, this process being worker 0
@@ -70,7 +48,7 @@ class TestRun:
 
     def test_without_fork_one_process(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
-        assert runner.run(_pid_and_square, [(x,) for x in range(5)], 3) == [(os.getpid(), x * x) for x in range(5)]
+        assert list(runner.imap(_pid_and_square, [(x,) for x in range(5)], 3)) == [(os.getpid(), x * x) for x in range(5)]
 
     def test_child_error_keeps_its_type(self):
         def fail_at_4(x):
@@ -79,7 +57,7 @@ class TestRun:
             return x
 
         with pytest.raises(arith.ResourceLimitError, match="call 4 over a cap"):
-            runner.run(fail_at_4, [(x,) for x in range(9)], 3)  # call 4 runs in child 1
+            list(runner.imap(fail_at_4, [(x,) for x in range(9)], 3))  # call 4 runs in child 1
         _assert_no_child_left()
 
     def test_child_without_a_result_is_a_runtime_error(self):
@@ -89,7 +67,7 @@ class TestRun:
             return x
 
         with pytest.raises(RuntimeError, match="without a result"):
-            runner.run(vanish_at_2, [(x,) for x in range(6)], 3)
+            list(runner.imap(vanish_at_2, [(x,) for x in range(6)], 3))
         _assert_no_child_left()
 
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
@@ -102,8 +80,34 @@ class TestRun:
 
         start = time.monotonic()
         with pytest.raises(error, match="call 3"):
-            runner.run(fail_here, [(x,) for x in range(12)], 3)
+            list(runner.imap(fail_here, [(x,) for x in range(12)], 3))
         assert time.monotonic() - start < 30
+        _assert_no_child_left()
+
+    def test_results_stream(self, cores, tmp_path):
+        # call 3 runs in the child after call 1: call 1 must arrive while call 3 waits
+        gate = tmp_path / "gate"
+
+        def wait_at_3(x):
+            deadline = time.monotonic() + 20
+            while x == 3 and not gate.exists():
+                if time.monotonic() > deadline:
+                    raise TimeoutError("call 3 waited 20 s for the gate")
+                time.sleep(0.01)
+            return x
+
+        cores(2)
+        results = runner.imap(wait_at_3, [(x,) for x in range(4)], 2)
+        assert [next(results), next(results)] == [0, 1]
+        gate.touch()
+        assert list(results) == [2, 3]
+        _assert_no_child_left()
+
+    def test_endless_calls_then_close(self, forks):
+        results = runner.imap(abs, ((x,) for x in itertools.count()), 3)
+        assert list(itertools.islice(results, 10)) == list(range(10))
+        results.close()
+        assert len(forks) == 2
         _assert_no_child_left()
 
     def test_success_sends_no_signal(self):
@@ -128,7 +132,7 @@ class TestRun:
                 "from psl2count import runner\n"
                 "atexit.register(os.write, 2, b'exit handler\\n')\n"
                 "print('before', end='')\n"
-                "assert runner.run(abs, [(-x,) for x in range(7)], 3) == list(range(7))\n"
+                "assert list(runner.imap(abs, [(-x,) for x in range(7)], 3)) == list(range(7))\n"
                 "print(' after')\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         env.pop("PYTHONUNBUFFERED", None)  # else stdout holds nothing to flush
@@ -172,6 +176,19 @@ class TestHbJobs:
         assert out == ""
         assert "AssertionError: segment at 69445 failed" in err
         _assert_no_child_left()
+
+    def test_segments_are_read_lazily(self, cores, monkeypatch):
+        # the 105,964 windows to 1e12 as a list would trace about 14 MiB
+        cores(1)
+        monkeypatch.setattr(heathbrown, "scan_segment", lambda lo, hi: None)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in heathbrown.map_hb(10**12, lambda found: found))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 105_964
+        assert peak < 2**20
 
     def test_one_segment_forks_nothing(self, cores, forks):
         cores(3)

@@ -10,7 +10,8 @@ import tracemalloc
 
 import pytest
 
-from psl2count import arith, bhc, cli, invariants, search
+from conftest import _assert_no_child_left
+from psl2count import arith, bhc, cli, invariants, runner, search
 
 SPECS = {c: search.case_spec(c) for c in search.CASES}
 HEADS = {c: (spec.polys.polys, spec.floor) for c, spec in SPECS.items()}  # the forms and floor of search._scan_block
@@ -243,7 +244,7 @@ class TestSplitScans:
     """scan on every split of SPLITS, named M+:M-, against the plain loop."""
 
     @pytest.mark.parametrize("name", SPLITS)
-    def test_scan_matches_plain_loop_at_one_and_two_jobs(self, name, force_wheel_min, monkeypatch):
+    def test_scan_matches_plain_loop_at_one_and_two_jobs(self, name, force_wheel_min, cores):
         spec = search.case_spec(name)
         floor = max(q for q, _ in arith.factorize(math.prod(search.split_of(name))))
         q_count, sz_count, hit_ts = _plain_block(spec, 1, 10**4, floor=floor)
@@ -251,7 +252,7 @@ class TestSplitScans:
         one = search.scan(spec, 10**4, jobs=1)
         # the same t through the wheel, its classes shared by two processes, one of them forked
         force_wheel_min(1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cores(2)
         two = search.scan(spec, 10**4, jobs=2)
         _assert_no_child_left()
         assert two == one
@@ -430,30 +431,21 @@ class TestDeterminism:
         other = search.scan(SPECS["a"], 10**4)
         assert other == base
 
-    def test_workers_capped_at_machine_parallelism(self, monkeypatch):
-        # Each block forks workers - 1 children, workers = min(jobs,
-        # default_jobs(), the block's classes), so on two cores a huge jobs
-        # forks one child per block, and jobs=1 none.  The counted fork is real.
-        forks = []
-        fork = os.fork
-
-        def counted_fork():
-            forks.append(os.getpid())
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted_fork)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    def test_workers_capped_at_machine_parallelism(self, monkeypatch, cores, forks):
+        # A scan forks workers - 1 children once for all its blocks, workers =
+        # min(jobs, default_jobs(), the first block's classes), so on two cores
+        # a huge jobs forks one child, and jobs=1 none.
+        cores(2)
         monkeypatch.setattr(search, "_BLOCK", 1_500_000)
         base = search.scan(SPECS["a"], 3 * 10**6, jobs=1)
         assert forks == []
         assert search.scan(SPECS["a"], 3 * 10**6, jobs=10**6) == base
-        assert len(forks) == 2  # two blocks of 16 classes each
+        assert len(forks) == 1  # one per command, for two blocks of 16 classes each
         _assert_no_child_left()
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        cores(3)
+        assert search.scan(SPECS["a"], 3 * 10**6, jobs=3) == base
+        assert len(forks) == 1 + 2  # one per worker past this one, for both blocks
+        _assert_no_child_left()
 
 
 class TestClassSplit:
@@ -462,8 +454,8 @@ class TestClassSplit:
     children on any machine."""
 
     @pytest.fixture(autouse=True)
-    def _three_cores(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    def _three_cores(self, cores):
+        cores(3)
 
     @pytest.mark.parametrize("hit_cap", [0, 1, 7, 10**4])
     @pytest.mark.parametrize("case_id,block", [("a", search._BLOCK), ("c", 1_500_000)])  # one block, two blocks
@@ -533,6 +525,19 @@ class TestClassSplit:
         self._fail_in_share(monkeypatch, 0, fail)
         with pytest.raises(error, match="share 0"):
             search.scan(SPECS["a"], 3 * 10**6, jobs=3)
+        _assert_no_child_left()
+
+    def test_interrupt_in_the_merge_reaps_every_child(self, monkeypatch):
+        # the merge and progress code runs between the runner's yields: the
+        # children must be gone while the traceback still holds the scan's frame
+        def interrupt(*args):
+            raise KeyboardInterrupt("in progress_line")
+
+        monkeypatch.setattr(search, "_BLOCK", 1_500_000)
+        monkeypatch.setattr(runner, "progress_line", interrupt)
+        with pytest.raises(KeyboardInterrupt, match="in progress_line") as info:
+            search.scan(SPECS["a"], 3 * 10**6, jobs=3, progress=True)
+        assert info.tb is not None
         _assert_no_child_left()
 
 
