@@ -400,26 +400,31 @@ def cmd_hb(args) -> int:
         raise ValueError("--show must be at least 0")
     bounds = heathbrown.derive_upper_bounds()
     cap = args.show if args.format == "table" else None
-    parts = list(heathbrown.map_hb(args.limit, lambda found: _hb_rows(found, bounds, args.format, cap)))
-    total = sum(n for n, _, _ in parts)
-    violations = sum(v for _, v, _ in parts)
-    texts = [text for _, _, text in parts if text]
-
-    # Every segment has passed its checks: from here on only output, so a failure never leaves partial JSON.
+    # map_hb refuses a bad limit before it returns, so a usage error or a cap leaves stdout empty.
+    parts = heathbrown.map_hb(args.limit, lambda found: _hb_rows(found, bounds, args.format, cap))
     if args.format == "json":
         # the bytes of json.dumps(out) over the whole dict, with its ", " and ": " separators
         head = json.dumps({"limit": args.limit, "bounds": dict(zip("icsn", bounds))})
         sys.stdout.write(head[:-1] + ', "candidates": [')
-        for j, text in enumerate(texts):
-            sys.stdout.write(", " + text if j else text)
-        sys.stdout.write("]}\n")
     elif args.format == "csv":
         sys.stdout.write(",".join(_HB_COLUMNS) + "\n")
-        sys.stdout.writelines(texts)
-    else:
+    # Each segment is written as soon as the ones before it are; a later failure keeps
+    # their rows.  Table holds only the texts of its first --show rows, as its head needs the total.
+    total = violations = 0
+    shown = []
+    with contextlib.closing(parts):  # a failed write kills and reaps the children at once
+        for n, v, text in parts:
+            if args.format != "table":
+                sys.stdout.write(_HB_ROWS[args.format][2] + text if total and n else text)
+            elif total < args.show:
+                shown.append(text)
+            total, violations = total + n, violations + v
+    if args.format == "json":
+        sys.stdout.write("]}\n")
+    elif args.format == "table":
         print(f"primes p = 5 mod 72 with few factors around them, p <= {args.limit}: {total}")
         print("bounds: i<={} c<={} s<={} n<={}".format(*bounds))
-        sys.stdout.writelines("".join(texts).splitlines(keepends=True)[: args.show])
+        sys.stdout.writelines("".join(shown).splitlines(keepends=True)[: args.show])
         if total > args.show:
             print(f"  ... {total - args.show} more (use --show)")
     if violations:

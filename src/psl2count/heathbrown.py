@@ -110,8 +110,8 @@ def map_hb(limit: int, fn):
 
     The segments are arith.windows of [0, t_max], p = 72t + 5 <= limit: equal windows
     of at most 2**17 t (69,445 and 69,444 t to 1e7), read lazily; each fn runs where
-    its segment was sieved.  A limit whose sieve needs base primes past
-    arith.PRIME_CAP raises ResourceLimitError here, before any segment.
+    its segment was sieved, so a caller may write each result as it comes.  A limit below
+    77, or one whose base primes pass arith.PRIME_CAP, raises here, before any segment or write.
     """
     if limit < HB_MODULUS + HB_RESIDUE:
         raise ValueError(f"limit below {HB_MODULUS + HB_RESIDUE} cannot contain a candidate beyond p=5")

@@ -161,8 +161,17 @@ class TestHbJobs:
         assert _stdout(argv) == want
         _assert_no_child_left()
 
-    def test_a_failing_segment_leaves_stdout_empty(self, cores, monkeypatch, capsys):
+    @staticmethod
+    def _cut_before_segment_1(fmt):
+        """hb --limit 1e7's stdout up to just before the first row of its second segment, t from 69445."""
+        first = next(p for p in heathbrown.scan_hb(10**7).p.tolist() if p > 72 * 69445)
+        full = _stdout(["hb", "--limit", "1e7", "--format", fmt])[1]
+        return full[: full.index(f', {{"p": {first},' if fmt == "json" else f"\n{first},") + (fmt == "csv")]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_failing_segment_keeps_the_rows_before_it(self, fmt, cores, monkeypatch, capsys):
         cores(2)
+        want = self._cut_before_segment_1(fmt)  # json with no closing ]}
         scan_segment = heathbrown.scan_segment
 
         def fail_in_the_child(lo, hi):
@@ -171,10 +180,79 @@ class TestHbJobs:
             return scan_segment(lo, hi)
 
         monkeypatch.setattr(heathbrown, "scan_segment", fail_in_the_child)
-        assert cli.main(["hb", "--limit", "1e7", "--format", "json"]) == cli.EXIT_INTERNAL
+        assert cli.main(["hb", "--limit", "1e7", "--format", fmt]) == cli.EXIT_INTERNAL
         out, err = capsys.readouterr()
-        assert out == ""
+        assert out == want
         assert "AssertionError: segment at 69445 failed" in err
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_a_usage_error_leaves_stdout_empty(self, fmt, capsys):
+        assert cli.main(["hb", "--limit", "76", "--format", fmt]) == cli.EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_each_segment_is_written_before_the_next_is_sieved(self, fmt, cores, monkeypatch):
+        cores(1)
+        want = self._cut_before_segment_1(fmt)
+        events = []
+        scan_segment = heathbrown.scan_segment
+
+        def recorded(lo, hi):
+            events.append(("sieve", lo))
+            return scan_segment(lo, hi)
+
+        class Sink(io.StringIO):
+            def write(self, text):
+                events.append(("write", text))
+                return super().write(text)
+
+        monkeypatch.setattr(heathbrown, "scan_segment", recorded)
+        with contextlib.redirect_stdout(Sink()):
+            assert cli.main(["hb", "--limit", "1e7", "--format", fmt]) == cli.EXIT_OK
+        before = events[: events.index(("sieve", 69445))]
+        assert "".join(text for kind, text in before if kind == "write") == want
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_memory_stays_flat_in_the_limit(self, fmt, cores, monkeypatch):
+        # 106 segments to 1e9 of about 0.9 MiB of text each: about 94 MiB if they were held
+        cores(1)
+        monkeypatch.setattr(heathbrown, "scan_segment", lambda lo, hi: None)
+        monkeypatch.setattr(cli, "_hb_rows", lambda found, bounds, fmt, cap: (2**16, 0, "5,2,2,7,7,3,4\n" * 2**16))
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert cli.main(["hb", "--limit", "1e9", "--format", fmt]) == cli.EXIT_OK
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_a_closed_pipe_kills_and_reaps_the_children(self, cores, forks, monkeypatch):
+        # the first segment's rows meet the closed pipe while the children still sieve theirs
+        cores(3)
+        here, sieved_here, scan_segment = os.getpid(), [], heathbrown.scan_segment
+
+        def recorded(lo, hi):
+            if os.getpid() == here:
+                sieved_here.append(lo)
+            return scan_segment(lo, hi)
+
+        waits, dup2 = [], os.dup2
+
+        def dup2_once_reaped(fd, fd2):  # main's broken-pipe handler: every child must be gone by then
+            with contextlib.suppress(ChildProcessError):
+                waits.append(os.waitpid(-1, os.WNOHANG))
+            return dup2(fd, fd2)
+
+        monkeypatch.setattr(heathbrown, "scan_segment", recorded)
+        monkeypatch.setattr(os, "dup2", dup2_once_reaped)
+        read, write = os.pipe()
+        os.close(read)
+        with io.TextIOWrapper(open(write, "wb")) as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert cli.main(["hb", "--limit", "1e8", "--format", "csv"]) == cli.EXIT_BROKEN_PIPE
+        assert (len(forks), sieved_here, waits) == (2, [0], [])
         _assert_no_child_left()
 
     def test_segments_are_read_lazily(self, cores, monkeypatch):
