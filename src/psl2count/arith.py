@@ -456,8 +456,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     stack = [m] if m > 1 else []
     while stack:
         v = stack.pop()
-        if v == 1:
-            continue
         if is_prime(v):
             counts[v] = counts.get(v, 0) + 1
             continue

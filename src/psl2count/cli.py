@@ -82,21 +82,20 @@ def _add(parser: argparse.ArgumentParser, flag: str, **kw) -> None:
     String defaults are run through the argument's type and choices by
     argparse itself, so a bad environment value fails the same way a bad
     flag does.  A store_true flag's preset must be one of _PRESET_BOOLS.
+    A preset that fails either check is kept as the subparser's bad_preset,
+    which main raises once that subcommand is parsed, so it fails no other.
     """
     env = os.environ.get(_env_name(flag))
     if env is not None:
         if kw.get("action") == "store_true":
-            word = env.strip().lower()
-            if word not in _PRESET_BOOLS:
-                raise ValueError(f"{_env_name(flag)}={env!r} is not one of 1/true/yes/on or 0/false/no/off")
-            kw["default"] = _PRESET_BOOLS[word]
+            value, allowed = _PRESET_BOOLS.get(env.strip().lower()), "1/true/yes/on or 0/false/no/off"
+        else:  # argparse runs string defaults through type, but not choices
+            choices = kw.get("choices", (env,))
+            value, allowed = env if env in choices else None, "/".join(choices)
+        if value is None:  # the subparser keeps its first bad preset
+            parser.set_defaults(bad_preset=parser.get_default("bad_preset") or f"{_env_name(flag)}={env!r} is not one of {allowed}")
         else:
-            # argparse runs string defaults through type, but not choices
-            if "choices" in kw and env not in kw["choices"]:
-                raise ValueError(
-                    f"{_env_name(flag)}={env!r} is not one of {'/'.join(kw['choices'])}"
-                )
-            kw["default"] = env
+            kw["default"] = value
             kw.pop("required", None)
     parser.add_argument(flag, **kw)
 
@@ -278,7 +277,8 @@ def cmd_search(args) -> int:
     summary = search.scan(
         spec,
         args.t_max,
-        hit_cap=args.show_hits,  # only the shown hits are built
+        # only the shown hits are built, so csv builds none; a --show-hits past the cap still goes to scan, which refuses it
+        hit_cap=args.show_hits if args.format != "csv" or args.show_hits > search.MAX_HITS else 0,
         jobs=jobs,
         progress=args.t_max >= PROGRESS_THRESHOLD,
     )
@@ -408,25 +408,23 @@ def cmd_hb(args) -> int:
         sys.stdout.write(head[:-1] + ', "candidates": [')
     elif args.format == "csv":
         sys.stdout.write(",".join(_HB_COLUMNS) + "\n")
-    # Each segment is written as soon as the ones before it are; a later failure keeps
-    # their rows.  Table holds only the texts of its first --show rows, as its head needs the total.
+    else:
+        print("bounds: i<={} c<={} s<={} n<={}".format(*bounds))
+    # Each segment is written as soon as the ones before it are, in every format; a later
+    # failure keeps their rows.  Table writes only the first --show rows and its count line last.
     total = violations = 0
-    shown = []
     with contextlib.closing(parts):  # a failed write kills and reaps the children at once
         for n, v, text in parts:
-            if args.format != "table":
-                sys.stdout.write(_HB_ROWS[args.format][2] + text if total and n else text)
-            elif total < args.show:
-                shown.append(text)
+            if args.format == "table" and total + n > args.show:
+                text = "".join(text.splitlines(keepends=True)[: args.show - total]) if total < args.show else ""
+            sys.stdout.write(_HB_ROWS[args.format][2] + text if total and n else text)
             total, violations = total + n, violations + v
     if args.format == "json":
         sys.stdout.write("]}\n")
     elif args.format == "table":
-        print(f"primes p = 5 mod 72 with few factors around them, p <= {args.limit}: {total}")
-        print("bounds: i<={} c<={} s<={} n<={}".format(*bounds))
-        sys.stdout.writelines("".join(shown).splitlines(keepends=True)[: args.show])
         if total > args.show:
             print(f"  ... {total - args.show} more (use --show)")
+        print(f"primes p = 5 mod 72 with few factors around them, p <= {args.limit}: {total}")
     if violations:
         print(f"{violations} candidates exceed the derived bounds", file=sys.stderr)
         return EXIT_MISMATCH
@@ -495,15 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-    except ValueError as exc:
-        print(f"psl2count: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        if getattr(args, "bad_preset", None):
+            raise ValueError(args.bad_preset)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code

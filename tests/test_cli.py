@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -60,6 +61,11 @@ class TestInvariantsCommand:
         assert out.strip() == "3,,,,,,,3,3,1,2"
         assert "brute-force" in err
 
+    def test_p3_table(self):
+        code, out, err = run(["invariants", "3"])
+        assert (code, out) == (0, "p=3 (no divisor-split profile)\ni=3 c=3 s=1 n=2\n")
+        assert "brute-force" in err
+
     def test_composite_is_usage_error(self):
         code, _, err = run(["invariants", "4"])
         assert code == 2
@@ -116,6 +122,25 @@ class TestCensusCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "label,order,classes,self_normalising"
         assert "A4,12,1,1" in lines
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_oracle_mismatch_lists_every_kind_of_diff(self, fmt, monkeypatch):
+        # the brute-force census drops one class, changes the class count of another and adds a third
+        formula = invariants.census(13)
+        dropped, changed, *rest = formula.entries
+        flipped = dataclasses.replace(changed, num_classes=3 - changed.num_classes)
+        brute = invariants.ClassCensus(13, (flipped, *rest, invariants.ClassEntry("C99", 99, 1, False)))
+        monkeypatch.setattr(oracle, "oracle_census", lambda p: brute)
+        code, out, err = run(["census", "13", "--oracle", "--format", fmt])
+        diffs = sorted([f"  {dropped.label}: only in formula census", "  C99: only in brute-force census",
+                        f"  {changed.label}: num_classes formula={changed.num_classes} brute={flipped.num_classes}"])
+        want = ["diff (formula vs brute force):", *diffs]
+        assert code == 1
+        if fmt == "table":
+            assert out.splitlines()[-4:] == want
+        else:
+            assert err.splitlines() == want
+            assert out == run(["census", "13", "--format", fmt])[1]
 
 
 class TestVerifyTableCommand:
@@ -293,6 +318,18 @@ class TestSearchCommand:
         assert code == 0 and caps == [3]
         assert out.count("  t=") == 3
 
+    def test_csv_builds_no_hits(self, monkeypatch):
+        summary = json.loads(run(["search", "a", "--t-max", "1000", "--format", "json"])[1])
+        monkeypatch.setattr(search, "_make_hit", lambda *args: pytest.fail("a hit was built"))
+        code, out, err = run(["search", "a", "--t-max", "1000", "--format", "csv", "--show-hits", "3"])
+        assert (code, err) == (0, "")
+        assert out == f"case,t_max,q_count,sigma_alpha_zero\na,1000,{summary['q_count']},{summary['sigma_alpha_zero']}\n"
+        # a --show-hits past the cap still exits 3 before any sieving
+        monkeypatch.setattr(arith, "sieve_forms", lambda *args: pytest.fail("sieve_forms called"))
+        code, out, err = run(["search", "a", "--t-max", "1000", "--format", "csv", "--show-hits", "2e6"])
+        assert (code, out) == (3, "")
+        assert err.startswith("psl2count: resource cap hit: ResourceLimitError") and str(search.MAX_HITS) in err
+
     def test_progress_goes_to_stderr(self):
         code, out, err = run(["search", "a", "--t-max", "1e7", "--format", "json"])
         assert code == 0
@@ -439,6 +476,14 @@ class TestBhcCommand:
         assert d["P"] == 10000 and d["a"] == 1
         assert 5.7 < d["C"] < 5.8
 
+    def test_csv_row_is_the_json_at_ten_digits(self):
+        argv = ["bhc", "a", "--x", "1e6", "--trunc", "1e4", "--format"]
+        d = json.loads(run(argv + ["json"])[1])
+        code, out, err = run(argv + ["csv"])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["family,x,a,P,C,integral,E,tail_bound",
+                                    ",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in d.values())]
+
     def test_q_file_comparison(self, tmp_path):
         qf = tmp_path / "scan.json"
         qf.write_text(json.dumps({"case": "a", "t_max": 10**6, "q_count": 2064,
@@ -562,12 +607,12 @@ class TestHbCommand:
             }) + "\n"
         if fmt == "csv":
             return "\n".join([",".join(cols), *(",".join(map(str, r)) for r in rows)]) + "\n"
-        lines = [f"primes p = 5 mod 72 with few factors around them, p <= {limit}: {len(rows)}",
-                 "bounds: i<={} c<={} s<={} n<={}".format(*bounds)]
+        lines = ["bounds: i<={} c<={} s<={} n<={}".format(*bounds)]
         lines += [f"  p={r[0]:<10} Omega(p-1)={r[1]} Omega(p+1)={r[2]} "
                   f"i={r[3]} c={r[4]} s={r[5]} n={r[6]}" for r in rows[:show]]
         if len(rows) > show:
             lines.append(f"  ... {len(rows) - show} more (use --show)")
+        lines.append(f"primes p = 5 mod 72 with few factors around them, p <= {limit}: {len(rows)}")
         return "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("limit", [10**5, 10**6])
@@ -601,6 +646,19 @@ class TestHbCommand:
         ]
         assert out == self._reference(77, "json")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_rows_past_the_bounds_exit_1(self, fmt, monkeypatch):
+        # bounds at about the medians to 1e5: every row is still written, and the count of rows past them goes to stderr
+        bounds = (38, 42, 14, 28)
+        monkeypatch.setattr(heathbrown, "derive_upper_bounds", lambda: bounds)
+        past = sum(any(v > b for v, b in zip(invariants.counts(heathbrown.qualifies(p).profile), bounds))
+                   for p in heathbrown.scan_hb(10**5).p.tolist())
+        code, out, err = run(["hb", "--limit", "1e5", "--format", fmt])
+        assert 0 < past < 395
+        assert (code, err) == (1, f"{past} candidates exceed the derived bounds\n")
+        want = self._reference(10**5, fmt)
+        assert out == want if fmt != "table" else sorted(out.splitlines()) == sorted(want.splitlines())  # the table's order: above
+
 
 class TestPlumbing:
     def test_no_arguments_is_usage_error(self):
@@ -633,6 +691,13 @@ class TestPlumbing:
             code, out, err = run(["verify-table"], env={"PSL2_STRICT": word})
             assert (code, out) == (2, ""), word
             assert err.startswith(f"psl2count: PSL2_STRICT={word!r} is not one of"), err
+
+    def test_a_bad_preset_fails_only_the_subcommand_that_has_the_flag(self):
+        env = {"PSL2_STRICT": "maybe"}  # census has no --strict
+        code, out, err = run(["census", "13", "--format", "csv"], env=env)
+        assert (code, out, err) == run(["census", "13", "--format", "csv"]) and code == 0
+        assert run(["verify-table"], env=env) == (
+            2, "", "psl2count: PSL2_STRICT='maybe' is not one of 1/true/yes/on or 0/false/no/off\n")
 
     def test_entry_point_exists(self):
         assert callable(cli.entry)

@@ -227,6 +227,20 @@ class TestCensus:
         with pytest.raises(ValueError):
             invariants.ClassEntry(label="C4", order=4, num_classes=3, self_normalising=False)
 
+    def test_census_validation(self):
+        with pytest.raises(ValueError, match="num_classes must be 1 or 2, got 0"):
+            invariants.ClassEntry("C4", 4, 0, False)
+        with pytest.raises(ValueError, match="nontrivial"):
+            invariants.ClassEntry("C1", 1, 1, False)
+        c4 = invariants.ClassEntry("C4", 4, 1, False)
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            invariants.ClassCensus(5, (c4, c4))
+        with pytest.raises(ValueError, match="does not encode order 6"):
+            invariants.ClassCensus(5, (invariants.ClassEntry("C4", 6, 1, False),))
+        for label, message in (("X4", "unrecognised label"), ("E4:X1", "bad affine label")):
+            with pytest.raises(ValueError, match=message):
+                invariants.ClassCensus(5, (invariants.ClassEntry(label, 4, 1, False),))
+
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             invariants.census(3)

@@ -163,15 +163,20 @@ class TestHbJobs:
 
     @staticmethod
     def _cut_before_segment_1(fmt):
-        """hb --limit 1e7's stdout up to just before the first row of its second segment, t from 69445."""
+        """hb --limit 1e7's stdout up to just before the first row of its second segment, t from 69445.
+
+        Table shows only the first 10 rows, all in the first segment: its cut is the bounds line and those rows.
+        """
         first = next(p for p in heathbrown.scan_hb(10**7).p.tolist() if p > 72 * 69445)
         full = _stdout(["hb", "--limit", "1e7", "--format", fmt])[1]
+        if fmt == "table":
+            return full[: full.index("  ... ")]
         return full[: full.index(f', {{"p": {first},' if fmt == "json" else f"\n{first},") + (fmt == "csv")]
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     def test_a_failing_segment_keeps_the_rows_before_it(self, fmt, cores, monkeypatch, capsys):
         cores(2)
-        want = self._cut_before_segment_1(fmt)  # json with no closing ]}
+        want = self._cut_before_segment_1(fmt)  # json with no closing ]}, table with no count line
         scan_segment = heathbrown.scan_segment
 
         def fail_in_the_child(lo, hi):
@@ -191,7 +196,7 @@ class TestHbJobs:
         assert cli.main(["hb", "--limit", "76", "--format", fmt]) == cli.EXIT_USAGE
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     def test_each_segment_is_written_before_the_next_is_sieved(self, fmt, cores, monkeypatch):
         cores(1)
         want = self._cut_before_segment_1(fmt)
@@ -213,20 +218,22 @@ class TestHbJobs:
         before = events[: events.index(("sieve", 69445))]
         assert "".join(text for kind, text in before if kind == "write") == want
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     def test_memory_stays_flat_in_the_limit(self, fmt, cores, monkeypatch):
-        # 106 segments to 1e9 of about 0.9 MiB of text each: about 94 MiB if they were held
+        # 106 segments to 1e9 of about 0.9 MiB of text each, 3.6 MiB in table: about 94 MiB, or 380 MiB, if they were
+        # held; at most two segments' texts are alive at once, the one written and the next
         cores(1)
+        row = "  p=5          Omega(p-1)=2 Omega(p+1)=2 i=7 c=7 s=3 n=4\n" if fmt == "table" else "5,2,2,7,7,3,4\n"
         monkeypatch.setattr(heathbrown, "scan_segment", lambda lo, hi: None)
-        monkeypatch.setattr(cli, "_hb_rows", lambda found, bounds, fmt, cap: (2**16, 0, "5,2,2,7,7,3,4\n" * 2**16))
+        monkeypatch.setattr(cli, "_hb_rows", lambda found, bounds, fmt, cap: (2**16, 0, row * 2**16))
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()
             try:
-                assert cli.main(["hb", "--limit", "1e9", "--format", fmt]) == cli.EXIT_OK
+                assert cli.main(["hb", "--limit", "1e9", "--format", fmt, "--show", str(10**12)]) == cli.EXIT_OK
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < (16 if fmt == "table" else 8) * 2**20
 
     def test_a_closed_pipe_kills_and_reaps_the_children(self, cores, forks, monkeypatch):
         # the first segment's rows meet the closed pipe while the children still sieve theirs
