@@ -1,5 +1,5 @@
-"""Integer arithmetic helpers: primality, factorization, divisor counts, families of
-linear forms (PolynomialFamily), two sieves of such forms with one input check and one
+"""Integer arithmetic helpers: primality, factorization, divisor counts, PolynomialFamily
+(the one contract of a linear form), two sieves of such forms checked through it with one
 root set-up (sieve_forms for primes, by a wheel mod 210 or 1 from the window length,
 and factor_counts), the one cut of t, windows, and the one source of primes, prime_segments.
 
@@ -127,7 +127,11 @@ def inverse_mod(a: int, primes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolynomialFamily:
-    """A finite family of linear integer polynomials, each a pair (a, b) for a*t + b with a >= 1."""
+    """A finite family of linear integer polynomials, each a pair (a, b) for a*t + b: the one contract of a linear form.
+
+    Every member has a >= 1, gcd(a, b) = 1 (no prime divides all its values) and coefficients
+    within 64 bits, and no member repeats; a family that breaks a rule raises ValueError.
+    """
 
     polys: tuple[tuple[int, int], ...]
 
@@ -141,6 +145,10 @@ class PolynomialFamily:
                 raise ValueError(f"leading coefficients must be positive, got {coeffs}")
             if any(abs(c) > U64_MAX for c in coeffs):
                 raise ValueError("coefficients must fit in 64 bits")
+            if (content := math.gcd(*coeffs)) > 1:
+                raise ValueError(f"{content} divides every value of {coeffs}")
+        if len(set(self.polys)) < self.m:
+            raise ValueError(f"members must be distinct, got {self.polys}")
 
     @property
     def m(self) -> int:
@@ -157,19 +165,16 @@ class PolynomialFamily:
 def _check_forms(forms, lo: int, hi: int) -> int:
     """What both sieves accept; returns the largest value, max(a*hi + b) over forms.
 
-    ValueError for no forms, lo > hi, or a form without 1 <= a < 2**32,
-    gcd(a, b) = 1 and every |a*t + b| < 2**64; then, before any base prime
-    is fetched, check_prime_cap.
+    The forms must make a PolynomialFamily (its ValueError otherwise); then the sieve's
+    own limits: ValueError for lo > hi, a >= 2**32 or a value |a*t + b| >= 2**64, and,
+    before any base prime is fetched, check_prime_cap.
     """
-    if not forms:
-        raise ValueError("a sieve of linear forms requires at least one form")
+    PolynomialFamily(tuple(forms))
     if lo > hi:
         raise ValueError(f"a sieve of linear forms requires lo <= hi, got [{lo}, {hi}]")
     for a, b in forms:
-        if not 1 <= a < 2**32 or math.gcd(a, b) != 1:
-            raise ValueError(f"a sieve of linear forms requires 1 <= a < 2**32 and gcd(a, b) = 1, got ({a}, {b})")
-        if a * hi + b > U64_MAX or a * lo + b < -U64_MAX:
-            raise ValueError("a sieve of linear forms requires every value below 2**64 in absolute value")
+        if a >= 2**32 or a * hi + b > U64_MAX or a * lo + b < -U64_MAX:
+            raise ValueError(f"a sieve of linear forms requires a < 2**32 and every |a*t + b| < 2**64, got ({a}, {b})")
     top = max(a * hi + b for a, b in forms)
     check_prime_cap(top)
     return top

@@ -12,8 +12,9 @@ Hardy-Littlewood product over primes of
 the product modulo p.  The integral is bracketed by midpoint and
 trapezoid sums (integrate_bracket), so its error comes with a bound.
 
-Each member is a pair (a, b) for a*t + b with a >= 1, the pair order of
-arith, so (12, 5) is 12*t + 5.
+Each member is a pair (a, b) for a*t + b, the pair order of arith, so
+(12, 5) is 12*t + 5; arith.PolynomialFamily holds the members to a >= 1,
+gcd(a, b) = 1 and no repeats.
 """
 
 from __future__ import annotations
@@ -37,42 +38,22 @@ def check_sh(fam: PolynomialFamily) -> int | None:
 
     Every member is linear with a positive leading coefficient, so irreducible.
     A prime q is a fixed divisor of the product when the product vanishes
-    at every residue, omega_roots(fam, q) == q.  That can only arise from
-    q at most m (the m members have at most m roots mod q between them
-    unless one vanishes identically) or from q dividing both coefficients
-    of one member, so those two finite sets of candidates decide the
-    matter.
+    at every residue, omega_roots(fam, q) == q.  The m members are primitive,
+    so each has at most one root mod q and no q above m can be one: the
+    primes q <= m decide the matter.
     """
-    candidates = set(arith.prime_array(fam.m).tolist())
-    for coeffs in fam.polys:
-        content = math.gcd(*coeffs)
-        if content > 1:
-            candidates.update(q for q, _ in arith.factorize(content))
-    return next((q for q in sorted(candidates) if omega_roots(fam, q) == q), None)
+    return next((q for q in arith.prime_array(fam.m).tolist() if omega_roots(fam, q) == q), None)
 
 
 def omega_roots(fam: PolynomialFamily, p: int) -> int:
     """Number of t mod p at which the family product vanishes.
 
-    A member a*t + b has the one root -b/a when p does not divide a, none
-    when p divides a but not b, and vanishes at every t (omega is then p)
-    when p divides both.
+    A member a*t + b has the one root -b/a when p does not divide a, and none
+    when it does, as p then does not divide the coprime b.
     """
     if p < 2 or not arith.is_prime(p):
         raise ValueError("omega_roots requires a prime modulus")
-    roots: set[int] = set()
-    for a, b in fam.polys:
-        if a % p:
-            roots.add(-b * pow(a, -1, p) % p)
-        elif b % p == 0:
-            return p
-    return len(roots)
-
-
-def _primitive(a: int, b: int) -> tuple[int, int]:
-    """The member a*t + b divided by its content."""
-    content = math.gcd(a, b)
-    return a // content, b // content
+    return len({-b * pow(a, -1, p) % p for a, b in fam.polys if a % p})
 
 
 def _mod_primes(n: int, primes: np.ndarray) -> np.ndarray:
@@ -93,19 +74,18 @@ def _mod_primes(n: int, primes: np.ndarray) -> np.ndarray:
 def _omega(fam: PolynomialFamily, primes: np.ndarray) -> np.ndarray:
     """omega(p) for every p in a uint64 array of primes below 2**32.
 
-    Let g_1, ..., g_k be the distinct primitive parts a_i*t + b_i of the
-    members.  At a prime dividing no member's leading coefficient and no
-    resultant a_i*b_j - a_j*b_i, no member vanishes mod p and the g_i have
-    k distinct roots, so omega(p) = k.
-    Only those finitely many exceptional primes are counted by omega_roots.
-    Distinct g_i are not proportional, so every resultant is nonzero.
-    An array whose least prime exceeds every exceptional |n|, as every
-    Euler window of hl_constant past the first few, takes omega = k at once.
+    At a prime dividing no member's leading coefficient and no resultant
+    a_i*b_j - a_j*b_i, each member has one root mod p and no two share it, so
+    omega(p) = m.  The members are distinct and primitive, so not proportional,
+    and every resultant is nonzero: only finitely many exceptional primes are
+    counted by omega_roots.  An array whose least prime exceeds every
+    exceptional |n|, as every Euler window of hl_constant past the first few,
+    takes omega = m at once.
     """
-    primitive = sorted({_primitive(a, b) for a, b in fam.polys})
-    exceptional = [a for a, _ in fam.polys]
-    exceptional += [a_i * b_j - a_j * b_i for i, (a_i, b_i) in enumerate(primitive) for a_j, b_j in primitive[:i]]
-    omega = np.full(len(primes), len(primitive), dtype=np.int64)
+    polys = fam.polys
+    exceptional = [a for a, _ in polys]
+    exceptional += [a_i * b_j - a_j * b_i for i, (a_i, b_i) in enumerate(polys) for a_j, b_j in polys[:i]]
+    omega = np.full(len(primes), fam.m, dtype=np.int64)
     if not len(primes) or int(primes[0]) > max(map(abs, exceptional)):
         return omega
     exact = np.zeros(len(primes), dtype=bool)

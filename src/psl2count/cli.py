@@ -19,7 +19,6 @@ import contextlib
 import io
 import json
 import os
-import re
 import sys
 import traceback
 
@@ -46,25 +45,18 @@ def _jreal(x: float) -> float:
     return float(f"{x:.10g}")
 
 
-# sign, digits, fraction and exponent of a decimal such as 1e9 or 2.5E3
-_DECIMAL = re.compile(r"\s*([+-]?)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?\s*")
-
-
 def _int_arg(text: str) -> int:
     """Integer flag value, also in scientific notation like 1e9, read exactly; past 309 digits, as a float overflows, refused."""
     try:
         return int(text)
     except ValueError:
-        match = _DECIMAL.fullmatch(text)
-    if match is None or not (match[2] or match[3]):
+        import decimal  # only here: start-up need not pay for it
+    value = decimal.Decimal(text, decimal.Context(traps=[]))  # NaN where text is no decimal
+    if not value.is_finite() or value != value.to_integral_value():
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    sign, whole, frac, exp = match.groups("")
-    digits = whole + frac
-    significant = digits.strip("0")  # the value is significant * 10**scale
-    scale = int(exp or 0) - len(frac) + len(digits) - len(digits.rstrip("0"))
-    if significant and (scale < 0 or len(significant) + scale > 309):  # checked before 10**scale is built
-        raise argparse.ArgumentTypeError(f"expected an integer{'' if scale < 0 else ' of at most 309 digits'}, got {text!r}")
-    return int(sign + significant) * 10**scale if significant else 0
+    if value and value.adjusted() >= 309:  # checked before the int is built
+        raise argparse.ArgumentTypeError(f"expected an integer of at most 309 digits, got {text!r}")
+    return int(value)
 
 
 def _env_name(flag: str) -> str:
@@ -79,24 +71,28 @@ _PRESET_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
 def _add(parser: argparse.ArgumentParser, flag: str, **kw) -> None:
     """add_argument with an environment-variable default override.
 
-    String defaults are run through the argument's type and choices by
-    argparse itself, so a bad environment value fails the same way a bad
-    flag does.  A store_true flag's preset must be one of _PRESET_BOOLS.
-    A preset that fails either check is kept as the subparser's bad_preset,
-    which main raises once that subcommand is parsed, so it fails no other.
+    The preset is read when the parser is built, as the flag's own value
+    would be: through the argument's type and choices, or, for a store_true
+    flag, as one of _PRESET_BOOLS.  A refused preset drops required and is
+    kept as the subparser's bad_preset, naming the variable, which main
+    raises once that subcommand is parsed, so it fails no other.
     """
-    env = os.environ.get(_env_name(flag))
+    env = os.environ.get(name := _env_name(flag))
     if env is not None:
         if kw.get("action") == "store_true":
-            value, allowed = _PRESET_BOOLS.get(env.strip().lower()), "1/true/yes/on or 0/false/no/off"
-        else:  # argparse runs string defaults through type, but not choices
-            choices = kw.get("choices", (env,))
-            value, allowed = env if env in choices else None, "/".join(choices)
-        if value is None:  # the subparser keeps its first bad preset
-            parser.set_defaults(bad_preset=parser.get_default("bad_preset") or f"{_env_name(flag)}={env!r} is not one of {allowed}")
+            value = _PRESET_BOOLS.get(env.strip().lower())
+            error = value is None and " is not one of 1/true/yes/on or 0/false/no/off"
+        else:
+            try:
+                value = kw.get("type", str)(env)
+                error = value not in kw.get("choices", (value,)) and f" is not one of {'/'.join(kw['choices'])}"
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                error = f": {exc}"
+        if error:  # the subparser keeps its first bad preset
+            parser.set_defaults(bad_preset=parser.get_default("bad_preset") or f"{name}={env!r}{error}")
         else:
             kw["default"] = value
-            kw.pop("required", None)
+        kw.pop("required", None)
     parser.add_argument(flag, **kw)
 
 

@@ -85,11 +85,11 @@ class PermGroup:
     element orders are computed on first use and cached.
     """
 
-    def __init__(self, p: int, elements: np.ndarray, generators: tuple[int, ...]):
+    def __init__(self, p: int, elements: np.ndarray):
         self.p = p
         self.degree = p + 1
         self.elements = elements
-        self.generators = generators
+        self.generators: tuple[int, ...] = ()  # build_psl2 sets the two it grew the group from
         self.order = elements.shape[0]
         self._columns = elements[:, [0, 1, p]].T.astype(np.intp)  # images of 0, 1 and infinity
         self._by_point = elements.T.astype(np.int32)  # row x: the image of x under each element
@@ -197,7 +197,7 @@ def build_psl2(p: int) -> PermGroup:
     if elements.shape[0] != expected:
         raise AssertionError(f"built {elements.shape[0]} elements, expected {expected}")
 
-    group = PermGroup(p, elements, ())
+    group = PermGroup(p, elements)
     group.generators = tuple(group._locate(*gens[:, [0, 1, p]].T.astype(np.intp)).tolist())
     return group
 

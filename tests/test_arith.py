@@ -261,6 +261,14 @@ class TestSieveForms:
             with pytest.raises(ValueError):
                 arith.sieve_forms(forms, lo, hi)
 
+    def test_the_family_checks_the_forms(self):
+        # PolynomialFamily is the one contract: the sieve refuses what it refuses, with its message
+        for forms in ([(2, 1), (2, 1)], [(12, 5), (2, 1), (12, 5)]):
+            with pytest.raises(ValueError, match="members must be distinct"):
+                arith.sieve_forms(forms, 0, 10)
+        with pytest.raises(ValueError, match=r"^3 divides every value of \(6, 3\)$"):
+            arith.sieve_forms([(2, 1), (6, 3)], 0, 10)
+
     def test_base_prime_cap(self):
         # every base prime below 2**31 would be fetched; the cap refuses first
         start = time.perf_counter()
@@ -500,6 +508,12 @@ class TestFactorCounts:
         ):
             with pytest.raises(ValueError):
                 arith.factor_counts(a, b, lo, hi)
+
+    def test_the_family_checks_the_form(self):
+        with pytest.raises(ValueError, match=r"^3 divides every value of \(6, 3\)$"):
+            arith.factor_counts(6, 3, 0, 10)
+        with pytest.raises(ValueError, match="leading coefficients must be positive"):
+            arith.factor_counts(0, 1, 0, 10)
 
     def test_base_prime_cap(self):
         start = time.perf_counter()

@@ -36,6 +36,13 @@ class TestFamily:
         with pytest.raises(ValueError):
             bhc.family((7,))  # a member is a pair (a, b)
 
+    def test_repeated_members_are_refused(self):
+        # a repeated member once gave a product that diverged with the truncation
+        with pytest.raises(ValueError, match="members must be distinct"):
+            bhc.family((1, 1), (1, 1))
+        with pytest.raises(ValueError, match="members must be distinct"):
+            bhc.hl_constant(bhc.family((1, 0), (1, 2), (1, 0)), 10**4)
+
     def test_cubics_refused_by_admissibility_check(self):
         # refused on construction, before any check can run
         with pytest.raises(ValueError):
@@ -62,10 +69,13 @@ class TestAdmissibility:
             bhc.family((0, 12, 5))  # three coefficients, even with a zero leading one
 
     def test_fixed_divisor_of_one_member(self):
-        # 3 divides every value of 3t + 3, though not every coefficient of the family
-        assert bhc.check_sh(bhc.family((1, 1), (3, 3))) == 3
-        with pytest.raises(ValueError, match="fixed prime divisor 3"):
-            bhc.hl_constant(bhc.family((1, 1), (3, 3)), 10**4)
+        # 3 divides every value of 3t + 3, though not every coefficient of the family:
+        # the family names the member's content on construction, before check_sh can run
+        for other in ((1, 1), (2, 1)):
+            with pytest.raises(ValueError, match=r"^3 divides every value of \(3, 3\)$"):
+                bhc.family(other, (3, 3))
+        with pytest.raises(ValueError, match=r"^6 divides every value of \(6, -12\)$"):
+            bhc.family((6, -12))
 
     def test_constant_polynomial_rejected(self):
         # every member rises: a constant or falling one is refused on construction
@@ -74,10 +84,13 @@ class TestAdmissibility:
                 bhc.family((12, 5), member)
 
     def test_fixed_divisor_from_a_large_content(self):
-        # 2**61 - 1 divides both coefficients of the second member; omega_roots
-        # decides it at once, where trying every residue would not finish
+        # 2**61 - 1 divides both coefficients of the second member; the family
+        # names it on construction, where trying every residue would not finish
         q = 2**61 - 1
-        assert bhc.check_sh(bhc.family((2, 1), (q, q))) == q
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^{q} divides every value of \\({q}, {q}\\)$"):
+            bhc.family((2, 1), (q, q))
+        assert time.perf_counter() - start < 0.1
 
 
 class TestRootCounting:
@@ -88,12 +101,15 @@ class TestRootCounting:
         assert bhc.omega_roots(fam, 13) == 3
 
     def test_brute_matches_formula_all_small_primes(self):
-        # 3t + 3 vanishes identically mod 3, and 5t + 10 mod 5
-        fams = {**FAMS, "vanishing members": bhc.family((1, 1), (3, 3), (5, 10))}
+        # 3t + 3 would vanish identically mod 3, and 5t + 10 mod 5: refused on construction
+        with pytest.raises(ValueError, match="3 divides every value"):
+            bhc.family((1, 1), (3, 3), (5, 10))
+        # 3t + 4 has no root mod 3, and 5t + 12 none mod 5
+        fams = {**FAMS, "leading coefficients 3 and 5": bhc.family((1, 1), (3, 4), (5, 12))}
         for name, fam in fams.items():
             for p in arith.primes_in_range(2, 97):
                 assert bhc.omega_roots(fam, p) == _brute_omega(fam, p), (name, p)
-        assert [bhc.omega_roots(fams["vanishing members"], p) for p in (3, 5)] == [3, 5]
+        assert [bhc.omega_roots(fams["leading coefficients 3 and 5"], p) for p in (3, 5)] == [2, 2]
 
     def test_bounded_by_degree_sum(self):
         for fam in FAMS.values():
@@ -141,20 +157,24 @@ class TestConstant:
 
 
 # Families for the closed-form omega: the paper's cases, an exceptional prime
-# from a resultant, members that repeat up to a constant factor, and a split
+# from a resultant, a leading coefficient 3 beside the resultant -10, and a split
 # (m+, m-) = (5, 6), whose leading coefficients 60, 6 and 5 make 5 exceptional.
 CLOSED_FORM_FAMS = {
     **{f"case {c}": fam for c, fam in FAMS.items()},
     "twin": bhc.family((1, 0), (1, 2)),
     "linear pair, resultant 1999": bhc.family((2, 1), (1, 1000)),
-    "repeated and rescaled": bhc.family((1, 0), (1, 2), (1, 0), (3, 6)),
+    "leading coefficient 3, resultant -10": bhc.family((1, 0), (1, 2), (3, 10)),
     "split (5, 6)": bhc.PolynomialFamily(search.split_forms(5, 6)),
 }
 
 
+def _primitive_family(polys):
+    """The family of the distinct members of polys, each divided by its content."""
+    return bhc.family(*dict.fromkeys((a // math.gcd(a, b), b // math.gcd(a, b)) for a, b in polys))
+
+
 def _random_linear_families(seed=20241, count=20):
-    """Seeded families of 1-4 linear members, some with a member repeated
-    up to a factor c in {2, 3, 5, 7}."""
+    """Seeded families of 1-4 distinct primitive linear members."""
     rng = random.Random(seed)
     fams = []
     for _ in range(count):
@@ -162,11 +182,7 @@ def _random_linear_families(seed=20241, count=20):
         for _ in range(rng.randint(1, 4)):
             b = rng.randint(-(2**20), 2**20)  # b drawn before a, as the families were first seeded
             polys.append((rng.randint(1, 2**20), b))
-        a, b = rng.choice(polys)
-        if rng.random() < 0.4:
-            c = rng.choice((2, 3, 5, 7))
-            polys.append((c * a, c * b))
-        fams.append(bhc.family(*polys))
+        fams.append(_primitive_family(polys))
     return fams
 
 
@@ -227,9 +243,11 @@ class TestClosedForm:
         bhc.hl_constant(FAMS["a"], 10**5)
         assert seen == [2, 3] + [2, 3]  # then the primes dividing case a's leading coefficients and resultants
         seen.clear()
-        # a repeated member must not give a zero resultant
-        bhc.hl_constant(bhc.family((1, 0), (1, 2), (1, 0)), 10**5)
-        assert seen == [2, 3] + [2]
+        # a repeated member, whose resultant with itself is zero, is refused on construction
+        with pytest.raises(ValueError, match="members must be distinct"):
+            bhc.family((1, 0), (1, 2), (1, 0))
+        bhc.hl_constant(CLOSED_FORM_FAMS["leading coefficient 3, resultant -10"], 10**5)
+        assert seen == [2, 3] + [2, 3, 5]
         seen.clear()
         bhc.hl_constant(CLOSED_FORM_FAMS["linear pair, resultant 1999"], 10**5)
         assert seen == [2] + [2, 1999]
@@ -556,7 +574,7 @@ class TestEstimate:
         rng = random.Random(2)
         fams = list(FAMS.values())
         for _ in range(3000):
-            fams.append(bhc.family(*[(rng.randint(1, 50), rng.randint(-50, 50)) for _ in range(rng.randint(1, 4))]))
+            fams.append(_primitive_family([(rng.randint(1, 50), rng.randint(-50, 50)) for _ in range(rng.randint(1, 4))]))
         for fam in fams:
             # every member with 1 <= a <= 50 and |b| <= 50 is at least 2 from t = 52 on
             assert bhc.integration_lower_limit(fam) == _lower_limit_by_loop(fam, 100), fam

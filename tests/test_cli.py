@@ -699,6 +699,16 @@ class TestPlumbing:
         assert run(["verify-table"], env=env) == (
             2, "", "psl2count: PSL2_STRICT='maybe' is not one of 1/true/yes/on or 0/false/no/off\n")
 
+    @pytest.mark.parametrize("var,value,argv", [("PSL2_T_MAX", "abc", ["search", "a"]), ("PSL2_X", "abc", ["bhc", "a"]),
+                                                ("PSL2_THREADS", "1.5", ["search", "a", "--t-max", "10"])])
+    def test_a_bad_typed_preset_names_its_variable(self, var, value, argv):
+        # read when the parser is built, as the flag would be, and reported under the variable's name
+        code, out, err = run(argv, env={var: value})
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith(f"psl2count: {var}={value!r}: "), err
+        assert "--" not in err and "usage" not in err
+        assert run(["census", "13", "--format", "csv"], env={var: value})[0] == 0
+
     def test_entry_point_exists(self):
         assert callable(cli.entry)
 

@@ -112,7 +112,7 @@ class TestBuild:
         elements = oracle.build_psl2(31).elements
         tracemalloc.start()
         try:
-            oracle.PermGroup(31, elements, ())
+            oracle.PermGroup(31, elements)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -142,7 +142,7 @@ class TestBuild:
     def test_shared_key_raises(self):
         g = _group(5)
         with pytest.raises(AssertionError):
-            oracle.PermGroup(5, np.vstack([g.elements, g.elements[:1]]), ())
+            oracle.PermGroup(5, np.vstack([g.elements, g.elements[:1]]))
 
     def test_element_orders_lagrange(self):
         g = _group(7)
