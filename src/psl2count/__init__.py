@@ -7,69 +7,42 @@ core sit a brute-force census for small p, scans for prime triples (p, s, r)
 that drive the counts to their minima, Bateman-Horn style estimates for how
 often such triples occur, and a scan for the primes relevant to the
 conditional upper-bound argument.
+
+Importing the package imports none of its modules: a module is imported when
+one of its public names, or the module itself, is first read, so
+``import psl2count`` does not load numpy.  The command-line front end,
+``psl2count.cli``, imports every module when it starts.
 """
 
-from .arith import PolynomialFamily, big_omega, divisors, factorize, is_prime, primes_in_range, tau, two_adic_valuation
-from .invariants import (
-    ClassCensus,
-    ClassEntry,
-    GoldenRow,
-    InvariantProfile,
-    census,
-    counts,
-    golden_table,
-    profile,
-    verify_golden,
-)
-from .oracle import OracleClass, PermGroup, ResourceLimitError, Subgroup, build_psl2, classify, enumerate_subgroups, oracle_census
-from .search import CaseSpec, SearchSummary, TripleHit, case_spec, scan, verify_attainment
-from .bhc import BhcEstimate, HlConstant, check_sh, estimate_E, family, hl_constant, omega_roots
-from .heathbrown import HbCandidate, HbScan, derive_upper_bounds, qualifies, scan_hb
+import importlib
 
-__all__ = [
-    "is_prime",
-    "factorize",
-    "tau",
-    "big_omega",
-    "divisors",
-    "two_adic_valuation",
-    "primes_in_range",
-    "InvariantProfile",
-    "profile",
-    "counts",
-    "census",
-    "ClassCensus",
-    "ClassEntry",
-    "GoldenRow",
-    "golden_table",
-    "verify_golden",
-    "PermGroup",
-    "Subgroup",
-    "OracleClass",
-    "ResourceLimitError",
-    "build_psl2",
-    "enumerate_subgroups",
-    "classify",
-    "oracle_census",
-    "CaseSpec",
-    "TripleHit",
-    "SearchSummary",
-    "case_spec",
-    "scan",
-    "verify_attainment",
-    "PolynomialFamily",
-    "HlConstant",
-    "BhcEstimate",
-    "family",
-    "check_sh",
-    "omega_roots",
-    "hl_constant",
-    "estimate_E",
-    "HbCandidate",
-    "HbScan",
-    "qualifies",
-    "scan_hb",
-    "derive_upper_bounds",
-]
+# Each public name under the module that defines it.
+_PUBLIC = {
+    "arith": ("is_prime", "factorize", "tau", "big_omega", "divisors", "two_adic_valuation", "primes_in_range",
+              "PolynomialFamily", "ResourceLimitError"),
+    "invariants": ("InvariantProfile", "profile", "counts", "census", "ClassCensus", "ClassEntry", "GoldenRow",
+                   "golden_table", "verify_golden"),
+    "oracle": ("PermGroup", "Subgroup", "OracleClass", "build_psl2", "enumerate_subgroups", "classify",
+               "oracle_census"),
+    "search": ("CaseSpec", "TripleHit", "SearchSummary", "case_spec", "scan", "verify_attainment"),
+    "bhc": ("HlConstant", "BhcEstimate", "family", "check_sh", "omega_roots", "hl_constant", "estimate_E"),
+    "heathbrown": ("HbCandidate", "HbScan", "qualifies", "scan_hb", "derive_upper_bounds"),
+    "runner": (),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = list(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """A public name or module of the package, imported on its first read."""
+    if name not in _HOME and name not in _PUBLIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_HOME.get(name, name)}", __name__)
+    return module if name in _PUBLIC else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME, *_PUBLIC})

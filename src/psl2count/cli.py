@@ -158,7 +158,7 @@ def _census_diff(formula: invariants.ClassCensus, brute: invariants.ClassCensus)
         elif b is None:
             diffs.append(f"{label}: only in formula census")
         else:
-            for field in ("order", "num_classes", "self_normalising"):
+            for field in ("num_classes", "self_normalising"):  # ClassCensus ties each order to its label
                 fv, bv = getattr(f, field), getattr(b, field)
                 if fv != bv:
                     diffs.append(f"{label}: {field} formula={fv} brute={bv}")
@@ -268,6 +268,8 @@ _CASE = "{a,b,c,d,M+:M-}"  # the case names search.split_of reads
 def cmd_search(args) -> int:
     if args.show_hits < 0:
         raise ValueError("--show-hits must be at least 0")
+    if args.threads is not None and args.threads < 1:
+        raise ValueError("--threads must be at least 1")
     spec = search.case_spec(args.case)
     jobs = args.threads if args.threads is not None else runner.default_jobs()
     summary = search.scan(

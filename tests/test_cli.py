@@ -378,6 +378,13 @@ class TestSearchCommand:
     def test_negative_hit_counts_are_usage_errors(self):
         assert run(["search", "a", "--t-max", "100", "--show-hits", "-1"])[0] == 2
 
+    @pytest.mark.parametrize("argv, env", [(["--threads", "0"], {}), (["--threads", "-1"], {}),
+                                           ([], {"PSL2_THREADS": "0"})], ids=["0", "-1", "env-0"])
+    def test_threads_below_one_names_the_flag(self, argv, env):
+        assert run(["search", "a", "--t-max", "10", *argv], env) == (2, "", "psl2count: --threads must be at least 1\n")
+        with pytest.raises(ValueError, match="^jobs must be at least 1$"):
+            search.scan(search.case_spec("a"), 10, jobs=0)
+
 
 class TestCaseNames:
     """search and bhc take a case a-d or a split M+:M-; anything else is a usage error."""

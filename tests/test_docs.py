@@ -1,11 +1,14 @@
-"""The documented examples run, and the package's public names are the ones it imports."""
+"""The documented examples run, and the package's public names are the ones its table lists."""
 
 import ast
 import doctest
 import importlib
+import os
 import pathlib
 import pkgutil
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -47,14 +50,65 @@ def test_readme_commands_parse():
     assert {"a", "b", "4:3"} <= cases
 
 
-def test_all_matches_imports():
-    tree = ast.parse(pathlib.Path(psl2count.__file__).read_text())
-    imported = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
-                for alias in node.names]
+# The package's public names, as __all__ lists them; a name that leaves this
+# set is an API removal.
+PUBLIC = {
+    "is_prime", "factorize", "tau", "big_omega", "divisors", "two_adic_valuation", "primes_in_range",
+    "PolynomialFamily", "ResourceLimitError", "InvariantProfile", "profile", "counts", "census", "ClassCensus",
+    "ClassEntry", "GoldenRow", "golden_table", "verify_golden", "PermGroup", "Subgroup", "OracleClass",
+    "build_psl2", "enumerate_subgroups", "classify", "oracle_census", "CaseSpec", "TripleHit", "SearchSummary",
+    "case_spec", "scan", "verify_attainment", "HlConstant", "BhcEstimate", "family", "check_sh", "omega_roots",
+    "hl_constant", "estimate_E", "HbCandidate", "HbScan", "qualifies", "scan_hb", "derive_upper_bounds",
+}
+SUBMODULES = {"arith", "bhc", "heathbrown", "invariants", "oracle", "runner", "search"}
+
+
+def test_all_is_the_table_of_public_names():
+    # one table, each name under the module that defines it, and no name twice
+    assert [name for names in psl2count._PUBLIC.values() for name in names] == psl2count.__all__
+    assert set(psl2count._PUBLIC) == SUBMODULES
     assert len(psl2count.__all__) == len(set(psl2count.__all__))
-    assert set(psl2count.__all__) == set(imported)
-    for name in psl2count.__all__:
-        assert getattr(psl2count, name) is not None, name
+    assert set(psl2count.__all__) == PUBLIC
+    for module, names in psl2count._PUBLIC.items():
+        for name in names:
+            obj = getattr(psl2count, name)
+            assert obj is getattr(importlib.import_module(f"psl2count.{module}"), name), name
+            assert obj.__module__ == f"psl2count.{module}", name
+
+
+def test_public_attributes_resolve():
+    for module in SUBMODULES:
+        assert getattr(psl2count, module) is importlib.import_module(f"psl2count.{module}")
+    assert PUBLIC | SUBMODULES | {"__version__"} <= set(dir(psl2count))
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        psl2count.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        from psl2count import no_such_name  # noqa: F401
+    namespace = {}
+    exec("from psl2count import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(psl2count.__all__)
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The psl2count modules, and numpy, that a fresh interpreter holds after running code."""
+    probe = f"{code}\nimport sys\nprint(*sorted(m for m in sys.modules if m == 'numpy' or m.startswith('psl2count')))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return proc.stdout.split()
+
+
+def test_bare_import_loads_no_module():
+    assert _loaded_after("import psl2count") == ["psl2count"]
+    # a name loads its own module and what that module imports, and no other
+    assert _loaded_after("import psl2count\npsl2count.runner") == ["psl2count", "psl2count.runner"]
+    assert _loaded_after("import psl2count\npsl2count.counts") == [
+        "numpy", "psl2count", "psl2count.arith", "psl2count.invariants"]
+
+
+def test_cli_loads_every_module():
+    # the start-up that the benchmark's setup_s times: the CLI imports all eight modules when it loads
+    assert _loaded_after("import psl2count.cli") == [
+        "numpy", "psl2count", *sorted(f"psl2count.{m}" for m in SUBMODULES | {"cli"})]
 
 
 def _package_imports(source: str) -> set[str]:
